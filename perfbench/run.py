@@ -8,17 +8,25 @@ Run from the repository root::
 With ``--trace 0`` the last line of standard output is a JSON object with the
 end-to-end metrics of the untraced run.  With ``--trace 1`` the process first
 runs the same workload untraced in a child process, then traced in itself, and
-reports the per-layer metrics plus the tracing overhead (traced ``wall_s``
-minus untraced ``wall_s``).  Without ``--workload`` each workload runs this
+reports the per-layer metrics plus the tracing overhead (traced ``ops_s``
+minus untraced ``ops_s``).  Without ``--workload`` each workload runs this
 way in its own process and a summary of all of them is printed.  Details and
 spans go to ``perfbench/out/``.  The exit code is non-zero when an output
 check fails or the package cannot be imported.
+
+Every time in the end-to-end metrics is scaled to a reference host speed
+(see ``hostspeed``): a reference kernel is timed ten times a second during
+the run, and each op's wall time is multiplied by the host's mean speed over
+it.  On a shared host the raw wall time of the same run drifts by a third;
+the scaled times stay within a few per cent.  ``wall_s`` and ``host_speed``
+are printed beside them.  The per-layer times of a traced run are raw.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import platform
 import resource
@@ -37,17 +45,19 @@ THREADS = 1
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 # End-to-end metrics reported on every workload; BENCHMARK.json lists the
-# same.  unit_ms_p50 and unit_ms_mean are wall time per unit of the
-# workload's work, taken per op kind and combined over the kinds (see
-# _unit_figures): the median over ops and the total.  In the iterative workloads
-# the unit is one step of the iteration: an objective evaluation of a stable
-# fit (study, desk_fit) or a Lyapunov estimate of the frontier bisection
-# (garch_paths).  How many steps an op needs swings twofold between seeds
-# while the cost of one stays put, so per-op latency cannot be steady across
-# seeds in a run of this length; the per-op figures (rep_s_p50, fit_s, ...)
-# are still printed and saved.  For var_desk the unit is an asset, and for
-# garch_paths' simulate ops the path.
-E2E = {"setup_s": "s", "unit_ms_p50": "ms", "unit_ms_mean": "ms", "peak_rss_mb": "MB"}
+# same.  unit_ms_p50 is time per unit of the workload's work: the median over
+# the ops of each op kind, combined over the kinds (see _unit_figures).  In
+# the iterative ops the unit is one step of the iteration: an objective
+# evaluation of a stable fit (study, desk_fit) or a Lyapunov estimate of the
+# frontier bisection (garch_paths).  How many steps an op needs swings
+# twofold between seeds while the cost of one stays put, so per-op latency
+# cannot be steady across seeds in a run of this length; the per-op figures
+# (rep_s_p50, fit_s, ...) are still printed and saved.  For var_desk the
+# unit is an asset, and for garch_paths' simulate ops the path.  The total
+# time per unit, unit_ms_mean, is printed but not bounded: about one desk fit
+# in thirty falls back to per-point quadrature and takes three times as long
+# per evaluation, which moves a run's total by half.
+E2E = {"setup_s": "s", "unit_ms_p50": "ms", "peak_rss_mb": "MB"}
 # appended to the per-layer metrics of a traced run
 OVERHEAD_UNITS = {"trace.overhead_s": "s", "trace.overhead_share": "ratio"}
 
@@ -71,79 +81,28 @@ def _environment(sg, inputs: dict) -> dict:
             "engine_cache": "cold at the first timed op; nothing warmed up"}
 
 
-class UnitProbe:
-    """Counts the units of an iterative workload's work.
-
-    A unit is one objective evaluation inside ``minimize_bounded`` at the
-    given optimizer sites, or one call of an inner function such as
-    ``lyapunov_exponent``.  This counter is the only instrumentation of an
-    untraced run.  Optimizer runs made inside a ``skip`` function (the
-    Gaussian QMLE warm start, whose evaluations take a fraction of a
-    millisecond) are not counted.
-    """
-
-    def __init__(self, optimizers=(), calls=(), skip=()):
-        self.sites = ([(m, "minimize_bounded", self._optimizer) for m in optimizers]
-                      + [(m, a, self._counted) for m, a in calls]
-                      + [(m, a, self._skipping) for m, a in skip])
-        self.count = 0
-        self._skip = 0
-        self._patched: list[tuple] = []
-
-    def install(self):
-        import importlib
-        for module, attr, make in self.sites:
-            mod = importlib.import_module(module)
-            original = getattr(mod, attr)
-            self._patched.append((mod, attr, original))
-            setattr(mod, attr, make(original))
-        return self
-
-    def uninstall(self):
-        for mod, attr, original in reversed(self._patched):
-            setattr(mod, attr, original)
-
-    def _counted(self, fn):
-        def counted(*args, **kwargs):
-            if not self._skip:
-                self.count += 1
-            return fn(*args, **kwargs)
-        return counted
-
-    def _optimizer(self, fn):
-        def minimize_bounded(fun_grad, *args, **kwargs):
-            return fn(self._counted(fun_grad), *args, **kwargs)
-        return minimize_bounded
-
-    def _skipping(self, fn):
-        def skipped(*args, **kwargs):
-            self._skip += 1
-            try:
-                return fn(*args, **kwargs)
-            finally:
-                self._skip -= 1
-        return skipped
+def _units(tracer, workload) -> int:
+    return sum(tracer.calls[name] for name in workload.units)
 
 
-def _run_ops(sg, workload, inputs, probe, tracer=None) -> list:
+def _run_ops(sg, workload, inputs, tracer) -> list:
     from workloads import OpRecord
     records = []
     for kind, spec in inputs["ops"]:
-        n0 = probe.count
+        n0 = _units(tracer, workload)
         t0 = time.perf_counter()
         try:
             rec = workload.run_op(sg, inputs, kind, spec)
         except sg.StableGarchError as exc:
             rec = OpRecord(kind, 0.0, failed=True, error=type(exc).__name__)
-        rec.seconds = time.perf_counter() - t0
-        rec.units = probe.count - n0
+        t1 = time.perf_counter()
+        rec.wall_s, rec.interval = t1 - t0, (t0, t1)
+        rec.units = _units(tracer, workload) - n0
         records.append(rec)
         if hasattr(workload, "verify_op") and not rec.failed:
-            if tracer is not None:
-                tracer.paused = True
+            tracer.paused = True
             rec.problems += workload.verify_op(sg, rec)
-            if tracer is not None:
-                tracer.paused = False
+            tracer.paused = False
     return records
 
 
@@ -151,10 +110,10 @@ def _unit_figures(records):
     """Per-stratum unit figures and their geometric means over the strata.
 
     The strata are the op kinds.  In each, unit_ms_p50 is the median over its
-    ops of the op's wall time per unit and unit_ms_mean its total wall time
-    per unit; an op with no probed units is one unit.  The geometric mean
-    weighs every stratum's relative change the same, however many units it
-    has.
+    ops of the op's time per unit and unit_ms_mean its total time per unit;
+    an op with no counted units is one unit.  The strata weigh the same: their
+    units differ in size, so a weight that followed each run's split of the
+    time would move the combined figure by itself.
     """
     strata = {}
     for r in records:
@@ -166,51 +125,85 @@ def _unit_figures(records):
                      "unit_ms_p50": 1e3 * statistics.median(r.seconds / (r.units or 1)
                                                             for r in recs),
                      "unit_ms_mean": 1e3 * sum(r.seconds for r in recs) / units}
-    p50 = statistics.geometric_mean(row["unit_ms_p50"] for row in rows.values())
-    mean = statistics.geometric_mean(row["unit_ms_mean"] for row in rows.values())
-    return p50, mean, rows
+
+    def combined(key):
+        return math.exp(statistics.fmean(math.log(row[key]) for row in rows.values()))
+    return combined("unit_ms_p50"), combined("unit_ms_mean"), rows
+
+
+def _import_seconds(repeats: int) -> list:
+    """Wall times of ``import stablegarch``, each in a fresh interpreter."""
+    code = ("import sys, time; sys.path.insert(0, sys.argv[1]); t = time.perf_counter(); "
+            "import stablegarch; print(time.perf_counter() - t)")
+    times = []
+    for _ in range(repeats):
+        proc = subprocess.run([sys.executable, "-c", code, os.path.join(ROOT, "src")],
+                              stdout=subprocess.PIPE, text=True, check=True)
+        times.append(float(proc.stdout))
+    return times
 
 
 def run_workload(name: str, seed: int, seconds: float, trace: bool) -> dict:
-    """Set up and run one workload in this process; full result dict."""
+    """Set up and run one workload in this process; full result dict.
+
+    Set-up is repeated SETUP_REPEATS times: the import of the package, once
+    here and the rest in fresh interpreters, and the input generation.
+    setup_s is the median import plus the median input generation.  The host
+    speed is sampled in this process from the first input generation to the
+    last op, and the time of each generation and each op is scaled by the
+    samples taken during it.  The imports happen before sampling starts and
+    are scaled by the run's mean speed.  An import's time swings up to
+    twofold from one run to the next, and no probe follows that: over 73
+    imports its log correlated at most 0.34 with the reference kernel, a
+    256 MB memory stream, random reads, or a fresh interpreter importing
+    stdlib modules.  The run's speed still follows the slower drift that
+    moves the median over many runs.
+    """
     t0 = time.perf_counter()
     sys.path.insert(0, os.path.join(ROOT, "src"))
     import stablegarch as sg
-    import_s = time.perf_counter() - t0
+    import_wall = [time.perf_counter() - t0] + _import_seconds(SETUP_REPEATS - 1)
 
     sys.path.insert(0, HERE)
-    from workloads import WORKLOADS
-    workload = WORKLOADS[name]
-    setup_times = []
-    for _ in range(SETUP_REPEATS):
-        t1 = time.perf_counter()
-        inputs = workload.make_inputs(sg, seed, seconds)
-        setup_times.append(time.perf_counter() - t1)
-
-    probe = UnitProbe(**workload.units).install()
-    tracer = None
-    if trace:
+    from hostspeed import Sampler
+    sampler = Sampler().start()
+    try:
         from tracing import Tracer
-        tracer = Tracer().install()
-    t_run = time.perf_counter()
-    records = _run_ops(sg, workload, inputs, probe, tracer)
-    wall_s = time.perf_counter() - t_run
-    if tracer is not None:
+        from workloads import WORKLOADS
+        workload = WORKLOADS[name]
+        setups = []
+        for _ in range(SETUP_REPEATS):
+            t1 = time.perf_counter()
+            inputs = workload.make_inputs(sg, seed, seconds)
+            setups.append((t1, time.perf_counter()))
+
+        tracer = Tracer(spans=trace).install()
+        t_run = time.perf_counter()
+        records = _run_ops(sg, workload, inputs, tracer)
+        wall_s = time.perf_counter() - t_run
         tracer.uninstall()
-    probe.uninstall()
-    if probe.sites and not probe.count:
+    finally:
+        sampler.stop()
+    if workload.units and not _units(tracer, workload):
         raise RuntimeError(f"{name}: no unit of work was counted; the boundary the "
-                           "benchmark counts has moved")
+                           "benchmark counts is no longer called")
+    imports = [s * sampler.speed(-math.inf, math.inf) for s in import_wall]
+    setups = [sampler.scaled(t0, t1) for t0, t1 in setups]
+    for r in records:
+        r.seconds = sampler.scaled(*r.interval)
     unit_p50, unit_mean, strata = _unit_figures(records)
 
     problems = [p for r in records for p in r.problems]
     problems += workload.check(records)
     metrics = {
-        "setup_s": (import_s + statistics.median(setup_times), "s"),
+        "setup_s": (statistics.median(imports) + statistics.median(setups), "s"),
         "unit_ms_p50": (unit_p50, "ms"),
         "unit_ms_mean": (unit_mean, "ms"),
         "peak_rss_mb": (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, "MB"),
         "wall_s": (wall_s, "s"),
+        "ops_s": (sum(r.seconds for r in records), "s"),
+        "host_speed": (sampler.speed(t_run, t_run + wall_s), "ratio"),
+        "kernel_samples": (len(sampler.starts), "count"),
         "units": (sum(row["units"] for row in strata.values()), "count"),
         "fail_share": (sum(r.failed or r.flagged for r in records) / len(records), "fraction"),
     }
@@ -221,12 +214,17 @@ def run_workload(name: str, seed: int, seconds: float, trace: bool) -> dict:
         "attempted": len(records), "failed": sum(r.failed for r in records),
         "flagged": sum(r.flagged for r in records),
         "errors": sorted({r.error for r in records if r.error}),
-        "metrics": metrics, "strata": strata, "import_s": import_s, "setup_runs_s": setup_times,
+        "metrics": metrics, "strata": strata, "import_runs_s": imports,
+        "import_wall_s": import_wall,
+        "setup_runs_s": setups,
         "env": _environment(sg, inputs),
-        "ops": [{"kind": r.kind, "seconds": r.seconds, "units": r.units,
+        "kernel_samples": {"start": [t - t_run for t in sampler.starts],
+                           "seconds": sampler.durations},
+        "ops": [{"kind": r.kind, "seconds": r.seconds, "wall_s": r.wall_s, "units": r.units,
+                 "interval": [r.interval[0] - t_run, r.interval[1] - t_run],
                  "failed": r.failed, "flagged": r.flagged, "error": r.error} for r in records],
     }
-    if tracer is not None:
+    if trace:
         from tracing import layer_metrics
         result["layers"] = layer_metrics(tracer)
         os.makedirs(OUT, exist_ok=True)
@@ -277,9 +275,9 @@ def traced_run(name: str, seed: int, seconds: float) -> dict:
     """Untraced child for the end-to-end numbers, then a traced pass here."""
     untraced = _child(name, seed, seconds, 0)
     traced = run_workload(name, seed, seconds, trace=True)
-    overhead = traced["metrics"]["wall_s"][0] - untraced["metrics"]["wall_s"][0]
+    overhead = traced["metrics"]["ops_s"][0] - untraced["metrics"]["ops_s"][0]
     traced["layers"]["trace.overhead_s"] = (overhead, "s")
-    traced["layers"]["trace.overhead_share"] = (overhead / untraced["metrics"]["wall_s"][0],
+    traced["layers"]["trace.overhead_share"] = (overhead / untraced["metrics"]["ops_s"][0],
                                                 "ratio")
     traced["untraced"] = {k: untraced[k] for k in ("metrics", "strata", "correct", "problems",
                                                   "attempted", "failed", "flagged")}
@@ -298,8 +296,8 @@ def report(result: dict) -> bool:
     _print_table("end-to-end (untraced run)", metrics)
     strata = result["untraced"]["strata"] if "untraced" in result else result["strata"]
     for key, row in strata.items():
-        print(f"  stratum {key}: {row['units']} units, p50 {row['unit_ms_p50']:.4g} ms, "
-              f"mean {row['unit_ms_mean']:.4g} ms")
+        print(f"  stratum {key}: {row['units']} units, "
+              f"p50 {row['unit_ms_p50']:.4g} ms, mean {row['unit_ms_mean']:.4g} ms")
     if "layers" in result:
         from tracing import MOVES
         _print_table("per-layer (traced run)", result["layers"])

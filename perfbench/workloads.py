@@ -6,8 +6,8 @@ during set-up; the library only ever receives those generated inputs.  The op
 count of each workload is ``--seconds`` times a fixed per-workload rate, so
 the op list is fixed for a given (seed, seconds) pair and both commits of a
 comparison run identical work.  On a 2-CPU x86 container at 30 seconds a
-run takes about 50 s for study, 15-40 s for desk_fit, 15 s for var_desk and
-13 s for garch_paths, set-up included.
+run takes about 35 s for study, 35-55 s for desk_fit, 15 s for var_desk and
+22 s for garch_paths, set-up included.
 """
 
 from __future__ import annotations
@@ -39,13 +39,18 @@ USABLE_GRAD = 1e-2
 @dataclass
 class OpRecord:
     kind: str
+    # the op's time at the reference host speed (see hostspeed); its wall
+    # time and (start, end) on the perf_counter clock are kept beside it
     seconds: float
+    wall_s: float = 0.0
+    interval: tuple = (0.0, 0.0)
     failed: bool = False
     flagged: bool = False
     error: str = ""
     payload: dict = field(default_factory=dict)
     problems: list = field(default_factory=list)
-    # the op's probed units of work (see run.UnitProbe)
+    # the op's units of work: calls of the workload's unit boundaries (see
+    # run._units); zero when the workload has none
     units: int = 0
 
 
@@ -84,11 +89,11 @@ def _fit(sg, call):
 
 class Study:
     name = "study"
-    units = {"optimizers": ("stablegarch.estimate.fit", "stablegarch.domain_attraction"),
-             "skip": (("stablegarch.estimate.fit", "fit_gaussian_qmle"),)}
+    units = ("fit.objective", "domain_attraction.objective")
     why = ("the paper's replication loop: summed-Student draws, simulate, single-start "
            "stable MLE at FIT_ACCURACY with heavy engine-cache reuse, plus calibration fits")
-    reps_per_s = 0.4
+    # six replications in a 30 s run, half of them at K = 10
+    reps_per_s = 6 / 30
 
     def make_inputs(self, sg, seed: int, seconds: float) -> dict:
         reps = _count(seconds, self.reps_per_s, 2)
@@ -157,13 +162,13 @@ class Study:
 
 class DeskFit:
     name = "desk_fit"
-    units = {"optimizers": ("stablegarch.estimate.fit", "stablegarch.domain_attraction"),
-             "skip": (("stablegarch.estimate.fit", "fit_gaussian_qmle"),)}
+    units = ("fit.objective", "domain_attraction.objective")
     why = ("the CLI fit default on an n=1000 skewed series: 5 starts with Gaussian-QMLE "
            "warm start and ppf starts, then J_n standard errors")
-    # one fit's path through (alpha, beta) sets what its evaluations cost, so
-    # a run averages over two series
-    fits_per_s = 1 / 15
+    # one fit's path through (alpha, beta) sets what its evaluations cost, and
+    # a few fits fall back to per-point quadrature, so a run takes the median
+    # over three series
+    fits_per_s = 1 / 10
 
     def make_inputs(self, sg, seed: int, seconds: float) -> dict:
         theta = sg.garch.GarchParams(DESK_THETA[0], a=(DESK_THETA[1],), b=(DESK_THETA[2],))
@@ -207,7 +212,7 @@ class DeskFit:
 
 class VarDesk:
     name = "var_desk"
-    units = {}
+    units = ()
     why = ("per-asset VaR and backtests at DEFAULT_ACCURACY on a cold engine each: "
            "FFT table, cdf and ppf work with no likelihood or optimizer")
     # at least 100 assets, so that 10 lie beyond the p90
@@ -277,10 +282,12 @@ class VarDesk:
 
 class GarchPaths:
     name = "garch_paths"
-    units = {"calls": (("stablegarch.garch.stability", "lyapunov_exponent"),)}
+    units = ("stability.lyapunov",)
     why = ("the CLI frontier and simulate commands: Lyapunov bisection and the Python "
            "recursion loop, with no density engine, so engine changes must leave it flat")
-    rounds_per_s = 0.1
+    # six rounds in a 30 s run; a round is the four frontier points and one
+    # simulated path, about 3 s
+    rounds_per_s = 6 / 30
 
     def make_inputs(self, sg, seed: int, seconds: float) -> dict:
         rng = np.random.default_rng(np.random.SeedSequence((seed, 53)))

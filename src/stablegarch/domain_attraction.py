@@ -16,6 +16,7 @@ from .errors import CalibrationError, NotConverged
 from .stable import FIT_ACCURACY, DensityAccuracy, StableParams, get_engine
 from .stable import density as stable_density
 from .stable import sample as stable_sample
+from .estimate.likelihood import log_density_terms
 from .estimate.optim import minimize_bounded
 from .estimate.params import BoundsConfig
 
@@ -135,24 +136,15 @@ def fit_stable_iid(x: np.ndarray, bounds: BoundsConfig | None = None,
     if bounds is None:
         bounds = BoundsConfig(np.array([0.4, -0.99, -10.0, 1e-3]),
                               np.array([1.99, 0.99, 10.0, 1e3]))
-    h = 3e-4
 
     def fun_grad(par):
         al, be, mu, ga = par
         z = (x - mu) / ga
-        eng = get_engine(StableParams(al, be), acc)
-        f, _ = eng.pdf_with_err(z)
-        f = np.maximum(f, 1e-300)
-        fp, _ = eng.dpdf_with_err(z)
-        slope = fp / f
-        nll = float(np.log(ga) - np.mean(np.log(f)))
-        g = np.empty(4)
-        for col, (da, db) in enumerate([(h, 0.0), (0.0, h)]):
-            hi_e = get_engine(StableParams(al + da, be + db), acc)
-            lo_e = get_engine(StableParams(al - da, be - db), acc)
-            g[col] = -float(np.mean(hi_e.logpdf(z) - lo_e.logpdf(z))) / (2.0 * h)
-        g[2] = float(np.mean(slope)) / ga
-        g[3] = (1.0 + float(np.mean(z * slope))) / ga
+        logf, slope, d_shape = log_density_terms(z, al, be, acc)
+        nll = float(np.log(ga) - np.mean(logf))
+        # location and scale enter through z: analytic chain rule
+        g = np.concatenate([-d_shape.mean(axis=0),
+                            [np.mean(slope) / ga, (1.0 + np.mean(z * slope)) / ga]])
         return nll, g
 
     iqr = float(np.subtract(*np.percentile(x, [75, 25])))

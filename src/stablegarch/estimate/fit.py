@@ -9,8 +9,7 @@ from ..errors import NonFiniteLikelihood, NotConverged
 from ..garch.params import GarchOrder, GarchParams
 from ..stable import FIT_ACCURACY, DensityAccuracy, StableParams, get_engine
 from .likelihood import (
-    gaussian_criterion,
-    gaussian_criterion_grad,
+    gaussian_criterion_and_grad,
     likelihood_and_score,
     variance_derivatives,
 )
@@ -42,7 +41,6 @@ def fit_stable_mle(eps: ReturnSeries, bounds: BoundsConfig | None = None,
         order = start.order
     if bounds is None:
         bounds = BoundsConfig.default(order)
-    dim = order.p + order.q + 4
     n_free = int(bounds.free.sum())
     if len(eps) < _MIN_OBS_PER_DIM * max(n_free, 1):
         raise ValueError(
@@ -55,22 +53,10 @@ def fit_stable_mle(eps: ReturnSeries, bounds: BoundsConfig | None = None,
         tau = ModelParams.from_array(tau_arr, order)
         return likelihood_and_score(eps, tau, acc, init_rule)
 
-    best = None
-    n_nonfinite = 0
-    total_iter = 0
-    for x0 in starts:
-        res = minimize_bounded(fun_grad, x0, bounds)
-        total_iter += res.iterations
-        if not np.isfinite(res.fun) or res.fun >= 1e11:
-            n_nonfinite += 1
-            continue
-        key = (0 if res.converged else 1, res.fun, res.grad_norm)
-        if best is None or key < best[0]:
-            best = (key, res)
-    if best is None:
+    res, total_iter = _best_start(fun_grad, starts, bounds)
+    if res is None:
         raise NonFiniteLikelihood(
             "likelihood was non-finite at every start; check the data scale")
-    res = best[1]
     tau_hat = ModelParams.from_array(res.x, order)
     active = _active_constraints(res.x, bounds)
     j_n = std = None
@@ -94,6 +80,24 @@ def fit_stable_mle(eps: ReturnSeries, bounds: BoundsConfig | None = None,
     return fit
 
 
+def _best_start(fun_grad, starts, bounds: BoundsConfig):
+    """Optimize from each start; (best finite result or None, total iterations).
+
+    Converged results rank first, then by objective and gradient norm.
+    """
+    best = best_key = None
+    total_iter = 0
+    for x0 in starts:
+        res = minimize_bounded(fun_grad, x0, bounds)
+        total_iter += res.iterations
+        if not np.isfinite(res.fun) or res.fun >= 1e11:
+            continue
+        key = (0 if res.converged else 1, res.fun, res.grad_norm)
+        if best is None or key < best_key:
+            best, best_key = res, key
+    return best, total_iter
+
+
 def _active_constraints(x, bounds: BoundsConfig) -> np.ndarray:
     width = np.where(bounds.free, bounds.upper - bounds.lower, 1.0)
     tol = 1e-4 * width
@@ -108,7 +112,7 @@ def _build_starts(eps, bounds, order, start, n_starts, seed, init_rule):
     # infinite-variance series otherwise dominate the ARCH coefficients),
     # then rescale the level block to the unit stable scale
     cap = float(np.quantile(np.abs(eps.values), 0.99))
-    clipped = ReturnSeriesView(np.clip(eps.values, -cap, cap))
+    clipped = ReturnSeries(np.clip(eps.values, -cap, cap))
     try:
         g_fit = fit_gaussian_qmle(clipped, bounds.theta_only(order), order=order)
         theta_g = g_fit.tau_hat.theta
@@ -143,10 +147,6 @@ def _build_starts(eps, bounds, order, start, n_starts, seed, init_rule):
     return starts
 
 
-class ReturnSeriesView(ReturnSeries):
-    """Lightweight construction helper for already-validated arrays."""
-
-
 def fit_gaussian_qmle(eps: ReturnSeries, bounds: BoundsConfig | None = None,
                       start: GarchParams | None = None,
                       order: GarchOrder = GarchOrder(1, 1),
@@ -167,9 +167,8 @@ def fit_gaussian_qmle(eps: ReturnSeries, bounds: BoundsConfig | None = None,
         bounds = BoundsConfig(bounds.lower[:dim], bounds.upper[:dim])
 
     def fun_grad(theta_arr):
-        theta = GarchParams.from_array(theta_arr, order)
-        return (gaussian_criterion(eps, theta, init_rule),
-                gaussian_criterion_grad(eps, theta, init_rule))
+        return gaussian_criterion_and_grad(
+            eps, GarchParams.from_array(theta_arr, order), init_rule)
 
     v = float(np.mean(eps.values ** 2))
     starts = []
@@ -181,19 +180,9 @@ def fit_gaussian_qmle(eps: ReturnSeries, bounds: BoundsConfig | None = None,
         om = max(v * (1.0 - sum(aa) - sum(bb)), 1e-8)
         starts.append(np.concatenate([[om], aa, bb]))
 
-    best = None
-    total_iter = 0
-    for x0 in starts:
-        res = minimize_bounded(fun_grad, x0, bounds)
-        total_iter += res.iterations
-        if not np.isfinite(res.fun) or res.fun >= 1e11:
-            continue
-        key = (0 if res.converged else 1, res.fun, res.grad_norm)
-        if best is None or key < best[0]:
-            best = (key, res)
-    if best is None:
+    res, total_iter = _best_start(fun_grad, starts, bounds)
+    if res is None:
         raise NonFiniteLikelihood("Gaussian criterion non-finite at every start")
-    res = best[1]
     theta_hat = GarchParams.from_array(res.x, order)
     sig2, grads = variance_derivatives(eps, theta_hat, init_rule)
     eta2 = eps.values ** 2 / sig2
@@ -202,13 +191,22 @@ def fit_gaussian_qmle(eps: ReturnSeries, bounds: BoundsConfig | None = None,
     curvature = phi.T @ phi / phi.shape[0]
     j_n = curvature / max(kappa - 1.0, 1e-8)
     std, _ = std_errors_from_information(j_n, len(eps))
+    # a criterion flat along a whole manifold (a constant series) has a zero
+    # gradient there but no identified minimum
+    n_free = int(bounds.free.sum())
+    rank = int(np.linalg.matrix_rank(phi[:, bounds.free]))
+    converged, message = res.converged, res.message
+    reason = f"gradient norm {res.grad_norm:.2e} above tolerance"
+    if rank < n_free:
+        converged = False
+        message = reason = (f"flat Gaussian criterion: variance derivatives have "
+                            f"rank {rank} of {n_free} free coordinates")
     tau_hat = ModelParams(theta_hat, 2.0, 0.0, 0.0)
     fit = FitResult(tau_hat=tau_hat, neg_loglik=res.fun, J_n=j_n, std_errors=std,
-                    iterations=total_iter, converged=res.converged,
+                    iterations=total_iter, converged=converged,
                     constraint_active=_active_constraints(res.x, bounds),
                     method="gaussian", n_obs=len(eps), grad_norm=res.grad_norm,
-                    message=res.message)
-    if not res.converged:
-        raise NotConverged(
-            f"gradient norm {res.grad_norm:.2e} above tolerance", result=fit)
+                    message=message)
+    if not converged:
+        raise NotConverged(reason, result=fit)
     return fit

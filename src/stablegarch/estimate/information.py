@@ -6,7 +6,7 @@ import numpy as np
 
 from ..data import ReturnSeries
 from ..stable import FIT_ACCURACY, DensityAccuracy
-from .likelihood import score_full, score_full_obs
+from .likelihood import loglik_terms, score_full
 from .params import ModelParams
 
 
@@ -50,7 +50,7 @@ def outer_product_information(eps: ReturnSeries, tau_hat: ModelParams,
                               acc: DensityAccuracy = FIT_ACCURACY,
                               init_rule: str = "mean-squared") -> np.ndarray:
     """Outer-product estimator (1/n) sum of per-observation score outer products."""
-    s = score_full_obs(eps, tau_hat, acc, init_rule)
+    s = loglik_terms(eps, tau_hat, acc, init_rule)[1]
     return s.T @ s / s.shape[0]
 
 

@@ -1,4 +1,25 @@
-"""Stable likelihood, analytic volatility score, and per-observation pieces."""
+"""Stable GARCH likelihood: one per-observation kernel and its means.
+
+Observation t contributes
+
+    l_t = 0.5 * log(sigma2_t) - log f(eta_t - mu; alpha, beta),
+    eta_t = eps_t / sigma_t,
+
+with sigma2_t from the truncated GARCH recursion and f the stable density
+with unit scale.  ``loglik_terms`` returns every l_t together with its score
+row d(l_t)/d(tau):
+
+* theta block: 0.5 * phi_t * Z_t, with phi_t = (d sigma2_t / d theta) / sigma2_t
+  and Z_t = 1 + eta_t * f'/f;
+* (alpha, beta): -d(log f)/d(alpha, beta), by ``log_density_terms``;
+* mu: f'/f.
+
+``likelihood_and_score`` (the optimizer's objective) and ``score_full`` are
+column means of these rows; ``outer_product_information`` averages their
+outer products.  ``neg_log_likelihood`` is the value-only mean of l_t: it
+needs no variance derivatives and no shape-shifted engines, and score tests
+difference it as their oracle.
+"""
 
 from __future__ import annotations
 
@@ -17,22 +38,11 @@ _FD_PSI = 3e-4
 def neg_log_likelihood(eps: ReturnSeries, tau: ModelParams,
                        acc: DensityAccuracy = FIT_ACCURACY,
                        init_rule: str = "mean-squared") -> float:
-    """Average negative log-likelihood of the stable GARCH model.
-
-    Per observation: 0.5 * log(sigma2_t) - log f(eps_t / sigma_t, psi), with
-    the volatilities from the truncated recursion and f the stable density
-    with unit scale.
-    """
-    return float(np.mean(per_obs_nll(eps, tau, acc, init_rule)))
-
-
-def per_obs_nll(eps: ReturnSeries, tau: ModelParams,
-                acc: DensityAccuracy = FIT_ACCURACY,
-                init_rule: str = "mean-squared") -> np.ndarray:
+    """Average negative log-likelihood of the stable GARCH model, the mean of l_t."""
     sig2 = volatility_path(eps, tau.theta, init_rule).sigma2
     eta = eps.values / np.sqrt(sig2)
     eng = get_engine(StableParams(tau.alpha, tau.beta), acc)
-    return 0.5 * np.log(sig2) - eng.logpdf(eta - tau.mu)
+    return float(np.mean(0.5 * np.log(sig2) - eng.logpdf(eta - tau.mu)))
 
 
 def variance_derivatives(eps: ReturnSeries, theta: GarchParams,
@@ -65,117 +75,67 @@ def variance_derivatives(eps: ReturnSeries, theta: GarchParams,
     return sig2, grads
 
 
-def score_theta(eps: ReturnSeries, tau: ModelParams,
-                acc: DensityAccuracy = FIT_ACCURACY,
-                init_rule: str = "mean-squared") -> np.ndarray:
-    """Analytic gradient of the average likelihood in the GARCH block.
+def log_density_terms(x: np.ndarray, alpha: float, beta: float,
+                      acc: DensityAccuracy = FIT_ACCURACY):
+    """log f, f'/f and d(log f)/d(alpha, beta) of the unit-scale stable law at x.
 
-    Uses d(l_t)/d(theta) = 0.5 * phi_t * Z_t with phi_t the relative variance
-    derivative and Z_t = 1 + eta_t * f'(eta_t)/f(eta_t).
+    The density is floored at 1e-300 before logs and ratios.  The shape
+    derivatives are central differences of log f with step 3e-4 across four
+    shifted engines; they are the only such differences used in fitting.
+    Returns arrays of shapes (n,), (n,) and (n, 2).
     """
-    return score_theta_obs(eps, tau, acc, init_rule).mean(axis=0)
+    eng = get_engine(StableParams(alpha, beta), acc)
+    f, _ = eng.pdf_with_err(x)
+    f = np.maximum(f, 1e-300)
+    fp, _ = eng.dpdf_with_err(x)
+    h = _FD_PSI
+    d_shape = np.empty((f.size, 2))
+    for col, (da, db) in enumerate([(h, 0.0), (0.0, h)]):
+        hi = get_engine(StableParams(alpha + da, beta + db), acc)
+        lo = get_engine(StableParams(alpha - da, beta - db), acc)
+        d_shape[:, col] = (hi.logpdf(x) - lo.logpdf(x)) / (2.0 * h)
+    return np.log(f), fp / f, d_shape
 
 
-def score_theta_obs(eps: ReturnSeries, tau: ModelParams,
-                    acc: DensityAccuracy = FIT_ACCURACY,
-                    init_rule: str = "mean-squared") -> np.ndarray:
+def loglik_terms(eps: ReturnSeries, tau: ModelParams,
+                 acc: DensityAccuracy = FIT_ACCURACY,
+                 init_rule: str = "mean-squared"):
+    """Per-observation negative log-likelihood l_t and score rows d(l_t)/d(tau).
+
+    Returns (l_t of shape (n,), rows of shape (n, dim)), with the columns in
+    the order of ``tau.as_array()``.
+    """
     sig2, grads = variance_derivatives(eps, tau.theta, init_rule)
     eta = eps.values / np.sqrt(sig2)
-    z = 1.0 + eta * density_log_slope(eta, tau, acc)
-    phi = grads / sig2[:, None]
-    return 0.5 * phi * z[:, None]
-
-
-def density_log_slope(eta: np.ndarray, tau: ModelParams,
-                      acc: DensityAccuracy) -> np.ndarray:
-    """f'(x, psi)/f(x, psi) evaluated at the standardized residuals."""
-    eng = get_engine(StableParams(tau.alpha, tau.beta), acc)
-    x = eta - tau.mu
-    f, _ = eng.pdf_with_err(x)
-    fp, _ = eng.dpdf_with_err(x)
-    return fp / np.maximum(f, 1e-300)
-
-
-def score_psi_obs(eps: ReturnSeries, tau: ModelParams,
-                  acc: DensityAccuracy = FIT_ACCURACY,
-                  init_rule: str = "mean-squared") -> np.ndarray:
-    """Per-observation derivative of l_t in (alpha, beta, mu).
-
-    The shape derivatives use central differences of log f across engine
-    pairs; the location derivative is analytic through f'/f.
-    """
-    sig2 = volatility_path(eps, tau.theta, init_rule).sigma2
-    eta = eps.values / np.sqrt(sig2)
-    x = eta - tau.mu
-    out = np.empty((eta.size, 3))
-    h = _FD_PSI
-    for col, (da, db) in enumerate([(h, 0.0), (0.0, h)]):
-        hi = get_engine(StableParams(tau.alpha + da, tau.beta + db), acc)
-        lo = get_engine(StableParams(tau.alpha - da, tau.beta - db), acc)
-        out[:, col] = -(hi.logpdf(x) - lo.logpdf(x)) / (2.0 * h)
-    out[:, 2] = density_log_slope(eta, tau, acc)
-    return out
+    logf, slope, d_shape = log_density_terms(eta - tau.mu, tau.alpha, tau.beta, acc)
+    z = 1.0 + eta * slope
+    rows = np.hstack([0.5 * (grads / sig2[:, None]) * z[:, None],
+                      -d_shape, slope[:, None]])
+    return 0.5 * np.log(sig2) - logf, rows
 
 
 def score_full(eps: ReturnSeries, tau: ModelParams,
                acc: DensityAccuracy = FIT_ACCURACY,
                init_rule: str = "mean-squared") -> np.ndarray:
     """Gradient of the average likelihood in all of tau."""
-    th = score_theta(eps, tau, acc, init_rule)
-    ps = score_psi_obs(eps, tau, acc, init_rule).mean(axis=0)
-    return np.concatenate([th, ps])
-
-
-def score_full_obs(eps: ReturnSeries, tau: ModelParams,
-                   acc: DensityAccuracy = FIT_ACCURACY,
-                   init_rule: str = "mean-squared") -> np.ndarray:
-    """Per-observation gradient matrix, one row per l_t."""
-    th = score_theta_obs(eps, tau, acc, init_rule)
-    ps = score_psi_obs(eps, tau, acc, init_rule)
-    return np.hstack([th, ps])
+    return loglik_terms(eps, tau, acc, init_rule)[1].mean(axis=0)
 
 
 def likelihood_and_score(eps: ReturnSeries, tau: ModelParams,
                          acc: DensityAccuracy = FIT_ACCURACY,
                          init_rule: str = "mean-squared"):
-    """Objective and full gradient in one pass (shared volatility work).
+    """Objective and full gradient, (neg_log_likelihood, score_full), in one pass.
 
-    Equivalent to (neg_log_likelihood, score_full) but computes the variance
-    path, its derivatives and the density evaluations once; this is the hot
-    path of the optimizer.
+    This is the hot path of the optimizer.
     """
-    sig2, grads = variance_derivatives(eps, tau.theta, init_rule)
-    eta = eps.values / np.sqrt(sig2)
-    x = eta - tau.mu
-    eng = get_engine(StableParams(tau.alpha, tau.beta), acc)
-    f_vals, _ = eng.pdf_with_err(x)
-    f_floor = np.maximum(f_vals, 1e-300)
-    fp_vals, _ = eng.dpdf_with_err(x)
-    nll = float(np.mean(0.5 * np.log(sig2) - np.log(f_floor)))
-
-    slope = fp_vals / f_floor
-    z = 1.0 + eta * slope
-    g_theta = 0.5 * (grads / sig2[:, None] * z[:, None]).mean(axis=0)
-
-    h = _FD_PSI
-    g_psi = np.empty(3)
-    for col, (da, db) in enumerate([(h, 0.0), (0.0, h)]):
-        hi = get_engine(StableParams(tau.alpha + da, tau.beta + db), acc)
-        lo = get_engine(StableParams(tau.alpha - da, tau.beta - db), acc)
-        g_psi[col] = -float(np.mean(hi.logpdf(x) - lo.logpdf(x))) / (2.0 * h)
-    g_psi[2] = float(np.mean(slope))
-    return nll, np.concatenate([g_theta, g_psi])
+    l_t, rows = loglik_terms(eps, tau, acc, init_rule)
+    return float(np.mean(l_t)), rows.mean(axis=0)
 
 
-def gaussian_criterion(eps: ReturnSeries, theta: GarchParams,
-                       init_rule: str = "mean-squared") -> float:
-    """Gaussian QML objective: mean of log(sigma2_t) + eps_t^2/sigma2_t."""
-    sig2 = volatility_path(eps, theta, init_rule).sigma2
-    return float(np.mean(np.log(sig2) + eps.values ** 2 / sig2))
-
-
-def gaussian_criterion_grad(eps: ReturnSeries, theta: GarchParams,
-                            init_rule: str = "mean-squared") -> np.ndarray:
+def gaussian_criterion_and_grad(eps: ReturnSeries, theta: GarchParams,
+                                init_rule: str = "mean-squared"):
+    """Gaussian QML objective, mean of log(sigma2_t) + eps_t^2/sigma2_t, and its gradient."""
     sig2, grads = variance_derivatives(eps, theta, init_rule)
-    w = (1.0 - eps.values ** 2 / sig2) / sig2
-    return (grads * w[:, None]).mean(axis=0)
+    e2 = eps.values ** 2
+    w = (1.0 - e2 / sig2) / sig2
+    return float(np.mean(np.log(sig2) + e2 / sig2)), (grads * w[:, None]).mean(axis=0)

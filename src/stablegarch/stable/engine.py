@@ -86,17 +86,6 @@ class StandardDensity:
             onset = max(onset, _PROBE_RADII[idx])
         return onset
 
-    def _probe_center_limit(self) -> float:
-        if self.center is None:
-            return 0.0
-        grid = np.geomspace(1e-3, 80.0, 100)
-        _, err = self.center.pdf(grid, self.tol)
-        ok = err <= self.tol
-        if not ok[0]:
-            return 0.0
-        idx = int(np.argmin(ok)) if not ok.all() else len(grid)
-        return float(grid[idx - 1]) if idx > 0 else 0.0
-
     _STAGE1 = 40
 
     # -- lazy tables ------------------------------------------------------
@@ -374,10 +363,6 @@ class StandardDensity:
             if width > 1e12:
                 return hi
         return float(optimize.brentq(f, lo, hi, xtol=1e-12, rtol=1e-15, maxiter=200))
-
-    def tail_constant(self, side: int) -> float:
-        """K with f(x) ~ K |x|^(-alpha-1) toward side * infinity."""
-        return tail_constant(self.alpha, self.beta, side)
 
 
 @lru_cache(maxsize=64)

@@ -170,14 +170,3 @@ def quad_pdf_point(x: float, alpha: float, beta: float, deriv: bool = False):
         val = (a1 - a2) / np.pi
     err = (e1 + e2) / np.pi + _truncation_error(alpha, t_cut, order)
     return val, 4.0 * err
-
-
-def quad_sf_point(x_from: float, alpha: float, beta: float) -> float:
-    """Upper tail mass by integrating the quadrature density from x_from up."""
-    def g(v):
-        y = x_from / v
-        val, _ = quad_pdf_point(y, alpha, beta)
-        return val * x_from / (v * v)
-
-    val, _ = integrate.quad(g, 0.0, 1.0, limit=200, epsabs=1e-11)
-    return val

@@ -65,10 +65,6 @@ class TailSeriesSide:
         """Constant K in f(y) ~ K y^(-alpha-1) on this side (may be 0 at beta = -1)."""
         return float(np.exp(self._logcoef[0]) * self._sink[0] / np.pi)
 
-    def second_coef_ratio(self) -> float:
-        """|c2 / c1| of the expansion coefficients, used in remainder bounds."""
-        return float(np.exp(self._logcoef[1] - self._logcoef[0]))
-
     def _assemble(self, r, power_slope, power_off, extra_logmag, extra_sign, tol, kcap):
         """Sum sign * exp(logmag) * sin_k with certification.
 
@@ -76,8 +72,7 @@ class TailSeriesSide:
         """
         r = np.asarray(r, dtype=float)
         nk = self.kmax if kcap is None else min(kcap, self.kmax)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            logr = np.where(r > 0.0, np.log(r, where=r > 0.0), 0.0)
+        logr = np.where(r > 0.0, np.log(np.where(r > 0.0, r, 1.0)), 0.0)
         if kcap is None and r.size:
             # slice the term budget to what the slowest point can ever use
             worst = float(logr.min())
@@ -186,7 +181,7 @@ class CenterSeries:
     def _assemble(self, y, shift_pow, extra_logmag, tol, kcap):
         y = np.asarray(y, dtype=float)
         ay = np.abs(y)
-        logay = np.where(ay > 0.0, np.log(ay, where=ay > 0.0), -745.0)
+        logay = np.where(ay > 0.0, np.log(np.where(ay > 0.0, ay, 1.0)), -745.0)
         nk = (self.kmax + 1) if kcap is None else min(kcap, self.kmax + 1)
         if kcap is None and ay.size:
             worst = float(logay.max())
@@ -238,8 +233,7 @@ class CenterSeries:
 
     def dpdf(self, y, tol, kcap=None):
         """Derivative d/dy of the density."""
-        with np.errstate(divide="ignore"):
-            extra = np.where(self._k > 0, np.log(self._k, where=self._k > 0), -np.inf)
+        extra = np.where(self._k > 0, np.log(np.where(self._k > 0, self._k, 1.0)), -np.inf)
         return self._assemble(y, -1.0, extra, tol, kcap)
 
 

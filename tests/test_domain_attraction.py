@@ -45,10 +45,18 @@ class TestGcltConstants:
             GcltSpec(1.0, 1.0, 1.0)
 
     def test_scale_continuity_across_grid(self):
-        alphas = np.concatenate([np.linspace(1.05, 1.95, 19)])
-        vals = [gclt_constants(student_gclt_spec(a)).a for a in alphas]
-        rel_jumps = np.abs(np.diff(vals)) / np.abs(np.array(vals)[:-1])
-        assert rel_jumps.max() < 0.2
+        # a^alpha = pi (K1 + K2) / (2 Gamma(alpha) sin(alpha pi / 2)), which
+        # diverges like (2 - alpha)^(-1/2) as alpha -> 2; a * sqrt(2 - alpha)
+        # is the smooth quantity
+        alphas = np.linspace(1.05, 1.95, 19)
+        vals = np.array([gclt_constants(student_gclt_spec(a)).a for a in alphas])
+        k = np.array([student_tail_constant(a) for a in alphas])
+        closed = (np.pi * 2.0 * k / (2.0 * special.gamma(alphas)
+                                     * np.sin(alphas * np.pi / 2.0))) ** (1.0 / alphas)
+        np.testing.assert_allclose(vals, closed, rtol=1e-12, atol=0)
+        smooth = vals * np.sqrt(2.0 - alphas)
+        rel_jumps = np.abs(np.diff(smooth)) / smooth[:-1]
+        assert rel_jumps.max() < 0.05
 
     def test_student_tail_constant_matches_numeric_tail(self):
         # oracle: the survival-function ratio limit of the t distribution

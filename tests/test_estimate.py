@@ -15,11 +15,10 @@ from stablegarch.estimate import (
     compute_Jn,
     fit_gaussian_qmle,
     fit_stable_mle,
+    loglik_terms,
     neg_log_likelihood,
     outer_product_information,
     score_full,
-    score_theta,
-    score_theta_obs,
 )
 from stablegarch.estimate.likelihood import likelihood_and_score
 from stablegarch.stable import DensityAccuracy, StableParams, sample
@@ -103,15 +102,23 @@ class TestScoreTheta:
         rng = np.random.default_rng(2)
         eps = ReturnSeries(sample(StableParams(1.5, 0.0), 400, rng) * 0.3)
         tau = ModelParams(GarchParams(0.09, a=(0.0,), b=(0.0,)), 1.5, 0.0, 0.0)
-        g = score_theta(eps, tau, TIGHT)
+        g = score_full(eps, tau, TIGHT)[:3]
         h = 1e-6
         arr = tau.as_array()
-        for j in range(3):
-            hi, lo = arr.copy(), arr.copy()
-            hi[j] += h
-            lo[j] -= h
-            fd = (neg_log_likelihood(eps, ModelParams.from_array(hi, tau.order), TIGHT)
-                  - neg_log_likelihood(eps, ModelParams.from_array(lo, tau.order), TIGHT)) / (2 * h)
+
+        def nll_at(j, step):
+            moved = arr.copy()
+            moved[j] += step
+            return neg_log_likelihood(eps, ModelParams.from_array(moved, tau.order), TIGHT)
+
+        # omega is interior: central difference
+        fd = (nll_at(0, h) - nll_at(0, -h)) / (2 * h)
+        assert g[0] == pytest.approx(fd, rel=1e-4, abs=1e-7)
+        # a and b sit on their lower bound 0, where negative lags are not
+        # parameters: third-order forward stencil inside the parameter space
+        for j in (1, 2):
+            f0, f1, f2, f3 = (nll_at(j, k * h) for k in range(4))
+            fd = (-11 * f0 + 18 * f1 - 9 * f2 + 2 * f3) / (6 * h)
             assert g[j] == pytest.approx(fd, rel=1e-4, abs=1e-7)
 
     def test_full_score_matches_fd_on_garch_data(self):
@@ -132,21 +139,18 @@ class TestScoreTheta:
     def test_mean_z_vanishes_at_truth(self):
         # E[Z_t] = 1 + E[eta f'/f] = 0 at the data-generating parameters
         eps = _sim(10 ** 5, 11)
-        s = score_theta_obs(eps, TAU0)
-        # omega-column is phi * Z / 2 with phi > 0; use the Z factor directly
-        sig2 = volatility_path(eps, THETA0).sigma2
-        from stablegarch.estimate.likelihood import density_log_slope
-        from stablegarch.stable import FIT_ACCURACY
-        eta = eps.values / np.sqrt(sig2)
-        z = 1.0 + eta * density_log_slope(eta, TAU0, FIT_ACCURACY)
+        # the mu-column of the score rows is f'/f at the residuals
+        _, rows = loglik_terms(eps, TAU0)
+        eta = eps.values / np.sqrt(volatility_path(eps, THETA0).sigma2)
+        z = 1.0 + eta * rows[:, -1]
         se = z.std(ddof=1) / np.sqrt(z.size)
         assert abs(z.mean()) < 3 * se
 
     def test_sign_flip_invariance_when_symmetric(self):
         eps = _sim(300, 6)
         flipped = ReturnSeries(-eps.values)
-        g1 = score_theta(eps, TAU0)
-        g2 = score_theta(flipped, TAU0)
+        g1 = score_full(eps, TAU0)[:3]
+        g2 = score_full(flipped, TAU0)[:3]
         assert_allclose(g1, g2, atol=1e-13)
 
 

@@ -14,9 +14,9 @@ from scipy import special
 
 from .errors import CalibrationError, NotConverged
 from .stable import FIT_ACCURACY, DensityAccuracy, StableParams, get_engine
+from .stable import log_density_terms
 from .stable import density as stable_density
 from .stable import sample as stable_sample
-from .estimate.likelihood import log_density_terms
 from .estimate.optim import minimize_bounded
 from .estimate.params import BoundsConfig
 
@@ -211,7 +211,6 @@ def calibrate_jK(alpha: float, K, samples: int = 1000, reps: int = 100,
 
 
 def density_sup_distance(sample: np.ndarray, psi: StableParams, delta: float = 0.0,
-                         bandwidth_rule: str = "silverman-iqr",
                          grid_size: int = 2048,
                          acc: DensityAccuracy = FIT_ACCURACY) -> float:
     """Weighted sup distance between a kernel estimate and the stable density.
@@ -226,10 +225,7 @@ def density_sup_distance(sample: np.ndarray, psi: StableParams, delta: float = 0
     x = np.asarray(sample, dtype=float)
     n = x.size
     iqr = float(np.subtract(*np.percentile(x, [75, 25])))
-    if bandwidth_rule == "silverman-iqr":
-        h = 0.9 * (iqr / 1.34) * n ** (-0.2)
-    else:
-        raise ValueError(f"unknown bandwidth rule {bandwidth_rule!r}")
+    h = 0.9 * (iqr / 1.34) * n ** (-0.2)
     lo, hi = np.percentile(x, [0.05, 99.95])
     pad = 4.0 * h
     edges = np.linspace(lo - pad, hi + pad, grid_size + 1)

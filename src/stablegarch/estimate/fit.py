@@ -60,11 +60,12 @@ def fit_stable_mle(eps: ReturnSeries, bounds: BoundsConfig | None = None,
     tau_hat = ModelParams.from_array(res.x, order)
     active = _active_constraints(res.x, bounds)
     j_n = std = None
+    message = res.message
     if compute_information:
         j_n = compute_Jn(eps, tau_hat, acc, init_rule)
         std, pd_ok = std_errors_from_information(j_n, len(eps))
         if not pd_ok:
-            active = active.copy()
+            message += "; J_n not positive definite; standard errors are NaN"
         alpha_idx = order.p + order.q + 1
         if active[alpha_idx] and res.x[alpha_idx] >= bounds.upper[alpha_idx] - 1e-9:
             # at the Gaussian edge the asymmetry is not identified
@@ -73,7 +74,7 @@ def fit_stable_mle(eps: ReturnSeries, bounds: BoundsConfig | None = None,
     fit = FitResult(tau_hat=tau_hat, neg_loglik=res.fun, J_n=j_n, std_errors=std,
                     iterations=total_iter, converged=res.converged,
                     constraint_active=active, method="stable", n_obs=len(eps),
-                    grad_norm=res.grad_norm, message=res.message)
+                    grad_norm=res.grad_norm, message=message)
     if not res.converged:
         raise NotConverged(
             f"gradient norm {res.grad_norm:.2e} above tolerance", result=fit)

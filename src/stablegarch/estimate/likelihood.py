@@ -11,7 +11,8 @@ row d(l_t)/d(tau):
 
 * theta block: 0.5 * phi_t * Z_t, with phi_t = (d sigma2_t / d theta) / sigma2_t
   and Z_t = 1 + eta_t * f'/f;
-* (alpha, beta): -d(log f)/d(alpha, beta), by ``log_density_terms``;
+* (alpha, beta): -d(log f)/d(alpha, beta), by ``stable.log_density_terms``,
+  the package's one alpha/beta difference;
 * mu: f'/f.
 
 ``likelihood_and_score`` (the optimizer's objective) and ``score_full`` are
@@ -30,9 +31,8 @@ from ..data import ReturnSeries
 from ..garch.params import GarchParams
 from ..garch.recursion import _presample_value, volatility_path
 from ..stable import FIT_ACCURACY, DensityAccuracy, StableParams, get_engine
+from ..stable import log_density_terms
 from .params import ModelParams
-
-_FD_PSI = 3e-4
 
 
 def neg_log_likelihood(eps: ReturnSeries, tau: ModelParams,
@@ -73,28 +73,6 @@ def variance_derivatives(eps: ReturnSeries, theta: GarchParams,
     for j in range(1, p + 1):
         grads[:, q + j] = signal.lfilter([1.0], ar, lagged(sig2, j, pre))
     return sig2, grads
-
-
-def log_density_terms(x: np.ndarray, alpha: float, beta: float,
-                      acc: DensityAccuracy = FIT_ACCURACY):
-    """log f, f'/f and d(log f)/d(alpha, beta) of the unit-scale stable law at x.
-
-    The density is floored at 1e-300 before logs and ratios.  The shape
-    derivatives are central differences of log f with step 3e-4 across four
-    shifted engines; they are the only such differences used in fitting.
-    Returns arrays of shapes (n,), (n,) and (n, 2).
-    """
-    eng = get_engine(StableParams(alpha, beta), acc)
-    f, _ = eng.pdf_with_err(x)
-    f = np.maximum(f, 1e-300)
-    fp, _ = eng.dpdf_with_err(x)
-    h = _FD_PSI
-    d_shape = np.empty((f.size, 2))
-    for col, (da, db) in enumerate([(h, 0.0), (0.0, h)]):
-        hi = get_engine(StableParams(alpha + da, beta + db), acc)
-        lo = get_engine(StableParams(alpha - da, beta - db), acc)
-        d_shape[:, col] = (hi.logpdf(x) - lo.logpdf(x)) / (2.0 * h)
-    return np.log(f), fp / f, d_shape
 
 
 def loglik_terms(eps: ReturnSeries, tau: ModelParams,

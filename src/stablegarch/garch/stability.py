@@ -32,18 +32,8 @@ def companion_matrix(theta: GarchParams, eta: float) -> np.ndarray:
     top row carries a_i*eta^2, b_j*eta^2, the row below the squared-return
     block carries a_i, b_j, and shifted identities fill the lag blocks.
     """
-    p, q = len(theta.b), len(theta.a)
-    d = p + q
-    A = np.zeros((d, d))
-    top = np.concatenate([theta.a, theta.b])
-    A[0, :] = top * eta ** 2
-    for i in range(1, q):
-        A[i, i - 1] = 1.0
-    if p >= 1:
-        A[q, :] = top
-        for j in range(1, p):
-            A[q + j, q + j - 1] = 1.0
-    return A
+    c0, c1 = _companion_split(theta)
+    return c0 + eta ** 2 * c1
 
 
 def _companion_split(theta: GarchParams):

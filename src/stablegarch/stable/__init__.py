@@ -5,7 +5,12 @@ series expansions (a tail expansion in inverse powers and a Taylor expansion
 around the skewness shift point) cover most of the line with certified
 truncation bounds; an FFT inversion of the characteristic function with
 explicit aliasing removal covers the remaining central window; adaptive
-quadrature of the inversion integral backs up the rare uncovered points.
+quadrature of the inversion integral serves only the points no table
+certifies.  The engine's finishing order is documented in ``engine``.
+
+``log_density_terms`` is the one place that differentiates log f in the
+shape parameters; the likelihood, the i.i.d. stable fit and
+``log_density_grad`` all call it.
 """
 
 from __future__ import annotations
@@ -19,7 +24,8 @@ from .sample import sample as _sample_raw
 
 __all__ = [
     "StableParams", "DensityAccuracy", "DEFAULT_ACCURACY", "FIT_ACCURACY",
-    "char_fn", "density", "density_dx", "log_density_grad", "cdf", "quantile",
+    "char_fn", "density", "density_dx", "log_density_terms", "log_density_grad",
+    "cdf", "quantile",
     "sample", "get_engine", "StandardDensity",
 ]
 
@@ -76,42 +82,53 @@ def sample(psi: StableParams, count: int, seed=0) -> np.ndarray:
     return _sample_raw(psi, count, seed)
 
 
-_FD_SHAPE = 1e-5
-_FD_MU = 1e-5
+_FD_PSI = 3e-4
+
+
+def log_density_terms(x: np.ndarray, alpha: float, beta: float,
+                      acc: DensityAccuracy = FIT_ACCURACY):
+    """log f, f'/f and d(log f)/d(alpha, beta) of the unit-scale stable law at x.
+
+    The density is floored at 1e-300 before logs and ratios.  The shape
+    derivatives are differences of log f with step 3e-4: central across four
+    shifted engines, or one-sided second-order stencils at the alpha = 2 and
+    |beta| = 1 edges.  They are the package's only alpha/beta differences.
+    Returns arrays of shapes (n,), (n,) and (n, 2).
+    """
+    eng = get_engine(StableParams(alpha, beta), acc)
+    f, _ = eng.pdf_with_err(x)
+    f = np.maximum(f, 1e-300)
+    fp, _ = eng.dpdf_with_err(x)
+    logf = np.log(f)
+    h = _FD_PSI
+
+    def logf_at(col, steps):
+        shape = [alpha, beta]
+        shape[col] += steps * h
+        return get_engine(StableParams(*shape), acc).logpdf(x)
+
+    d_shape = np.empty((f.size, 2))
+    for col, (lo, hi) in enumerate([(1e-6, 2.0), (-1.0, 1.0)]):
+        val = (alpha, beta)[col]
+        if lo <= val - h and val + h <= hi:
+            d_shape[:, col] = (logf_at(col, 1) - logf_at(col, -1)) / (2.0 * h)
+        else:
+            sgn = 1.0 if val + h > hi else -1.0  # step away from the edge
+            d_shape[:, col] = sgn * (3.0 * logf - 4.0 * logf_at(col, -sgn)
+                                     + logf_at(col, -2.0 * sgn)) / (2.0 * h)
+    return logf, fp / f, d_shape
 
 
 def log_density_grad(x, psi: StableParams, acc: DensityAccuracy = DEFAULT_ACCURACY):
     """Gradient of log f at x: components (alpha, beta, mu, x).
 
-    Shape components use central finite differences of the density (one-sided
-    second-order stencils at the alpha = 2 and |beta| = 1 edges); the x
-    component is the analytic derivative ratio.  Returns shape (4,) for
-    scalar x, else (n, 4).
+    The shape components come from ``log_density_terms`` at the standardized
+    point z = (x - mu)/gamma; the mu and x components are -(f'/f)/gamma and
+    (f'/f)/gamma.  Returns shape (4,) for scalar x, else (n, 4).
     """
     pts, scalar = _as_points(x)
-    f = density(pts, psi, acc)
-    f = np.maximum(f, 1e-300)
-
-    def shape_partial(name: str, lo: float, hi: float, h: float):
-        val = getattr(psi, name)
-        if val + h <= hi and val - h >= lo:
-            fp = density(pts, _replace(psi, name, val + h), acc)
-            fm = density(pts, _replace(psi, name, val - h), acc)
-            return (fp - fm) / (2.0 * h)
-        sgn = 1.0 if val + h > hi else -1.0  # step away from the edge
-        f1 = density(pts, _replace(psi, name, val - sgn * h), acc)
-        f2 = density(pts, _replace(psi, name, val - 2.0 * sgn * h), acc)
-        return sgn * (3.0 * f - 4.0 * f1 + f2) / (2.0 * h)
-
-    d_alpha = shape_partial("alpha", 1e-6, 2.0, _FD_SHAPE)
-    d_beta = shape_partial("beta", -1.0, 1.0, _FD_SHAPE)
-    d_mu = shape_partial("mu", -np.inf, np.inf, _FD_MU)
-    d_x = density_dx(pts, psi, acc)
-    out = np.stack([d_alpha / f, d_beta / f, d_mu / f, d_x / f], axis=-1)
+    _, slope, d_shape = log_density_terms((pts - psi.mu) / psi.gamma,
+                                          psi.alpha, psi.beta, acc)
+    d_x = slope / psi.gamma
+    out = np.column_stack([d_shape, -d_x, d_x])
     return out[0] if scalar else out
-
-
-def _replace(psi: StableParams, name: str, value: float) -> StableParams:
-    kw = dict(alpha=psi.alpha, beta=psi.beta, mu=psi.mu, gamma=psi.gamma)
-    kw[name] = value
-    return StableParams(**kw)

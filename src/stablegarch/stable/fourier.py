@@ -44,6 +44,12 @@ def _deriv_bound(alpha: float, order: int) -> float:
     return float(special.gamma((order + 1.0) / alpha) / (alpha * np.pi))
 
 
+def _transform(t, psi: StableParams, order: int):
+    """Fourier transform (-it)^order * phi(t) of the order-th x-derivative."""
+    ph = char_fn(t, psi)
+    return ph * (-1j * t) if order else ph
+
+
 class FourierTable:
     """FFT-inverted density (or its x-derivative) on a central window."""
 
@@ -64,10 +70,7 @@ class FourierTable:
             t_pad = max(t_pad, halfwidth)
         dt = 2.0 * t_pad / n_grid
         t = (np.arange(n_grid) - n_grid // 2) * dt
-        psi = StableParams(alpha, beta, 0.0, 1.0)
-        ph = char_fn(t, psi)
-        if deriv:
-            ph = ph * (-1j * t)
+        ph = _transform(t, StableParams(alpha, beta, 0.0, 1.0), order)
         vals = np.fft.fftshift(np.fft.fft(np.fft.ifftshift(ph))).real * dt / (2.0 * np.pi)
         dx = 2.0 * np.pi / (n_grid * dt)
         x_max = np.pi / dt
@@ -82,6 +85,10 @@ class FourierTable:
         trunc = _truncation_error(alpha, t_pad, order)
         interp = (5.0 / 384.0) * f_interp * dx ** 4
         self.err = trunc + interp + alias_err
+        if not (np.isfinite(self.err) and np.all(np.isfinite(fg))):
+            # overflowing aliasing folds: a table that certifies nothing
+            self.err = np.inf
+            fg = np.zeros_like(fg)
         self.x_lo = float(xg[0])
         self.x_hi = float(xg[-1])
         self._spline = interpolate.CubicSpline(xg, fg)
@@ -136,37 +143,24 @@ class FourierTable:
 def quad_pdf_point(x: float, alpha: float, beta: float, deriv: bool = False):
     """Adaptive-quadrature inversion at a single point; returns (value, err).
 
-    Splits exp(-itx) into cos/sin weights so the oscillation from large |x|
-    is handled by the QUADPACK oscillatory rules.
+    The density's order-th derivative is (1/pi) int_0^inf Re[g(t) e^{-itx}] dt
+    with g the transform of ``_transform``; splitting e^{-itx} into cos/sin
+    weights lets the QUADPACK oscillatory rules handle large |x|.
     """
     psi = StableParams(alpha, beta, 0.0, 1.0)
     order = 1 if deriv else 0
     t_cut = _choose_t_cut(alpha, 1e-14, order)
 
-    def re_phi(t):
-        return char_fn(t, psi).real
+    def re_g(t):
+        return _transform(t, psi, order).real
 
-    def im_phi(t):
-        return char_fn(t, psi).imag
+    def im_g(t):
+        return _transform(t, psi, order).imag
 
-    if not deriv:
-        a1, e1 = integrate.quad(re_phi, 0.0, t_cut, weight="cos", wvar=x,
-                                limit=800, epsabs=1e-13, epsrel=1e-11)
-        a2, e2 = integrate.quad(im_phi, 0.0, t_cut, weight="sin", wvar=x,
-                                limit=800, epsabs=1e-13, epsrel=1e-11)
-        val = (a1 + a2) / np.pi
-    else:
-        # f'(x) = (1/pi) int_0^inf t * Im[phi(t) e^{-itx}] dt
-        def t_im(t):
-            return t * char_fn(t, psi).imag
-
-        def t_re(t):
-            return t * char_fn(t, psi).real
-
-        a1, e1 = integrate.quad(t_im, 0.0, t_cut, weight="cos", wvar=x,
-                                limit=800, epsabs=1e-13, epsrel=1e-11)
-        a2, e2 = integrate.quad(t_re, 0.0, t_cut, weight="sin", wvar=x,
-                                limit=800, epsabs=1e-13, epsrel=1e-11)
-        val = (a1 - a2) / np.pi
+    a1, e1 = integrate.quad(re_g, 0.0, t_cut, weight="cos", wvar=x,
+                            limit=800, epsabs=1e-13, epsrel=1e-11)
+    a2, e2 = integrate.quad(im_g, 0.0, t_cut, weight="sin", wvar=x,
+                            limit=800, epsabs=1e-13, epsrel=1e-11)
+    val = (a1 + a2) / np.pi
     err = (e1 + e2) / np.pi + _truncation_error(alpha, t_cut, order)
     return val, 4.0 * err

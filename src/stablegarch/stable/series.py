@@ -40,6 +40,41 @@ def skew_shift(alpha: float, beta: float) -> float:
     return beta * np.tan(np.pi * alpha / 2.0)
 
 
+def _certified_sum(env, terms, tol, ratio=None, usable=True):
+    """Truncated sum of a series with a certified error, per column.
+
+    ``terms`` and their envelopes ``env`` have shape (k, points).  Without
+    ``ratio`` the series is asymptotic: stop at the first envelope below
+    tol/_ASYM_SAFETY, else at the minimal one, and charge _ASYM_SAFETY times
+    the stopping envelope.  With ``ratio`` (env_{k+1}/env_k) it converges:
+    stop at the first ``usable`` term below the threshold whose ratio
+    contracts and bound the rest geometrically; a column with no such term
+    before the cap certifies nothing.  Returns (value, remainder + roundoff).
+    """
+    tol_eff = tol / _ASYM_SAFETY
+
+    def at(a, k):
+        return np.take_along_axis(a, k[None, :], 0)[0]
+
+    if ratio is None:
+        small = env <= tol_eff
+        kstop = np.where(small.any(axis=0), np.argmax(small, axis=0),
+                         np.argmin(env, axis=0))
+        remainder = _ASYM_SAFETY * at(env, kstop)
+    else:
+        ok = (env <= tol_eff) & (ratio < _RATIO_CAP) & usable
+        ok[-1, :] = False  # cannot certify at the term cap
+        found = ok.any(axis=0)
+        kstop = np.where(found, np.argmax(ok, axis=0), env.shape[0] - 1)
+        env_stop = at(env, kstop)
+        q = np.minimum(at(ratio, kstop), _RATIO_CAP)
+        remainder = np.where(found, env_stop * q / (1.0 - q) + env_stop, np.inf)
+    value = at(np.cumsum(terms, axis=0), kstop)
+    maxenv = at(np.maximum.accumulate(env, axis=0), kstop)
+    roundoff = _ROUNDOFF_SAFETY * _EPS * maxenv * np.maximum(kstop + 1, 8)
+    return value, remainder + roundoff
+
+
 class TailSeriesSide:
     """Tail expansion coefficients for one side (argument r = y > 0)."""
 
@@ -88,35 +123,14 @@ class TailSeriesSide:
                   + logpow[:, None] * logr[None, :])
         env = np.exp(np.minimum(logmag, 700.0)) / np.pi
         terms = env * (self._sink[:nk] * extra_sign)[:, None]
-        csum = np.cumsum(terms, axis=0)
-        cmax = np.maximum.accumulate(env, axis=0)
-
-        tol_eff = tol / _ASYM_SAFETY
-        if self.alpha > 1.0:
-            # asymptotic mode: stop at the threshold or at the minimal envelope
-            small = env <= tol_eff
-            kstop = np.where(small.any(axis=0), np.argmax(small, axis=0),
-                             np.argmin(env, axis=0))
-            remainder = _ASYM_SAFETY * np.take_along_axis(env, kstop[None, :], 0)[0]
-        else:
-            # convergent mode: need threshold plus contraction for the tail bound
+        ratio = None
+        if self.alpha <= 1.0:
+            # convergent mode: the contraction ratio bounds the tail
             ratio = np.exp(np.clip(self._logratio_coef[:nk, None]
                                    - power_slope * logr[None, :], -745.0, 700.0))
-            ok = (env <= tol_eff) & (ratio < _RATIO_CAP)
-            ok[-1, :] = False  # cannot certify at the term cap
-            found = ok.any(axis=0)
-            kstop = np.where(found, np.argmax(ok, axis=0), nk - 1)
-            env_stop = np.take_along_axis(env, kstop[None, :], 0)[0]
-            q = np.minimum(np.take_along_axis(ratio, kstop[None, :], 0)[0], _RATIO_CAP)
-            remainder = np.where(found, env_stop * q / (1.0 - q) + env_stop, np.inf)
-        value = np.take_along_axis(csum, kstop[None, :], 0)[0]
-        maxenv = np.take_along_axis(cmax, kstop[None, :], 0)[0]
-        roundoff = _ROUNDOFF_SAFETY * _EPS * maxenv * np.maximum(kstop + 1, 8)
-        err = remainder + roundoff
+        value, err = _certified_sum(env, terms, tol, ratio)
         bad = ~np.isfinite(value) | (r <= 0.0)
-        value = np.where(bad, 0.0, value)
-        err = np.where(bad, np.inf, err)
-        return value, err
+        return np.where(bad, 0.0, value), np.where(bad, np.inf, err)
 
     def fold_sum(self, q0, period, n_terms: int = 4, deriv: bool = False):
         """Sum of the series over the lattice (q0 + j) * period, j >= 0.
@@ -206,23 +220,9 @@ class CenterSeries:
         logmag = np.where(zero_fix, (self._logcoef[:nk] + extra_logmag[:nk])[:, None], logmag)
         env = np.exp(np.minimum(logmag, 700.0)) / (self.alpha * np.pi)
         terms = env * sign * self._cosk[:nk, None]
-        csum = np.cumsum(terms, axis=0)
-        cmax = np.maximum.accumulate(env, axis=0)
-
-        tol_eff = tol / _ASYM_SAFETY
         ratio = np.exp(np.clip(self._logratio_coef[:nk, None] + logay[None, :],
                                -745.0, 700.0))
-        ok = (env <= tol_eff) & (ratio < _RATIO_CAP) & valid_k[:, None]
-        ok[-1, :] = False
-        found = ok.any(axis=0)
-        kstop = np.where(found, np.argmax(ok, axis=0), nk - 1)
-        env_stop = np.take_along_axis(env, kstop[None, :], 0)[0]
-        q = np.minimum(np.take_along_axis(ratio, kstop[None, :], 0)[0], _RATIO_CAP)
-        remainder = np.where(found, env_stop * q / (1.0 - q) + env_stop, np.inf)
-        value = np.take_along_axis(csum, kstop[None, :], 0)[0]
-        maxenv = np.take_along_axis(cmax, kstop[None, :], 0)[0]
-        roundoff = _ROUNDOFF_SAFETY * _EPS * maxenv * np.maximum(kstop + 1, 8)
-        err = remainder + roundoff
+        value, err = _certified_sum(env, terms, tol, ratio, usable=valid_k[:, None])
         bad = ~np.isfinite(value)
         return np.where(bad, 0.0, value), np.where(bad, np.inf, err)
 

@@ -209,6 +209,16 @@ class TestFitStable:
         assert neg_log_likelihood(scaled, tau_mapped) == pytest.approx(
             fit2.neg_loglik, abs=1e-4)
 
+    def test_indefinite_information_is_reported(self, monkeypatch):
+        monkeypatch.setattr("stablegarch.estimate.fit.compute_Jn",
+                            lambda *args, **kwargs: -np.eye(6))
+        try:
+            fit = fit_stable_mle(_sim(600, 7), start=TAU0, n_starts=1)
+        except NotConverged as exc:
+            fit = exc.result
+        assert fit.message.endswith("; J_n not positive definite; standard errors are NaN")
+        assert np.isnan(fit.std_errors).all()
+
     def test_rejects_short_series(self):
         with pytest.raises(ValueError):
             fit_stable_mle(_sim(120, 5))

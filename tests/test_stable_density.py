@@ -14,6 +14,7 @@ from stablegarch.stable import (
     density_dx,
     get_engine,
     log_density_grad,
+    quantile,
 )
 
 CAUCHY = StableParams(1.0, 0.0)
@@ -172,6 +173,29 @@ class TestDensityProperties:
                               fft_grid_size=2 ** 10)
         with pytest.raises(AccuracyNotReached):
             density(0.7, StableParams(1.5, 0.2), acc)
+        # the aliasing folds overflow on this grid: the table certifies nothing
+        with pytest.raises(AccuracyNotReached):
+            density_dx(0.7, StableParams(1.5, 0.2), acc)
+        with pytest.raises(AccuracyNotReached):
+            density(np.linspace(-3.0, 3.0, 20), StableParams(1.5, 0.2), acc)
+        with pytest.raises(AccuracyNotReached):
+            quantile(0.3, StableParams(1.5, 0.2), acc)
+
+    def test_skewed_cauchy_served_by_table_not_quadrature(self, monkeypatch):
+        from stablegarch.stable import engine
+        calls = []
+        quad = engine.quad_pdf_point
+
+        def recording(*args, **kwargs):
+            calls.append(args)
+            return quad(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "quad_pdf_point", recording)
+        engine._engine.cache_clear()  # a cold engine, as on first use
+        for x in (-3.0, -0.5, 0.3, 2.0, 7.5):
+            got = density(x, StableParams(1.0, 0.9))
+            assert got == pytest.approx(quad_density_oracle(x, 1.0, 0.9), abs=1e-7)
+        assert calls == []
 
 
 class TestDensityDx:
@@ -224,6 +248,38 @@ class TestLogDensityGrad:
         psi = StableParams(1.5, 0.0)
         g = log_density_grad(100.0, psi)
         assert g[3] * 100.0 == pytest.approx(-2.5, rel=0.05)
+
+    def test_matches_log_density_terms(self):
+        from stablegarch.stable import DEFAULT_ACCURACY, log_density_terms
+        psi = StableParams(1.45, -0.3, 0.2, 1.7)
+        x = np.array([-6.0, -0.8, 0.2, 1.9, 11.0])
+        want = log_density_terms((x - psi.mu) / psi.gamma, psi.alpha, psi.beta,
+                                 DEFAULT_ACCURACY)[2]
+        np.testing.assert_array_equal(log_density_grad(x, psi)[:, :2], want)
+
+    @pytest.mark.parametrize("alpha, beta", [(2.0, 0.0), (1.5, 1.0), (1.5, -1.0),
+                                             (1.99995, 0.3)])
+    def test_edge_stencils_match_one_sided_differences(self, alpha, beta):
+        # alpha = 2 and |beta| = 1 take one-sided stencils; the oracle is a
+        # one-sided second-order difference of log density with a wider step
+        acc = DensityAccuracy(abs_tol=1e-11)
+        h = 1e-3
+        xs = np.array([-1.0, 0.0, 0.5, 1.5])
+        psi = StableParams(alpha, beta)
+        grads = log_density_grad(xs, psi)
+
+        def log_f(**shift):
+            return np.log(density(xs, StableParams(**{**_base(psi), **shift}), acc))
+
+        for comp, (name, lo, hi) in enumerate([("alpha", 0.05, 2.0), ("beta", -1.0, 1.0)]):
+            val = getattr(psi, name)
+            if lo <= val - h and val + h <= hi:
+                fd = (log_f(**{name: val + h}) - log_f(**{name: val - h})) / (2.0 * h)
+            else:
+                sgn = 1.0 if val + h > hi else -1.0
+                fd = sgn * (3.0 * log_f() - 4.0 * log_f(**{name: val - sgn * h})
+                            + log_f(**{name: val - 2.0 * sgn * h})) / (2.0 * h)
+            assert_allclose(grads[:, comp], fd, rtol=0.0, atol=1e-3)
 
     def test_grad_lattice_against_fd(self):
         # every component vs central differences on a parameter/point lattice

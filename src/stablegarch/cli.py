@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import sys
@@ -19,7 +20,7 @@ from .garch.params import GarchOrder, GarchParams
 from .garch.recursion import simulate as garch_simulate
 from .garch.stability import stationarity_frontier
 from .risk import backtest, var_series
-from .stable import DensityAccuracy, StableParams
+from .stable import FIT_ACCURACY, DensityAccuracy, StableParams
 
 
 def _load_config(path) -> dict:
@@ -46,13 +47,29 @@ def _psi_from_config(cfg: dict) -> StableParams:
 
 
 def _accuracy_from_config(cfg: dict) -> DensityAccuracy | None:
+    """FIT_ACCURACY with the settings the config's ``accuracy`` block gives."""
     acc = cfg.get("accuracy")
     if not acc:
         return None
-    return DensityAccuracy(abs_tol=float(acc.get("abs_tol", 1e-6)),
-                           max_series_terms=int(acc.get("max_series_terms", 260)),
-                           fft_grid_size=int(acc.get("fft_grid_size", 2 ** 16)),
-                           fft_domain_halfwidth=float(acc.get("fft_domain_halfwidth", 0.0)))
+    known = {f.name for f in dataclasses.fields(DensityAccuracy)}
+    unknown = sorted(set(acc) - known)
+    if unknown:
+        raise click.ClickException(
+            f"unknown accuracy setting {', '.join(unknown)}; use {', '.join(sorted(known))}")
+    try:
+        # each value takes its field's type: YAML reads 1e-5 as a string
+        return dataclasses.replace(
+            FIT_ACCURACY, **{k: type(getattr(FIT_ACCURACY, k))(v) for k, v in acc.items()})
+    except ValueError as exc:
+        raise click.ClickException(f"accuracy: {exc}")
+
+
+def _float_list(text: str, option: str) -> list[float]:
+    """Comma-separated numbers of a command-line option."""
+    try:
+        return [float(v) for v in text.split(",")]
+    except ValueError:
+        raise click.ClickException(f"{option}: expected comma-separated numbers, got {text!r}")
 
 
 def _parse_k(text: str) -> float:
@@ -85,7 +102,7 @@ def cmd_fit(input_path, output_path, config_path, method, column, date_column,
     """Estimate a GARCH model from a CSV of returns; writes a JSON fit."""
     cfg = _load_config(config_path)
     try:
-        column_sel = int(column) if column.lstrip("-").isdigit() else column
+        column_sel = int(column) if column.isdigit() else column
         series = read_returns_csv(input_path, column_sel, date_column)
     except ValueError as exc:
         raise click.ClickException(str(exc))
@@ -176,31 +193,30 @@ def cmd_experiment(output_path, details_path, config_path, alpha, k_list, n,
     """Run the summed-innovation estimation study and write the ratio table."""
     cfg = _load_config(config_path)
     exp = cfg.get("experiment", {})
-    kw = dict(theta0=_theta_from_config(cfg),
-              alpha=float(exp.get("alpha", cfg.get("innovation", {}).get("alpha", 1.6))),
-              k_list=tuple(_parse_k(str(v)) for v in exp.get("k_list", [10, 1000, "inf"])),
-              n=int(exp.get("n", 1000)), reps=int(exp.get("reps", 100)),
-              seed=int(cfg.get("seed", 0)),
-              calibration_samples=int(exp.get("calibration", {}).get("samples", 1000)),
-              calibration_reps=int(exp.get("calibration", {}).get("reps", 40)),
-              cache_path=cache_path)
-    if alpha is not None:
-        kw["alpha"] = alpha
-    if k_list is not None:
-        kw["k_list"] = tuple(_parse_k(v) for v in k_list.split(","))
-    if n is not None:
-        kw["n"] = n
-    if reps is not None:
-        kw["reps"] = reps
-    if seed is not None:
-        kw["seed"] = seed
+    calib = exp.get("calibration", {})
+    # a flag overrides the config file; what neither gives keeps the
+    # ExperimentConfig default
+    given = [("alpha", float, alpha, exp.get("alpha", cfg.get("innovation", {}).get("alpha"))),
+             ("n", int, n, exp.get("n")),
+             ("reps", int, reps, exp.get("reps")),
+             ("seed", int, seed, cfg.get("seed")),
+             ("calibration_samples", int, None, calib.get("samples")),
+             ("calibration_reps", int, None, calib.get("reps"))]
+    kw = dict(theta0=_theta_from_config(cfg), cache_path=cache_path)
     acc = _accuracy_from_config(cfg)
     if acc is not None:
         kw["accuracy"] = acc
     try:
+        for key, conv, flag, value in given:
+            if flag is not None or value is not None:
+                kw[key] = conv(flag if flag is not None else value)
+        if k_list is not None:
+            kw["k_list"] = tuple(_parse_k(v) for v in k_list.split(","))
+        elif "k_list" in exp:
+            kw["k_list"] = tuple(_parse_k(str(v)) for v in exp["k_list"])
         config = ExperimentConfig(**kw)
         result = run_experiment(config, log=lambda msg: click.echo(msg, err=True))
-    except StableGarchError as exc:
+    except (StableGarchError, ValueError) as exc:
         raise click.ClickException(str(exc))
     result.write_csv(output_path, convention)
     if details_path:
@@ -218,8 +234,8 @@ def cmd_experiment(output_path, details_path, config_path, alpha, k_list, n,
 @click.option("--seed", type=int, default=0, show_default=True)
 def cmd_frontier(output_path, alpha_list, b_grid, horizon, replications, seed):
     """Locate the strict-stationarity frontier a*(b) for each alpha."""
-    alphas = [float(v) for v in alpha_list.split(",")]
-    grid = [float(v) for v in b_grid.split(",")]
+    alphas = _float_list(alpha_list, "--alpha")
+    grid = _float_list(b_grid, "--b-grid")
     import csv as _csv
     with open(output_path, "w", newline="", encoding="utf-8") as fh:
         w = _csv.writer(fh)
@@ -243,18 +259,23 @@ def cmd_frontier(output_path, alpha_list, b_grid, horizon, replications, seed):
 def cmd_var(fit_paths, outsample_path, p_list, report_path, series_path, column):
     """Backtest VaR forecasts from fitted models on an out-of-sample CSV."""
     try:
-        column_sel = int(column) if column.lstrip("-").isdigit() else column
+        column_sel = int(column) if column.isdigit() else column
         outsample = read_returns_csv(outsample_path, column_sel)
     except ValueError as exc:
         raise click.ClickException(str(exc))
-    ps = [float(v) for v in p_list.split(",")]
+    ps = _float_list(p_list, "--p")
+    if not all(0.0 < p < 1.0 for p in ps):
+        raise click.ClickException(f"--p: levels must lie in (0, 1), got {p_list}")
     reports = []
     series_cols = {}
     warnings = []
     for path in fit_paths:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-        fit = FitResult.from_dict(doc)
+        try:
+            with open(path, encoding="utf-8") as fh:
+                doc = json.load(fh)
+            fit = FitResult.from_dict(doc)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise click.ClickException(f"{path}: not a fit JSON ({exc!r})")
         data_meta = doc.get("data", {})
         if outsample.dates and data_meta.get("last_date"):
             if outsample.dates[0] <= data_meta["last_date"]:

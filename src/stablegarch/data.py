@@ -56,7 +56,7 @@ def read_returns_csv(path, column: str | int = "return",
         header = [h.strip() for h in header]
         if isinstance(column, int):
             col_idx = column
-            if col_idx >= len(header):
+            if not 0 <= col_idx < len(header):
                 raise ValueError(f"{path}: column index {column} out of range")
         else:
             if column not in header:

@@ -13,12 +13,16 @@ import numpy as np
 from scipy import special
 
 from .errors import CalibrationError, NotConverged
-from .stable import FIT_ACCURACY, DensityAccuracy, StableParams, get_engine
+from .stable import FIT_ACCURACY, StableParams, get_engine
 from .stable import log_density_terms
 from .stable import density as stable_density
 from .stable import sample as stable_sample
 from .estimate.optim import minimize_bounded
 from .estimate.params import BoundsConfig
+
+# Share of fits in a calibration, or of replications per K in a study, that
+# may fail before the whole run is abandoned.
+MAX_FAILURE_SHARE = 0.2
 
 
 @dataclass(frozen=True)
@@ -120,27 +124,24 @@ def summed_innovations(spec: SummedInnovationSpec, n: int, seed=0) -> np.ndarray
     return out
 
 
-_IID_PSI_STARTS = [(1.7, 0.0), (1.4, 0.0), (1.85, 0.0)]
+_IID_PSI_STARTS = [(1.7, 0.0), (1.4, 0.0)]
 
 
-def fit_stable_iid(x: np.ndarray, bounds: BoundsConfig | None = None,
-                   acc: DensityAccuracy = FIT_ACCURACY,
-                   n_starts: int = 2) -> tuple[StableParams, bool]:
+def fit_stable_iid(x: np.ndarray) -> tuple[StableParams, bool]:
     """Four-parameter maximum likelihood for an i.i.d. stable sample.
 
     Returns the fitted parameters and a convergence flag.  Uses the same
-    bounded quasi-Newton stack as the GARCH fits, with the scale searched on
-    a log axis.
+    bounded quasi-Newton stack as the GARCH fits at ``FIT_ACCURACY``, with
+    the scale searched on a log axis.
     """
     x = np.asarray(x, dtype=float)
-    if bounds is None:
-        bounds = BoundsConfig(np.array([0.4, -0.99, -10.0, 1e-3]),
-                              np.array([1.99, 0.99, 10.0, 1e3]))
+    bounds = BoundsConfig(np.array([0.4, -0.99, -10.0, 1e-3]),
+                          np.array([1.99, 0.99, 10.0, 1e3]))
 
     def fun_grad(par):
         al, be, mu, ga = par
         z = (x - mu) / ga
-        logf, slope, d_shape = log_density_terms(z, al, be, acc)
+        logf, slope, d_shape = log_density_terms(z, al, be, FIT_ACCURACY)
         nll = float(np.log(ga) - np.mean(logf))
         # location and scale enter through z: analytic chain rule
         g = np.concatenate([-d_shape.mean(axis=0),
@@ -150,8 +151,8 @@ def fit_stable_iid(x: np.ndarray, bounds: BoundsConfig | None = None,
     iqr = float(np.subtract(*np.percentile(x, [75, 25])))
     med = float(np.median(x))
     best = None
-    for a0, b0 in _IID_PSI_STARTS[:n_starts]:
-        eng = get_engine(StableParams(a0, b0), acc)
+    for a0, b0 in _IID_PSI_STARTS:
+        eng = get_engine(StableParams(a0, b0), FIT_ACCURACY)
         iqr0 = eng.ppf(0.75) - eng.ppf(0.25)
         x0 = np.array([a0, b0, med, max(iqr / iqr0, 1e-3)])
         res = minimize_bounded(fun_grad, x0, bounds)
@@ -199,7 +200,7 @@ def calibrate_jK(alpha: float, K, samples: int = 1000, reps: int = 100,
                 failures += 1
                 continue
             gammas.append(psi.gamma)
-        if failures > 0.2 * reps:
+        if failures > MAX_FAILURE_SHARE * reps:
             raise CalibrationError(
                 f"{failures}/{reps} stable fits failed during calibration")
         value = float(np.mean(gammas))
@@ -210,14 +211,13 @@ def calibrate_jK(alpha: float, K, samples: int = 1000, reps: int = 100,
     return value
 
 
-def density_sup_distance(sample: np.ndarray, psi: StableParams, delta: float = 0.0,
-                         grid_size: int = 2048,
-                         acc: DensityAccuracy = FIT_ACCURACY) -> float:
+def density_sup_distance(sample: np.ndarray, psi: StableParams, delta: float = 0.0) -> float:
     """Weighted sup distance between a kernel estimate and the stable density.
 
     sup over the central 99.9% sample range of (1 + |x|)^delta * |f_n - f|,
     with a Gaussian kernel whose bandwidth follows a Silverman rule on the
-    interquartile range (variance-based rules collapse under heavy tails).
+    interquartile range (variance-based rules collapse under heavy tails),
+    on 2048 bins, against the density at ``FIT_ACCURACY``.
     delta = 0 is the plain sup-norm diagnostic; delta may not exceed alpha.
     """
     if not (0.0 <= delta <= psi.alpha):
@@ -228,7 +228,7 @@ def density_sup_distance(sample: np.ndarray, psi: StableParams, delta: float = 0
     h = 0.9 * (iqr / 1.34) * n ** (-0.2)
     lo, hi = np.percentile(x, [0.05, 99.95])
     pad = 4.0 * h
-    edges = np.linspace(lo - pad, hi + pad, grid_size + 1)
+    edges = np.linspace(lo - pad, hi + pad, 2048 + 1)
     counts, _ = np.histogram(x, bins=edges)
     width = edges[1] - edges[0]
     centers = 0.5 * (edges[1:] + edges[:-1])
@@ -239,6 +239,6 @@ def density_sup_distance(sample: np.ndarray, psi: StableParams, delta: float = 0
     kernel /= kernel.sum()
     dens = np.convolve(counts / (n * width), kernel, mode="same")
     inside = (centers >= lo) & (centers <= hi)
-    ref = stable_density(centers[inside], psi, acc)
+    ref = stable_density(centers[inside], psi, FIT_ACCURACY)
     w = (1.0 + np.abs(centers[inside])) ** delta
     return float(np.max(w * np.abs(dens[inside] - ref)))

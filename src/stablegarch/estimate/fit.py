@@ -26,7 +26,6 @@ def fit_stable_mle(eps: ReturnSeries, bounds: BoundsConfig | None = None,
                    acc: DensityAccuracy = FIT_ACCURACY,
                    order: GarchOrder = GarchOrder(1, 1),
                    n_starts: int = 5, seed: int = 0,
-                   init_rule: str = "mean-squared",
                    compute_information: bool = True) -> FitResult:
     """Minimize the stable likelihood over the bounded parameter box.
 
@@ -47,11 +46,11 @@ def fit_stable_mle(eps: ReturnSeries, bounds: BoundsConfig | None = None,
             f"need at least {_MIN_OBS_PER_DIM * n_free} observations "
             f"for {n_free} free parameters, got {len(eps)}")
 
-    starts = _build_starts(eps, bounds, order, start, n_starts, seed, init_rule)
+    starts = _build_starts(eps, bounds, order, start, n_starts, seed)
 
     def fun_grad(tau_arr):
         tau = ModelParams.from_array(tau_arr, order)
-        return likelihood_and_score(eps, tau, acc, init_rule)
+        return likelihood_and_score(eps, tau, acc)
 
     res, total_iter = _best_start(fun_grad, starts, bounds)
     if res is None:
@@ -62,7 +61,7 @@ def fit_stable_mle(eps: ReturnSeries, bounds: BoundsConfig | None = None,
     j_n = std = None
     message = res.message
     if compute_information:
-        j_n = compute_Jn(eps, tau_hat, acc, init_rule)
+        j_n = compute_Jn(eps, tau_hat, acc)
         std, pd_ok = std_errors_from_information(j_n, len(eps))
         if not pd_ok:
             message += "; J_n not positive definite; standard errors are NaN"
@@ -105,7 +104,7 @@ def _active_constraints(x, bounds: BoundsConfig) -> np.ndarray:
     return ((x - bounds.lower <= tol) | (bounds.upper - x <= tol)) & bounds.free
 
 
-def _build_starts(eps, bounds, order, start, n_starts, seed, init_rule):
+def _build_starts(eps, bounds, order, start, n_starts, seed):
     starts = []
     if start is not None:
         starts.append(start.as_array())
@@ -127,7 +126,7 @@ def _build_starts(eps, bounds, order, start, n_starts, seed, init_rule):
     th_g[order.q + 1:] = np.minimum(th_g[order.q + 1:], 0.95 / max(order.p, 1))
     theta_g = GarchParams.from_array(th_g, order)
     from ..garch.recursion import volatility_path
-    resid = eps.values / volatility_path(eps, theta_g, init_rule).sigma
+    resid = eps.values / volatility_path(eps, theta_g).sigma
     iqr_data = float(np.subtract(*np.percentile(resid, [75, 25])))
     med = float(np.median(resid))
     rng = np.random.default_rng(seed)
@@ -149,9 +148,7 @@ def _build_starts(eps, bounds, order, start, n_starts, seed, init_rule):
 
 
 def fit_gaussian_qmle(eps: ReturnSeries, bounds: BoundsConfig | None = None,
-                      start: GarchParams | None = None,
-                      order: GarchOrder = GarchOrder(1, 1),
-                      init_rule: str = "mean-squared") -> FitResult:
+                      order: GarchOrder = GarchOrder(1, 1)) -> FitResult:
     """Gaussian quasi-maximum likelihood for the GARCH block only.
 
     Minimizes the average of log(sigma2_t) + eps_t^2/sigma2_t.  Standard
@@ -159,8 +156,6 @@ def fit_gaussian_qmle(eps: ReturnSeries, bounds: BoundsConfig | None = None,
     curvature scaled by the excess-kurtosis factor of the standardized
     residuals, so that sqrt(diag(J_n^{-1})/n) is the sandwich error.
     """
-    if start is not None:
-        order = start.order
     if bounds is None:
         bounds = BoundsConfig.default(order).theta_only(order)
     dim = order.p + order.q + 1
@@ -168,13 +163,10 @@ def fit_gaussian_qmle(eps: ReturnSeries, bounds: BoundsConfig | None = None,
         bounds = BoundsConfig(bounds.lower[:dim], bounds.upper[:dim])
 
     def fun_grad(theta_arr):
-        return gaussian_criterion_and_grad(
-            eps, GarchParams.from_array(theta_arr, order), init_rule)
+        return gaussian_criterion_and_grad(eps, GarchParams.from_array(theta_arr, order))
 
     v = float(np.mean(eps.values ** 2))
     starts = []
-    if start is not None:
-        starts.append(start.as_array())
     for a0, b0 in [(0.05, 0.9), (0.1, 0.7), (0.05, 0.0)]:
         aa = (a0,) * order.q
         bb = (b0 / max(order.p, 1),) * order.p
@@ -185,7 +177,7 @@ def fit_gaussian_qmle(eps: ReturnSeries, bounds: BoundsConfig | None = None,
     if res is None:
         raise NonFiniteLikelihood("Gaussian criterion non-finite at every start")
     theta_hat = GarchParams.from_array(res.x, order)
-    sig2, grads = variance_derivatives(eps, theta_hat, init_rule)
+    sig2, grads = variance_derivatives(eps, theta_hat)
     eta2 = eps.values ** 2 / sig2
     kappa = float(np.mean(eta2 ** 2) / np.mean(eta2) ** 2)
     phi = grads / sig2[:, None]

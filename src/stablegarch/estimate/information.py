@@ -11,19 +11,18 @@ from .params import ModelParams
 
 
 def compute_Jn(eps: ReturnSeries, tau_hat: ModelParams,
-               acc: DensityAccuracy = FIT_ACCURACY,
-               init_rule: str = "mean-squared",
-               rel_step: float = 1e-3) -> np.ndarray:
+               acc: DensityAccuracy = FIT_ACCURACY) -> np.ndarray:
     """Averaged second-derivative matrix of the per-observation likelihood.
 
-    Central finite differences of the semi-analytic gradient, symmetrized as
-    (H + H')/2.  Consistent for the asymptotic information at the estimate.
+    Central finite differences of the semi-analytic gradient, with step
+    1e-3 * max(|tau_j|, 0.01), symmetrized as (H + H')/2.  Consistent for
+    the asymptotic information at the estimate.
     """
     tau0 = tau_hat.as_array()
     order = tau_hat.order
     dim = tau0.size
     n_theta = order.p + order.q + 1
-    steps = rel_step * np.maximum(np.abs(tau0), 0.01)
+    steps = 1e-3 * np.maximum(np.abs(tau0), 0.01)
     # stay inside the natural domain: positive omega, nonnegative lags,
     # alpha below 2, asymmetry inside (-1, 1)
     dom_lo = np.concatenate([np.full(n_theta, 1e-12),
@@ -40,17 +39,16 @@ def compute_Jn(eps: ReturnSeries, tau_hat: ModelParams,
         if hi[j] - lo[j] <= 0:
             cols[:, j] = 0.0
             continue
-        g_hi = score_full(eps, ModelParams.from_array(hi, order), acc, init_rule)
-        g_lo = score_full(eps, ModelParams.from_array(lo, order), acc, init_rule)
+        g_hi = score_full(eps, ModelParams.from_array(hi, order), acc)
+        g_lo = score_full(eps, ModelParams.from_array(lo, order), acc)
         cols[:, j] = (g_hi - g_lo) / (hi[j] - lo[j])
     return 0.5 * (cols + cols.T)
 
 
 def outer_product_information(eps: ReturnSeries, tau_hat: ModelParams,
-                              acc: DensityAccuracy = FIT_ACCURACY,
-                              init_rule: str = "mean-squared") -> np.ndarray:
+                              acc: DensityAccuracy = FIT_ACCURACY) -> np.ndarray:
     """Outer-product estimator (1/n) sum of per-observation score outer products."""
-    s = loglik_terms(eps, tau_hat, acc, init_rule)[1]
+    s = loglik_terms(eps, tau_hat, acc)[1]
     return s.T @ s / s.shape[0]
 
 

@@ -36,17 +36,15 @@ from .params import ModelParams
 
 
 def neg_log_likelihood(eps: ReturnSeries, tau: ModelParams,
-                       acc: DensityAccuracy = FIT_ACCURACY,
-                       init_rule: str = "mean-squared") -> float:
+                       acc: DensityAccuracy = FIT_ACCURACY) -> float:
     """Average negative log-likelihood of the stable GARCH model, the mean of l_t."""
-    sig2 = volatility_path(eps, tau.theta, init_rule).sigma2
+    sig2 = volatility_path(eps, tau.theta).sigma2
     eta = eps.values / np.sqrt(sig2)
     eng = get_engine(StableParams(tau.alpha, tau.beta), acc)
     return float(np.mean(0.5 * np.log(sig2) - eng.logpdf(eta - tau.mu)))
 
 
-def variance_derivatives(eps: ReturnSeries, theta: GarchParams,
-                         init_rule: str = "mean-squared"):
+def variance_derivatives(eps: ReturnSeries, theta: GarchParams):
     """Volatility path and d(sigma2_t)/d(theta) via linear lag filters.
 
     Each derivative obeys the same autoregression in the b-lags as sigma2
@@ -56,8 +54,8 @@ def variance_derivatives(eps: ReturnSeries, theta: GarchParams,
     e2 = eps.values ** 2
     n = e2.size
     p, q = len(theta.b), len(theta.a)
-    pre = _presample_value(e2, theta, init_rule)
-    sig2 = volatility_path(eps, theta, init_rule).sigma2
+    pre = _presample_value(e2)
+    sig2 = volatility_path(eps, theta).sigma2
     ar = np.concatenate([[1.0], -np.asarray(theta.b, dtype=float)])
 
     def lagged(series, lag, fill):
@@ -76,14 +74,13 @@ def variance_derivatives(eps: ReturnSeries, theta: GarchParams,
 
 
 def loglik_terms(eps: ReturnSeries, tau: ModelParams,
-                 acc: DensityAccuracy = FIT_ACCURACY,
-                 init_rule: str = "mean-squared"):
+                 acc: DensityAccuracy = FIT_ACCURACY):
     """Per-observation negative log-likelihood l_t and score rows d(l_t)/d(tau).
 
     Returns (l_t of shape (n,), rows of shape (n, dim)), with the columns in
     the order of ``tau.as_array()``.
     """
-    sig2, grads = variance_derivatives(eps, tau.theta, init_rule)
+    sig2, grads = variance_derivatives(eps, tau.theta)
     eta = eps.values / np.sqrt(sig2)
     logf, slope, d_shape = log_density_terms(eta - tau.mu, tau.alpha, tau.beta, acc)
     z = 1.0 + eta * slope
@@ -93,27 +90,24 @@ def loglik_terms(eps: ReturnSeries, tau: ModelParams,
 
 
 def score_full(eps: ReturnSeries, tau: ModelParams,
-               acc: DensityAccuracy = FIT_ACCURACY,
-               init_rule: str = "mean-squared") -> np.ndarray:
+               acc: DensityAccuracy = FIT_ACCURACY) -> np.ndarray:
     """Gradient of the average likelihood in all of tau."""
-    return loglik_terms(eps, tau, acc, init_rule)[1].mean(axis=0)
+    return loglik_terms(eps, tau, acc)[1].mean(axis=0)
 
 
 def likelihood_and_score(eps: ReturnSeries, tau: ModelParams,
-                         acc: DensityAccuracy = FIT_ACCURACY,
-                         init_rule: str = "mean-squared"):
+                         acc: DensityAccuracy = FIT_ACCURACY):
     """Objective and full gradient, (neg_log_likelihood, score_full), in one pass.
 
     This is the hot path of the optimizer.
     """
-    l_t, rows = loglik_terms(eps, tau, acc, init_rule)
+    l_t, rows = loglik_terms(eps, tau, acc)
     return float(np.mean(l_t)), rows.mean(axis=0)
 
 
-def gaussian_criterion_and_grad(eps: ReturnSeries, theta: GarchParams,
-                                init_rule: str = "mean-squared"):
+def gaussian_criterion_and_grad(eps: ReturnSeries, theta: GarchParams):
     """Gaussian QML objective, mean of log(sigma2_t) + eps_t^2/sigma2_t, and its gradient."""
-    sig2, grads = variance_derivatives(eps, theta, init_rule)
+    sig2, grads = variance_derivatives(eps, theta)
     e2 = eps.values ** 2
     w = (1.0 - e2 / sig2) / sig2
     return float(np.mean(np.log(sig2) + e2 / sig2)), (grads * w[:, None]).mean(axis=0)

@@ -61,8 +61,7 @@ class _BoxTransform:
 
 
 def minimize_bounded(fun_grad: Callable[[np.ndarray], tuple],
-                     x0: np.ndarray, bounds: BoundsConfig,
-                     max_iter: int = 300) -> BoundedResult:
+                     x0: np.ndarray, bounds: BoundsConfig) -> BoundedResult:
     """Minimize over a box by a quasi-Newton search in transformed coordinates.
 
     ``fun_grad(x)`` returns the objective and its gradient in the original
@@ -83,7 +82,7 @@ def minimize_bounded(fun_grad: Callable[[np.ndarray], tuple],
         return f, gz
 
     res = optimize.minimize(wrapped, z0, jac=True, method="L-BFGS-B",
-                            options={"maxiter": max_iter, "ftol": 1e-12,
+                            options={"maxiter": 300, "ftol": 1e-12,
                                      "gtol": _GRAD_TOL * 0.3})
     total_nit = int(res.nit)
     # a stalled line search sometimes quits just above the tolerance;

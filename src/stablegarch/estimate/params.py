@@ -99,9 +99,10 @@ class BoundsConfig:
         d = order.p + order.q + 1
         return BoundsConfig(self.lower[:d], self.upper[:d])
 
-    def clip_inside(self, x: np.ndarray, margin: float = 1e-6) -> np.ndarray:
+    def clip_inside(self, x: np.ndarray) -> np.ndarray:
+        """x clipped into the box, 1e-6 of each free side's width from its edges."""
         width = self.upper - self.lower
-        pad = margin * np.where(width > 0, width, 1.0)
+        pad = 1e-6 * np.where(width > 0, width, 1.0)
         return np.clip(x, self.lower + pad * self.free, self.upper - pad * self.free)
 
 

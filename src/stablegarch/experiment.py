@@ -10,12 +10,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import ReturnSeries
-from .domain_attraction import SummedInnovationSpec, calibrate_jK, summed_innovations
+from .domain_attraction import MAX_FAILURE_SHARE, SummedInnovationSpec
+from .domain_attraction import calibrate_jK, summed_innovations
 from .errors import CalibrationError, NonFiniteLikelihood, NotConverged
-from .estimate import BoundsConfig, fit_stable_mle, param_names
+from .estimate import fit_stable_mle, param_names
 from .garch.params import GarchParams
 from .garch.recursion import simulate
 from .stable import FIT_ACCURACY, DensityAccuracy, StableParams
+
+_BURN_IN = 300  # simulated steps discarded before each replication's sample
 
 
 @dataclass
@@ -28,14 +31,10 @@ class ExperimentConfig:
     n: int = 1000
     reps: int = 100
     seed: int = 0
-    burn_in: int = 300
     calibration_samples: int = 1000
     calibration_reps: int = 40
-    bounds: BoundsConfig | None = None
     accuracy: DensityAccuracy = FIT_ACCURACY
-    n_starts: int = 1
     cache_path: str | None = None
-    max_failure_share: float = 0.2
 
     def __post_init__(self):
         if self.reps < 2:
@@ -106,7 +105,8 @@ def run_experiment(config: ExperimentConfig, log=None) -> ExperimentResult:
     each by stable pseudo-MLE, and form componentwise RMSEs against the data
     generating parameters.  Q is the RMSE of the exact-stable reference case
     (K = inf) over the RMSE at K.  Replication failures are dropped, and any
-    K losing more than the configured share aborts the run.
+    K losing more than ``MAX_FAILURE_SHARE`` of its replications aborts the
+    run.
     """
     tau0 = np.concatenate([config.theta0.as_array(), [config.alpha, 0.0, 0.0]])
     names = param_names(config.theta0.order)
@@ -125,13 +125,12 @@ def run_experiment(config: ExperimentConfig, log=None) -> ExperimentResult:
         rep_seeds = np.random.SeedSequence((config.seed, 17, int(1e6 if math.isinf(k) else k))).spawn(config.reps)
         for rep in range(config.reps):
             rng = np.random.default_rng(rep_seeds[rep])
-            eta = summed_innovations(spec, config.n + config.burn_in, rng)
+            eta = summed_innovations(spec, config.n + _BURN_IN, rng)
             try:
                 eps, _ = simulate(config.theta0, psi_dummy, config.n,
-                                  burn_in=config.burn_in, seed=0, innovations=eta)
-                fit = fit_stable_mle(eps, bounds=config.bounds, acc=config.accuracy,
-                                     order=config.theta0.order,
-                                     n_starts=config.n_starts, seed=rep,
+                                  burn_in=_BURN_IN, seed=0, innovations=eta)
+                fit = fit_stable_mle(eps, acc=config.accuracy,
+                                     order=config.theta0.order, n_starts=1, seed=rep,
                                      compute_information=False)
                 rows.append(fit.tau_hat.as_array())
             except NotConverged as exc:
@@ -144,7 +143,7 @@ def run_experiment(config: ExperimentConfig, log=None) -> ExperimentResult:
                 failures += 1
             if log is not None and (rep + 1) % 20 == 0:
                 log(f"K={_k_label(k)}: {rep + 1}/{config.reps} replications")
-        if failures > config.max_failure_share * config.reps:
+        if failures > MAX_FAILURE_SHARE * config.reps:
             raise CalibrationError(
                 f"{failures}/{config.reps} fits failed for K={_k_label(k)}")
         est = np.array(rows)

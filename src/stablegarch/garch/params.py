@@ -66,10 +66,9 @@ class GarchParams:
 
 @dataclass
 class VolatilityPath:
-    """Conditional variances along a sample, with the presample convention used."""
+    """Conditional variances along a sample."""
 
     sigma2: np.ndarray
-    init_rule: str = "mean-squared"
 
     def __post_init__(self):
         self.sigma2 = np.asarray(self.sigma2, dtype=float)

@@ -12,34 +12,24 @@ from .params import GarchParams, VolatilityPath
 
 EXPLOSION_FACTOR = 1e12
 
-INIT_RULES = ("mean-squared", "unconditional")
+
+def _presample_value(eps2: np.ndarray) -> float:
+    """Presample squared returns and variances: the in-sample mean of eps**2."""
+    return float(np.mean(eps2))
 
 
-def _presample_value(eps2: np.ndarray, theta: GarchParams, init_rule: str) -> float:
-    if init_rule == "mean-squared":
-        return float(np.mean(eps2))
-    if init_rule == "unconditional":
-        persist = sum(theta.a) + sum(theta.b)
-        if persist >= 1.0:
-            return float(np.mean(eps2))
-        return theta.omega / (1.0 - persist)
-    raise ValueError(f"unknown init_rule {init_rule!r}; use one of {INIT_RULES}")
-
-
-def volatility_path(eps: ReturnSeries, theta: GarchParams,
-                    init_rule: str = "mean-squared") -> VolatilityPath:
+def volatility_path(eps: ReturnSeries, theta: GarchParams) -> VolatilityPath:
     """Conditional variances sigma2_1..sigma2_n given observed returns.
 
     Presample squared returns and variances are both set to the in-sample
-    mean of eps**2 (or to omega/(1 - sum(a) - sum(b)) under the
-    "unconditional" rule); the influence of that choice decays geometrically.
+    mean of eps**2; the influence of that choice decays geometrically.
     """
     from scipy import signal
 
     e2 = eps.values ** 2
     n = e2.size
     p, q = len(theta.b), len(theta.a)
-    pre = _presample_value(e2, theta, init_rule)
+    pre = _presample_value(e2)
     buf_e2 = np.concatenate([np.full(q, pre), e2])
     # forcing c_t = omega + sum_i a_i eps2_{t-i}; the b-lags form a linear
     # recursion solved by a lag filter with presample variances as state
@@ -48,20 +38,19 @@ def volatility_path(eps: ReturnSeries, theta: GarchParams,
         if ai != 0.0:
             c += ai * buf_e2[q - i:q - i + n]
     if p == 0:
-        return VolatilityPath(c, init_rule)
+        return VolatilityPath(c)
     ar = np.concatenate([[1.0], -np.asarray(theta.b, dtype=float)])
     zi = signal.lfiltic([1.0], ar, np.full(p, pre), np.empty(0))
     sig2, _ = signal.lfilter([1.0], ar, c, zi=zi)
-    return VolatilityPath(sig2, init_rule)
+    return VolatilityPath(sig2)
 
 
-def one_step_variance(eps: ReturnSeries, theta: GarchParams,
-                      init_rule: str = "mean-squared") -> float:
+def one_step_variance(eps: ReturnSeries, theta: GarchParams) -> float:
     """Forecast variance for the next observation after the series end."""
-    path = volatility_path(eps, theta, init_rule)
+    path = volatility_path(eps, theta)
     e2 = eps.values ** 2
     p, q = len(theta.b), len(theta.a)
-    pre = _presample_value(e2, theta, init_rule)
+    pre = _presample_value(e2)
     acc = theta.omega
     for i, ai in enumerate(theta.a, start=1):
         acc += ai * (e2[-i] if i <= e2.size else pre)
@@ -120,4 +109,4 @@ def simulate(theta: GarchParams, psi: StableParams, n: int, burn_in: int = 500,
             s2 = np.roll(s2, 1)
             s2[0] = var
     return (ReturnSeries(eps_out[burn_in:]),
-            VolatilityPath(sig2_out[burn_in:], "simulated"))
+            VolatilityPath(sig2_out[burn_in:]))

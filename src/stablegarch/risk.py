@@ -1,4 +1,9 @@
-"""Value-at-Risk forecasting and out-of-sample hit-frequency backtesting."""
+"""Value-at-Risk forecasting and out-of-sample hit-frequency backtesting.
+
+The VaR of eps_t is sigma_t times the p-quantile of the fitted innovation
+law, with sigma_t from the GARCH recursion on returns through t - 1 and the
+stable quantile certified at ``DEFAULT_ACCURACY``.
+"""
 
 from __future__ import annotations
 
@@ -10,7 +15,7 @@ from scipy import stats
 from .data import ReturnSeries
 from .estimate.params import FitResult
 from .garch.recursion import one_step_variance, volatility_path
-from .stable import DEFAULT_ACCURACY, DensityAccuracy, StableParams, quantile
+from .stable import quantile
 
 
 @dataclass(frozen=True)
@@ -42,35 +47,15 @@ class BacktestReport:
                 "hit_frequency": self.hit_frequency, "method": self.method}
 
 
-def innovation_quantile(fit: FitResult, p: float,
-                        acc: DensityAccuracy = DEFAULT_ACCURACY) -> float:
+def innovation_quantile(fit: FitResult, p: float) -> float:
     """p-quantile of the fitted innovation law (stable, or unit-variance normal)."""
     if fit.method == "gaussian":
         return float(stats.norm.ppf(p))
-    psi = fit.tau_hat.psi
-    return float(quantile(p, psi, acc))
-
-
-def _sigma_series(fit: FitResult, series: ReturnSeries,
-                  convention: str) -> np.ndarray:
-    """Volatility applicable to each eps_t, from returns through t-1."""
-    path = volatility_path(series, fit.tau_hat.theta)
-    sig = np.sqrt(path.sigma2)
-    if convention == "current":
-        return sig
-    if convention == "lagged":
-        # literal one-extra-lag convention, kept behind a switch
-        lagged = np.empty_like(sig)
-        lagged[0] = sig[0]
-        lagged[1:] = sig[:-1]
-        return lagged
-    raise ValueError("convention must be 'current' or 'lagged'")
+    return float(quantile(p, fit.tau_hat.psi))
 
 
 def var_forecast(fit: FitResult, history: ReturnSeries, p: float,
-                 horizon_index: int | None = None,
-                 convention: str = "current",
-                 acc: DensityAccuracy = DEFAULT_ACCURACY) -> VarForecast:
+                 horizon_index: int | None = None) -> VarForecast:
     """VaR for the observation at ``horizon_index`` given returns before it.
 
     The volatility for time t is produced by the recursion from returns
@@ -82,35 +67,28 @@ def var_forecast(fit: FitResult, history: ReturnSeries, p: float,
     if not (2 <= t <= n + 1):
         raise ValueError("horizon_index must lie in [2, len(history) + 1]")
     sub = history if t == n + 1 else history.slice(0, t - 1)
-    if convention == "current":
-        sig = float(np.sqrt(one_step_variance(sub, fit.tau_hat.theta)))
-    else:
-        sig = float(np.sqrt(volatility_path(sub, fit.tau_hat.theta).sigma2[-1]))
-    q = innovation_quantile(fit, p, acc)
+    sig = float(np.sqrt(one_step_variance(sub, fit.tau_hat.theta)))
+    q = innovation_quantile(fit, p)
     return VarForecast(t=t, var_value=sig * q, sigma=sig, p=p)
 
 
-def var_series(fit: FitResult, outsample: ReturnSeries, p: float,
-               convention: str = "current",
-               acc: DensityAccuracy = DEFAULT_ACCURACY):
+def var_series(fit: FitResult, outsample: ReturnSeries, p: float):
     """Rolling one-step VaR over a sample with frozen parameters.
 
     Returns (var_values, sigmas, hits): the recursion is updated with each
     realized return, the innovation quantile stays fixed, and a hit is a
     realized return at or below its forecast.
     """
-    sig = _sigma_series(fit, outsample, convention)
-    q = innovation_quantile(fit, p, acc)
+    sig = volatility_path(outsample, fit.tau_hat.theta).sigma
+    q = innovation_quantile(fit, p)
     var_vals = sig * q
     hits = outsample.values <= var_vals
     return var_vals, sig, hits
 
 
-def backtest(fit: FitResult, outsample: ReturnSeries, p: float,
-             convention: str = "current",
-             acc: DensityAccuracy = DEFAULT_ACCURACY) -> BacktestReport:
+def backtest(fit: FitResult, outsample: ReturnSeries, p: float) -> BacktestReport:
     """Hit frequency of the rolling VaR over a disjoint out-of-sample window."""
-    _, _, hits = var_series(fit, outsample, p, convention, acc)
+    _, _, hits = var_series(fit, outsample, p)
     n = len(outsample)
     return BacktestReport(p=p, hits=int(hits.sum()), total=n,
                           hit_frequency=float(hits.mean()), method=fit.method)

@@ -17,10 +17,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .chf import char_fn as _char_fn_raw
+from .chf import char_fn
 from .engine import StandardDensity, get_engine
 from .params import DEFAULT_ACCURACY, FIT_ACCURACY, DensityAccuracy, StableParams
-from .sample import sample as _sample_raw
+from .sample import sample
 
 __all__ = [
     "StableParams", "DensityAccuracy", "DEFAULT_ACCURACY", "FIT_ACCURACY",
@@ -28,11 +28,6 @@ __all__ = [
     "cdf", "quantile",
     "sample", "get_engine", "StandardDensity",
 ]
-
-
-def char_fn(t, psi: StableParams):
-    """Characteristic function of S(psi); complex scalar or array."""
-    return _char_fn_raw(t, psi)
 
 
 def _as_points(x):
@@ -75,11 +70,6 @@ def quantile(p, psi: StableParams, acc: DensityAccuracy = DEFAULT_ACCURACY):
     eng = get_engine(psi, acc)
     vals = np.array([psi.mu + psi.gamma * eng.ppf(float(q)) for q in pts])
     return float(vals[0]) if scalar else vals
-
-
-def sample(psi: StableParams, count: int, seed=0) -> np.ndarray:
-    """i.i.d. draws from S(psi); deterministic per seed."""
-    return _sample_raw(psi, count, seed)
 
 
 _FD_PSI = 3e-4

@@ -99,7 +99,6 @@ class StandardDensity:
             sides = (self.right, self.left) if self.has_tail_series else None
             self._tables[deriv] = FourierTable(self.alpha, self.beta, self.x_keep,
                                                self.acc.fft_grid_size, self.tol,
-                                               self.acc.fft_domain_halfwidth,
                                                deriv=deriv, tail_sides=sides)
         return self._tables[deriv]
 

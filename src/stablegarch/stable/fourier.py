@@ -7,9 +7,10 @@ absolute error bounds.
 The FFT error decomposes into (i) truncation of the characteristic function
 beyond the sampled window, (ii) aliasing, i.e. folded-in density tails at
 period 2*pi/dt, and (iii) spline interpolation error.  Aliasing is removed
-explicitly: the near folds are evaluated with the certified tail series and
-the remaining folds are summed in closed form through a Hurwitz zeta on the
-leading tail term, so heavy tails do not contaminate the central values.
+explicitly: each of the first ``series._NEAR_FOLDS`` tail-series terms is
+summed over all folds in closed form as a Hurwitz zeta, and the next term's
+fold sum bounds the rest, so heavy tails do not contaminate the central
+values.
 """
 
 from __future__ import annotations
@@ -22,8 +23,6 @@ from scipy import integrate, interpolate, special
 from .chf import char_fn
 from .params import StableParams
 from .series import TailSeriesSide, tail_constant
-
-_NEAR_FOLDS = 4
 
 
 def _truncation_error(alpha: float, t_cut: float, order: int = 0) -> float:
@@ -54,8 +53,7 @@ class FourierTable:
     """FFT-inverted density (or its x-derivative) on a central window."""
 
     def __init__(self, alpha: float, beta: float, x_keep: float,
-                 n_grid: int, abs_tol: float, halfwidth: float = 0.0,
-                 deriv: bool = False,
+                 n_grid: int, abs_tol: float, deriv: bool = False,
                  tail_sides: tuple[TailSeriesSide, TailSeriesSide] | None = None):
         self.alpha = alpha
         self.beta = beta
@@ -66,8 +64,6 @@ class FourierTable:
         f_interp = _deriv_bound(alpha, order + 4)
         dx_target = (abs_tol / 4.0 * 384.0 / 5.0 / f_interp) ** 0.25
         t_pad = max(t_cut, np.pi / dx_target)
-        if halfwidth > 0.0:
-            t_pad = max(t_pad, halfwidth)
         dt = 2.0 * t_pad / n_grid
         t = (np.arange(n_grid) - n_grid // 2) * dt
         ph = _transform(t, StableParams(alpha, beta, 0.0, 1.0), order)

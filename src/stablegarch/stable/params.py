@@ -43,15 +43,14 @@ class DensityAccuracy:
 
     abs_tol is the absolute tolerance each strategy must certify.
     max_series_terms caps both series expansions.  fft_grid_size (a power of
-    two) and fft_domain_halfwidth control the Fourier-inversion grid; a zero
-    halfwidth means it is chosen automatically from the interpolation error
-    bound for the current alpha.
+    two) is the number of Fourier-inversion nodes; the grid's frequency
+    range is chosen from the truncation and interpolation error bounds for
+    the current alpha.
     """
 
     abs_tol: float = 1e-8
     max_series_terms: int = 220
     fft_grid_size: int = 2 ** 18
-    fft_domain_halfwidth: float = 0.0
 
     def __post_init__(self):
         if not self.abs_tol > 0.0:
@@ -61,8 +60,6 @@ class DensityAccuracy:
         n = self.fft_grid_size
         if n < 2 ** 10 or (n & (n - 1)) != 0:
             raise ValueError("fft_grid_size must be a power of two >= 2**10")
-        if self.fft_domain_halfwidth < 0.0:
-            raise ValueError("fft_domain_halfwidth must be >= 0")
 
 
 DEFAULT_ACCURACY = DensityAccuracy()

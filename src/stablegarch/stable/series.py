@@ -31,6 +31,8 @@ _EPS = np.finfo(float).eps
 _ASYM_SAFETY = 8.0
 _ROUNDOFF_SAFETY = 8.0
 _RATIO_CAP = 0.95
+# Tail-series terms that FFT aliasing removal sums over all folds.
+_NEAR_FOLDS = 4
 
 
 def skew_shift(alpha: float, beta: float) -> float:
@@ -132,15 +134,16 @@ class TailSeriesSide:
         bad = ~np.isfinite(value) | (r <= 0.0)
         return np.where(bad, 0.0, value), np.where(bad, np.inf, err)
 
-    def fold_sum(self, q0, period, n_terms: int = 4, deriv: bool = False):
+    def fold_sum(self, q0, period, deriv: bool = False):
         """Sum of the series over the lattice (q0 + j) * period, j >= 0.
 
-        Used to remove aliasing folds from FFT inversions: summing each series
-        term over the lattice gives a Hurwitz zeta in closed form.  Returns
-        (value, error) where the error is the first omitted term's lattice sum.
+        Used to remove aliasing folds from FFT inversions: summing each of the
+        first ``_NEAR_FOLDS`` series terms over the lattice gives a Hurwitz
+        zeta in closed form.  Returns (value, error) where the error is the
+        first omitted term's lattice sum.
         """
         q0 = np.asarray(q0, dtype=float)
-        n_terms = min(n_terms, self.kmax - 1)
+        n_terms = min(_NEAR_FOLDS, self.kmax - 1)
         out = np.zeros_like(q0)
         for j in range(n_terms + 1):
             expo = self._k[j] * self.alpha + (2.0 if deriv else 1.0)
@@ -237,7 +240,7 @@ class CenterSeries:
         return self._assemble(y, -1.0, extra, tol, kcap)
 
 
-def tail_constant(alpha: float, beta: float, side: int, kmax: int = 8) -> float:
+def tail_constant(alpha: float, beta: float, side: int) -> float:
     """Constant K with f(x) ~ K |x|^(-alpha-1) as x -> side * infinity.
 
     For alpha = 1 the expansion coefficients degenerate and the known value
@@ -246,4 +249,4 @@ def tail_constant(alpha: float, beta: float, side: int, kmax: int = 8) -> float:
     if alpha == 1.0:
         return (1.0 + (beta if side > 0 else -beta)) / np.pi
     b = beta if side > 0 else -beta
-    return TailSeriesSide(alpha, b, kmax).leading_constant()
+    return TailSeriesSide(alpha, b, 8).leading_constant()

@@ -7,8 +7,11 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from stablegarch.cli import main
+import yaml
+
+from stablegarch.cli import _accuracy_from_config, main
 from stablegarch.data import read_returns_csv, write_returns_csv, ReturnSeries
+from stablegarch.stable import DensityAccuracy
 
 
 @pytest.fixture()
@@ -104,6 +107,28 @@ class TestFitCommand:
         assert r.exit_code == 1
         assert "row 3" in r.output and "return" in r.output
 
+    def test_negative_column_is_parse_error(self, runner, tmp_path):
+        path = tmp_path / "r.csv"
+        path.write_text("date,return\n2020-01-01,0.1\n")
+        r = invoke(runner, ["fit", "--input", str(path), "--column", "-5"])
+        assert r.exit_code == 1
+        assert "'-5'" in r.output
+        with pytest.raises(ValueError, match="out of range"):
+            read_returns_csv(path, -5)
+
+    def test_unknown_accuracy_setting_named(self, runner, tmp_path):
+        path = tmp_path / "r.csv"
+        path.write_text("return\n0.1\n-0.2\n0.05\n")
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text("accuracy: {fft_domain_halfwidth: 3.0}\n")
+        r = invoke(runner, ["fit", "--input", str(path), "--config", str(cfg)])
+        assert r.exit_code == 1
+        assert "fft_domain_halfwidth" in r.output
+
+    def test_accuracy_settings_replace_fit_accuracy(self):
+        acc = _accuracy_from_config(yaml.safe_load("accuracy: {abs_tol: 1e-5}"))
+        assert acc == DensityAccuracy(1e-5, 260, 2 ** 16)
+
 
 class TestVarCommand:
     def test_reports_and_series(self, runner, tmp_path):
@@ -133,6 +158,26 @@ class TestVarCommand:
         r = invoke(runner, ["var", "--fit", str(tmp_path / "nope.json"),
                             "--outsample", str(outs)])
         assert r.exit_code != 0
+
+    def test_fit_file_without_fields_named(self, runner, tmp_path):
+        outs = tmp_path / "o.csv"
+        write_returns_csv(outs, ReturnSeries(np.array([0.1, -0.2])))
+        bad = tmp_path / "bad.json"
+        bad.write_text("{}")
+        r = invoke(runner, ["var", "--fit", str(bad), "--outsample", str(outs)])
+        assert r.exit_code == 1
+        assert "bad.json" in r.output and "order" in r.output
+
+    @pytest.mark.parametrize("level", ["x", "0.05,1.5"])
+    def test_bad_level_named(self, runner, tmp_path, level):
+        outs = tmp_path / "o.csv"
+        write_returns_csv(outs, ReturnSeries(np.array([0.1, -0.2])))
+        fit = tmp_path / "f.json"
+        fit.write_text("{}")
+        r = invoke(runner, ["var", "--fit", str(fit), "--outsample", str(outs),
+                            "--p", level])
+        assert r.exit_code == 1
+        assert "--p" in r.output
 
     def test_overlap_warning(self, runner, tmp_path):
         dates = [f"2020-01-{d:02d}" for d in range(1, 21)]
@@ -176,6 +221,12 @@ class TestFrontierCommand:
         a_star = float(rows[0].split(",")[2])
         assert a_star < 0.06
 
+    def test_unparsable_alpha_named(self, runner, tmp_path):
+        r = invoke(runner, ["frontier", "--alpha", "x",
+                            "--output", str(tmp_path / "fr.csv")])
+        assert r.exit_code == 1
+        assert "--alpha" in r.output
+
 
 class TestExperimentCommand:
     def test_reference_only_table(self, runner, tmp_path):
@@ -202,3 +253,10 @@ class TestExperimentCommand:
         r = invoke(runner, ["experiment", "--config", str(cfg), "--output", str(out)])
         assert r.exit_code == 0, r.output
         assert out.exists()
+
+    @pytest.mark.parametrize("args, message", [(["--reps", "1"], "reps must be at least 2"),
+                                               (["--k-list", "ten"], "'ten'")])
+    def test_invalid_setting_is_usage_error(self, runner, tmp_path, args, message):
+        r = invoke(runner, ["experiment", *args, "--output", str(tmp_path / "t.csv")])
+        assert r.exit_code == 1
+        assert message in r.output

@@ -292,10 +292,3 @@ class TestInformation:
         assert_allclose(back.J_n, fit.J_n, atol=1e-12)
         assert back.converged == fit.converged
         assert back.names() == fit.names()
-
-    def test_initial_value_rule_negligible(self):
-        eps = _sim(2000, 43)
-        f1 = fit_or_best(eps, seed=0, n_starts=2, init_rule="mean-squared")
-        f2 = fit_or_best(eps, seed=0, n_starts=2, init_rule="unconditional")
-        gap = np.abs(f1.param_array() - f2.param_array())
-        assert np.all(gap <= np.maximum(f1.std_errors, 1e-6))

@@ -41,13 +41,6 @@ class TestVarForecast:
         fit = make_fit(method="gaussian")
         assert innovation_quantile(fit, 0.01) == pytest.approx(stats.norm.ppf(0.01))
 
-    def test_lagged_convention_switch(self):
-        fit = make_fit()
-        eps, _ = simulate(THETA0, StableParams(1.6, 0.0), n=300, seed=5)
-        cur = var_forecast(fit, eps, p=0.01, horizon_index=200, convention="current")
-        lag = var_forecast(fit, eps, p=0.01, horizon_index=200, convention="lagged")
-        assert cur.sigma != lag.sigma
-
     def test_bad_index_rejected(self):
         fit = make_fit()
         eps = ReturnSeries(np.ones(10) * 0.1)

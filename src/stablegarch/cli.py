@@ -32,18 +32,24 @@ def _load_config(path) -> dict:
 
 
 def _theta_from_config(cfg: dict) -> GarchParams:
-    model = cfg.get("model", {})
-    return GarchParams(omega=float(model.get("omega", 0.01)),
-                       a=tuple(model.get("a", [0.02])),
-                       b=tuple(model.get("b", [0.7])))
+    try:
+        model = cfg.get("model", {})
+        return GarchParams(omega=float(model.get("omega", 0.01)),
+                           a=tuple(model.get("a", [0.02])),
+                           b=tuple(model.get("b", [0.7])))
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise click.ClickException(f"model: {exc}")
 
 
 def _psi_from_config(cfg: dict) -> StableParams:
-    innov = cfg.get("innovation", {})
-    return StableParams(alpha=float(innov.get("alpha", 1.6)),
-                        beta=float(innov.get("beta", 0.0)),
-                        mu=float(innov.get("mu", 0.0)),
-                        gamma=float(innov.get("gamma", 1.0)))
+    try:
+        innov = cfg.get("innovation", {})
+        return StableParams(alpha=float(innov.get("alpha", 1.6)),
+                            beta=float(innov.get("beta", 0.0)),
+                            mu=float(innov.get("mu", 0.0)),
+                            gamma=float(innov.get("gamma", 1.0)))
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise click.ClickException(f"innovation: {exc}")
 
 
 def _accuracy_from_config(cfg: dict) -> DensityAccuracy | None:
@@ -158,11 +164,16 @@ def cmd_simulate(output_path, config_path, n, burn_in, seed, k_text, jk, alpha):
     theta = _theta_from_config(cfg)
     psi = _psi_from_config(cfg)
     if alpha is not None:
-        psi = StableParams(alpha, psi.beta, psi.mu, psi.gamma)
+        try:
+            psi = StableParams(alpha, psi.beta, psi.mu, psi.gamma)
+        except ValueError as exc:
+            raise click.ClickException(f"--alpha: {exc}")
     innovations = None
     if k_text is not None:
-        k = _parse_k(k_text)
-        spec = SummedInnovationSpec(alpha=psi.alpha, K=k, jK=jk)
+        try:
+            spec = SummedInnovationSpec(alpha=psi.alpha, K=_parse_k(k_text), jK=jk)
+        except ValueError as exc:
+            raise click.ClickException(f"--k: {exc}")
         innovations = summed_innovations(spec, n + burn_in, seed)
     try:
         eps, _ = garch_simulate(theta, psi, n, burn_in=burn_in, seed=seed,

@@ -11,14 +11,14 @@ row d(l_t)/d(tau):
 
 * theta block: 0.5 * phi_t * Z_t, with phi_t = (d sigma2_t / d theta) / sigma2_t
   and Z_t = 1 + eta_t * f'/f;
-* (alpha, beta): -d(log f)/d(alpha, beta), by ``stable.log_density_terms``,
-  the package's one alpha/beta difference;
+* (alpha, beta): -d(log f)/d(alpha, beta), by ``stable.log_density_terms``
+  from the engine's certified shape partials of f;
 * mu: f'/f.
 
 ``likelihood_and_score`` (the optimizer's objective) and ``score_full`` are
 column means of these rows; ``outer_product_information`` averages their
 outer products.  ``neg_log_likelihood`` is the value-only mean of l_t: it
-needs no variance derivatives and no shape-shifted engines, and score tests
+needs no variance derivatives and no shape partials, and score tests
 difference it as their oracle.
 """
 

@@ -8,9 +8,11 @@ explicit aliasing removal covers the remaining central window; adaptive
 quadrature of the inversion integral serves only the points no table
 certifies.  The engine's finishing order is documented in ``engine``.
 
-``log_density_terms`` is the one place that differentiates log f in the
-shape parameters; the likelihood, the i.i.d. stable fit and
-``log_density_grad`` all call it.
+The same strategies give the shape partials d f/d alpha and d f/d beta at
+fixed x: the series term by term, the tables and quadrature by inverting phi
+times d(log phi).  ``log_density_terms`` turns them into the score of log f
+in the shape parameters with one engine; the likelihood, the i.i.d. stable
+fit and ``log_density_grad`` all call it.
 """
 
 from __future__ import annotations
@@ -72,41 +74,24 @@ def quantile(p, psi: StableParams, acc: DensityAccuracy = DEFAULT_ACCURACY):
     return float(vals[0]) if scalar else vals
 
 
-_FD_PSI = 3e-4
-
-
 def log_density_terms(x: np.ndarray, alpha: float, beta: float,
                       acc: DensityAccuracy = FIT_ACCURACY):
     """log f, f'/f and d(log f)/d(alpha, beta) of the unit-scale stable law at x.
 
     The density is floored at 1e-300 before logs and ratios.  The shape
-    derivatives are differences of log f with step 3e-4: central across four
-    shifted engines, or one-sided second-order stencils at the alpha = 2 and
-    |beta| = 1 edges.  They are the package's only alpha/beta differences.
-    Returns arrays of shapes (n,), (n,) and (n, 2).
+    derivatives are the engine's certified partials d f/d(alpha, beta) over
+    f, all from the one engine of (alpha, beta); at the alpha = 2 and
+    |beta| = 1 edges they are one-sided.  Returns arrays of shapes (n,), (n,)
+    and (n, 2).
     """
     eng = get_engine(StableParams(alpha, beta), acc)
     f, _ = eng.pdf_with_err(x)
     f = np.maximum(f, 1e-300)
-    fp, _ = eng.dpdf_with_err(x)
-    logf = np.log(f)
-    h = _FD_PSI
-
-    def logf_at(col, steps):
-        shape = [alpha, beta]
-        shape[col] += steps * h
-        return get_engine(StableParams(*shape), acc).logpdf(x)
-
+    slope = eng.dpdf_with_err(x)
     d_shape = np.empty((f.size, 2))
-    for col, (lo, hi) in enumerate([(1e-6, 2.0), (-1.0, 1.0)]):
-        val = (alpha, beta)[col]
-        if lo <= val - h and val + h <= hi:
-            d_shape[:, col] = (logf_at(col, 1) - logf_at(col, -1)) / (2.0 * h)
-        else:
-            sgn = 1.0 if val + h > hi else -1.0  # step away from the edge
-            d_shape[:, col] = sgn * (3.0 * logf - 4.0 * logf_at(col, -sgn)
-                                     + logf_at(col, -2.0 * sgn)) / (2.0 * h)
-    return logf, fp / f, d_shape
+    for col, wrt in enumerate(("alpha", "beta")):
+        d_shape[:, col] = eng.partial_with_err(x, wrt, slope)[0] / f
+    return np.log(f), slope[0] / f, d_shape
 
 
 def log_density_grad(x, psi: StableParams, acc: DensityAccuracy = DEFAULT_ACCURACY):

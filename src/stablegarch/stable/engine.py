@@ -1,19 +1,23 @@
 """Certified evaluation engine for the standardized stable density.
 
 A ``StandardDensity`` instance owns the series expansions, the lazily built
-Fourier tables, and the CDF machinery for one (alpha, beta) pair.  Every
-strategy reports a certified absolute error; each point is finished by the
-first strategy in one fixed order that certifies the requested tolerance
-(series, Fourier table, then per-point adaptive quadrature for the points no
-table certifies; see ``_eval_signless``).
+Fourier tables, and the CDF machinery for one (alpha, beta) pair.  It
+evaluates four quantities at fixed x: the density ("pdf"), its slope
+("dpdf") and the shape partials d f/d alpha ("dalpha") and d f/d beta
+("dbeta").  Every strategy reports a certified absolute error; each point of
+each quantity is finished by the first strategy in one fixed order that
+certifies the requested tolerance (series, Fourier table, then per-point
+adaptive quadrature for the points no table certifies; see
+``_eval_signless``).
 
 Engines are cached per (alpha, beta, accuracy); all evaluations on them are
-read-only after construction apart from lazy table attachment.
+read-only after construction apart from lazy table attachment (a
+shape-partial table is replaced by a wider one when points fall outside it).
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy import interpolate, optimize
@@ -21,11 +25,13 @@ from scipy import interpolate, optimize
 from ..errors import AccuracyNotReached
 from .fourier import FourierTable, quad_pdf_point
 from .params import DensityAccuracy, StableParams
-from .series import CenterSeries, TailSeriesSide, skew_shift, tail_constant
+from .series import CenterSeries, TailSeriesSide, shift_partials, skew_shift, tail_constant
 
 _CHUNK = 16384
 _PROBE_RADII = np.geomspace(0.02, 800.0, 140)
 _PDF_FLOOR = 1e-300
+# quantities odd in x at beta = 0, where evaluation runs on |x|
+_ODD = ("dpdf", "dbeta")
 
 
 class StandardDensity:
@@ -46,9 +52,14 @@ class StandardDensity:
         if alpha > 1.0 or (alpha == 1.0 and beta == 0.0):
             self.center = CenterSeries(alpha, beta, kmax)
 
-        self._tables = [None, None]  # indexed by deriv
+        self._tables: dict[str, FourierTable] = {}  # by quantity
         self._cdf_state = None
         self._onsets: dict[str, float] = {}
+
+    @cached_property
+    def _dtau(self) -> dict:
+        """d tau/d alpha and d tau/d beta: the series run in y = x + tau."""
+        return shift_partials(self.alpha, self.beta)
 
     # -- probes -----------------------------------------------------------
 
@@ -93,25 +104,69 @@ class StandardDensity:
 
     # -- lazy tables ------------------------------------------------------
 
-    def _fft_table(self, deriv: bool = False) -> FourierTable:
-        """Fourier table of the density (or its derivative), built on first use."""
-        if self._tables[deriv] is None:
+    def _fft_table(self, quantity: str = "pdf", points=None) -> FourierTable:
+        """Fourier table of one quantity, built on first use.
+
+        The density and slope tables span [-x_keep, x_keep].  A shape-partial
+        table spans the ``points`` sent to it, widened by 1 and cut to
+        [-64, 64], and is rebuilt over the union when later points fall
+        outside: the partial series stop certifying at their own onsets, and
+        probing those would cost more than the table.
+        """
+        table = self._tables.get(quantity)
+        if quantity in ("pdf", "dpdf"):
+            window = (-self.x_keep, self.x_keep)
+        else:
+            lo = max(float(np.min(points)) - 1.0, -64.0)
+            hi = min(float(np.max(points)) + 1.0, 64.0)
+            if table is None or lo + 1.0 < table.x_lo or hi - 1.0 > table.x_hi:
+                if table is not None:
+                    lo, hi = min(lo, table.x_lo), max(hi, table.x_hi)
+                table = None
+                window = (lo, hi)
+        if table is None:
             sides = (self.right, self.left) if self.has_tail_series else None
-            self._tables[deriv] = FourierTable(self.alpha, self.beta, self.x_keep,
-                                               self.acc.fft_grid_size, self.tol,
-                                               deriv=deriv, tail_sides=sides)
-        return self._tables[deriv]
+            table = FourierTable(self.alpha, self.beta, window, self.acc.fft_grid_size,
+                                 self.tol, quantity=quantity, tail_sides=sides)
+            self._tables[quantity] = table
+        return table
 
     # -- pointwise evaluation ---------------------------------------------
 
-    def _eval_strategies(self, x: np.ndarray, deriv: bool, kcap=None):
+    def _series(self, series, arg, quantity: str, kcap, left: bool = False):
+        """(value, err) of one quantity at fixed x from one series.
+
+        The series run in y = x + tau, and the tail's left side in r = -y
+        with beta mirrored, so d/dx and d/d beta change sign there.  For a
+        shape partial this is the series' own partial at fixed y, certified
+        to half the tolerance; ``_eval_strategies`` adds the shift term.
+        """
+        sgn = -1.0 if left else 1.0
+        if quantity == "pdf":
+            return series.pdf(arg, self.tol, kcap)
+        if quantity == "dpdf":
+            v, e = series.dpdf(arg, self.tol, kcap)
+            return sgn * v, e
+        v, e = series.partial(arg, self.tol / 2.0, kcap, quantity)
+        return (sgn * v if quantity == "dbeta" else v), e
+
+    def _eval_strategies(self, x: np.ndarray, quantity: str, kcap=None, shift=None):
         """Best certified (value, err) per point across series strategies.
 
         Staged: a cheap low-term pass certifies the bulk of typical inputs,
-        the full term budget is spent only on the points that remain.
+        the full term budget is spent only on the points that remain.  For a
+        shape partial, ``shift`` = (value, err) of the shift term
+        tau_q * f'(x): at fixed x the partial is the series' partial at fixed
+        y = x + tau plus that term, and its error counts against the
+        tolerance, so a large tau_q (alpha near 1 with skew) leaves the point
+        to the table.
         """
         val = np.zeros_like(x)
         err = np.full_like(x, np.inf)
+        if quantity == "dbeta" and self.alpha == 1.0:
+            return val, err  # tau = beta tan(alpha pi/2) has a pole at alpha = 1
+        s_val, s_err = shift if shift is not None else (0.0, 0.0)
+        target = self.tol - s_err
         y = x + self.tau
         ay = np.abs(y)
         tail_gate = ay >= (0.4 if self.alpha <= 1.0 else 1.2)
@@ -119,80 +174,91 @@ class StandardDensity:
         if self.has_tail_series:
             pos = y > 0.0
             for side_pos, side in ((True, self.right), (False, self.left)):
-                m = (pos == side_pos) & tail_gate & (err > self.tol)
+                m = (pos == side_pos) & tail_gate & (err > target)
                 if not m.any():
                     continue
-                r = ay[m]
-                v, e = (side.dpdf(r, self.tol, kcap) if deriv
-                        else side.pdf(r, self.tol, kcap))
-                if deriv and not side_pos:
-                    v = -v
+                v, e = self._series(side, ay[m], quantity, kcap, left=not side_pos)
                 better = e < err[m]
                 idx = np.flatnonzero(m)[better]
                 val[idx], err[idx] = v[better], e[better]
         if self.center is not None:
-            m = center_gate & (err > self.tol)
+            m = center_gate & (err > target)
             if m.any():
-                v, e = (self.center.dpdf(y[m], self.tol, kcap) if deriv
-                        else self.center.pdf(y[m], self.tol, kcap))
+                v, e = self._series(self.center, y[m], quantity, kcap)
                 better = e < err[m]
                 idx = np.flatnonzero(m)[better]
                 val[idx], err[idx] = v[better], e[better]
-        return val, err
+        return val + s_val, err + s_err
 
-    def _apply_fft(self, x, val, err, deriv: bool):
-        table = self._fft_table(deriv)
-        m = (err > self.tol) & table.covers(x) & (table.err < err)
+    def _apply_fft(self, x, val, err, quantity: str):
+        need = err > self.tol
+        table = self._fft_table(quantity, x[need])
+        m = need & table.covers(x) & (table.err < err)
         if m.any():
             val[m] = table(x[m])
             err[m] = table.err
 
-    def _eval(self, x, deriv: bool):
-        """Certified (value, err) in chunks, for the density or its derivative."""
+    def _eval(self, x, quantity: str, slope=None):
+        """Certified (value, err) of one quantity, in chunks.
+
+        A shape partial needs f'(x) for its shift term: ``slope`` = (f', err)
+        at x if the caller has it, else it is evaluated here.
+        """
         x = np.atleast_1d(np.asarray(x, dtype=float))
         val = np.empty_like(x)
         err = np.empty_like(x)
+        dtau = self._dtau.get(quantity, 0.0)
+        if dtau != 0.0 and slope is None:
+            slope = self._eval(x, "dpdf")
         # at beta = 0 evaluate on |x| so symmetry holds exactly (the Fourier
-        # grid is not symmetric about zero) and flip the derivative sign
+        # grid is not symmetric about zero) and flip the odd quantities
         mirror = self.beta == 0.0
         for lo in range(0, x.size, _CHUNK):
             sl = slice(lo, lo + _CHUNK)
-            val[sl], err[sl] = self._eval_signless(np.abs(x[sl]) if mirror else x[sl], deriv)
-            if mirror and deriv:
+            shift = None
+            if dtau != 0.0:
+                fp = slope[0][sl] * np.sign(x[sl]) if mirror else slope[0][sl]
+                shift = (dtau * fp, abs(dtau) * slope[1][sl])
+            val[sl], err[sl] = self._eval_signless(np.abs(x[sl]) if mirror else x[sl],
+                                                   quantity, shift)
+            if mirror and quantity in _ODD:
                 val[sl] *= np.sign(x[sl])
         return val, err
 
-    def _eval_signless(self, x: np.ndarray, deriv: bool):
+    def _eval_signless(self, x: np.ndarray, quantity: str, shift=None):
         """Certified (value, err) by the one finishing order.
 
         Each point not yet certified goes, in turn, to: the series capped at
-        ``_STAGE1`` terms; the Fourier table, if it is already built or more
-        than 2048 points remain; the full series budget; the table, built on
-        first need; quadrature, for the points the table does not certify.
+        ``_STAGE1`` terms; the Fourier table, if more than 2048 points remain;
+        the full series budget; the table, built on first need; quadrature,
+        for the points the table does not certify.  The shape partials take
+        the same order, with their own tables.  A table already built is not
+        consulted earlier than that, so repeating a call repeats its values.
         """
-        val, err = self._eval_strategies(x, deriv, kcap=self._STAGE1)
+        val, err = self._eval_strategies(x, quantity, self._STAGE1, shift)
         need = err > self.tol
-        if need.any() and (self._tables[deriv] is not None or int(need.sum()) > 2048):
-            self._apply_fft(x, val, err, deriv)
+        if int(need.sum()) > 2048:
+            self._apply_fft(x, val, err, quantity)
             need = err > self.tol
         if need.any():
             m = np.flatnonzero(need)
-            v, e = self._eval_strategies(x[m], deriv, kcap=None)
+            sub = None if shift is None else (shift[0][m], shift[1][m])
+            v, e = self._eval_strategies(x[m], quantity, None, sub)
             better = e < err[m]
             val[m[better]], err[m[better]] = v[better], e[better]
             need = err > self.tol
         if need.any():
-            self._apply_fft(x, val, err, deriv)
+            self._apply_fft(x, val, err, quantity)
             need = err > self.tol
         for i in np.flatnonzero(need):
-            v, e = quad_pdf_point(float(x[i]), self.alpha, self.beta, deriv=deriv)
+            v, e = quad_pdf_point(float(x[i]), self.alpha, self.beta, quantity)
             if e < err[i]:
                 val[i], err[i] = v, e
         return val, err
 
     def pdf_with_err(self, x):
         """Density values and certified absolute error bounds, vectorized."""
-        val, err = self._eval(x, deriv=False)
+        val, err = self._eval(x, "pdf")
         return np.maximum(val, 0.0, out=val), err
 
     def pdf(self, x):
@@ -202,12 +268,23 @@ class StandardDensity:
 
     def dpdf_with_err(self, x):
         """Derivative values and certified absolute error bounds, vectorized."""
-        return self._eval(x, deriv=True)
+        return self._eval(x, "dpdf")
 
     def dpdf(self, x):
         v, e = self.dpdf_with_err(x)
         self._check(e)
         return v
+
+    def partial_with_err(self, x, wrt: str, slope=None):
+        """Shape partial d f/d alpha (wrt="alpha") or d f/d beta at fixed x.
+
+        Values and certified absolute error bounds, vectorized.  At alpha = 2
+        and |beta| = 1 these are the one-sided partials.  ``slope``, the
+        (value, err) pair of ``dpdf_with_err(x)``, saves evaluating f' again.
+        """
+        if wrt not in ("alpha", "beta"):
+            raise ValueError(f"wrt must be 'alpha' or 'beta', got {wrt!r}")
+        return self._eval(x, "d" + wrt, slope)
 
     def logpdf(self, x):
         """log f with a floor guarding underflow in extreme tails."""

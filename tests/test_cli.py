@@ -56,6 +56,32 @@ class TestSimulateCommand:
         assert r.exit_code != 0
         assert "omega=0.01" in r.output
 
+    @pytest.mark.parametrize("block, text", [
+        ("model", "model: {omega: -1}\n"),
+        ("innovation", "innovation: {alpha: 2.5}\n"),
+    ])
+    def test_invalid_config_block_names_the_block(self, runner, tmp_path, block, text):
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text(text)
+        r = invoke(runner, ["simulate", "--config", str(cfg), "--n", "50",
+                            "--output", str(tmp_path / "x.csv")])
+        assert r.exit_code != 0
+        assert r.output.startswith(f"Error: {block}:")
+
+    def test_invalid_alpha_option_is_a_message(self, runner, tmp_path):
+        r = invoke(runner, ["simulate", "--alpha", "3", "--n", "50",
+                            "--output", str(tmp_path / "x.csv")])
+        assert r.exit_code != 0
+        assert r.output.startswith("Error: --alpha:")
+
+    def test_invalid_experiment_model_is_a_message(self, runner, tmp_path):
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text("model: {omega: -1}\n")
+        r = invoke(runner, ["experiment", "--config", str(cfg),
+                            "--output", str(tmp_path / "t.csv")])
+        assert r.exit_code != 0
+        assert r.output.startswith("Error: model:")
+
 
 class TestFitCommand:
     @pytest.fixture(scope="class")

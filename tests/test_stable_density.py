@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import quad_density_oracle
+from conftest import quad_density_oracle, quad_shape_derivative_oracle
 from stablegarch.errors import AccuracyNotReached
 from stablegarch.stable import (
+    FIT_ACCURACY,
     DensityAccuracy,
     StableParams,
     char_fn,
@@ -303,6 +304,55 @@ class TestLogDensityGrad:
             fd_x = (density(xs + h, psi) - density(xs - h, psi)) / (2.0 * h) / f
             assert_allclose(grads[:, 3], fd_x, rtol=1e-3, atol=1e-4)
         assert checked >= 150
+
+
+class TestShapePartials:
+    """Engine partials d f/d alpha and d f/d beta against the quadrature oracle."""
+
+    @staticmethod
+    def _check(alpha, beta, xs, acc=DensityAccuracy()):
+        from stablegarch.stable.engine import StandardDensity
+        eng = StandardDensity(alpha, beta, acc)  # cold: no table yet
+        for wrt in ("alpha", "beta"):
+            got, err = eng.partial_with_err(xs, wrt)
+            want = np.array([quad_shape_derivative_oracle(x, alpha, beta, wrt) for x in xs])
+            assert np.all(err <= acc.abs_tol)
+            assert_allclose(got, want, rtol=0.0, atol=2.0 * acc.abs_tol)
+        return eng
+
+    def test_series_points(self):
+        eng = self._check(1.7, 0.3, np.array([-3.0, -0.5, 0.4, 1.5, 14.0]))
+        assert eng._tables == {}
+
+    def test_shift_term_at_zero_beta(self):
+        # tau = 0 at beta = 0, but d tau/d beta = tan(alpha pi/2) is not
+        xs = np.array([-2.0, -0.3, 0.7, 4.0])
+        eng = self._check(1.6, 0.0, xs)
+        assert eng._tables == {}
+        assert np.max(np.abs(eng.partial_with_err(xs, "beta")[0])) > 1e-2
+
+    @pytest.mark.parametrize("alpha, beta, xs, acc", [
+        (0.9, 0.4, [-2.8, -2.6, -2.5, -2.3], DensityAccuracy()),
+        (1.0, 0.5, [-0.6, -0.2, 0.0, 0.3], FIT_ACCURACY),
+    ])
+    def test_table_points(self, alpha, beta, xs, acc, monkeypatch):
+        # centre points no series certifies: near the shift point -tau = -2.53
+        # of S(0.9, 0.4), and anywhere at alpha = 1, beta != 0 (no series);
+        # there the folds are removed to leading order only, which certifies
+        # the fitting tolerance
+        from stablegarch.stable import engine
+        calls = []
+        monkeypatch.setattr(engine, "quad_pdf_point",
+                            lambda *a, **k: calls.append(a) or (0.0, np.inf))
+        eng = self._check(alpha, beta, np.array(xs), acc)
+        assert {"dalpha", "dbeta"} <= set(eng._tables)
+        assert calls == []
+
+    def test_log_density_terms_builds_one_engine(self):
+        from stablegarch.stable import engine, log_density_terms
+        engine._engine.cache_clear()
+        log_density_terms(np.linspace(-6.0, 6.0, 50), 1.63, 0.21)
+        assert engine._engine.cache_info().misses == 1
 
 
 def _base(psi):

@@ -61,8 +61,6 @@ def dlog_char_fn(t, alpha: float, beta: float, wrt: str):
     at fixed x are Fourier inversions of phi times these factors.  Each
     vanishes at t = 0.
     """
-    if wrt not in ("alpha", "beta"):
-        raise ValueError(f"wrt must be 'alpha' or 'beta', got {wrt!r}")
     t = np.asarray(t, dtype=float)
     at = np.abs(t)
     lg = np.log(np.where(at > 0.0, at, 1.0))

@@ -17,7 +17,7 @@ shape-partial table is replaced by a wider one when points fall outside it).
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 from scipy import interpolate, optimize
@@ -25,13 +25,15 @@ from scipy import interpolate, optimize
 from ..errors import AccuracyNotReached
 from .fourier import FourierTable, quad_pdf_point
 from .params import DensityAccuracy, StableParams
-from .series import CenterSeries, TailSeriesSide, shift_partials, skew_shift, tail_constant
+from .series import CenterSeries, TailSeriesSide, skew_shift, tail_constant
 
 _CHUNK = 16384
 _PROBE_RADII = np.geomspace(0.02, 800.0, 140)
 _PDF_FLOOR = 1e-300
 # quantities odd in x at beta = 0, where evaluation runs on |x|
 _ODD = ("dpdf", "dbeta")
+# the shape partials, whose tables span only the points sent to them
+_PARTIALS = ("dalpha", "dbeta")
 
 
 class StandardDensity:
@@ -51,15 +53,15 @@ class StandardDensity:
         self.center = None
         if alpha > 1.0 or (alpha == 1.0 and beta == 0.0):
             self.center = CenterSeries(alpha, beta, kmax)
+        # d tau/d(alpha, beta) for the shift term of the series partials (the
+        # series run in y = x + tau); with no series, tables and quadrature
+        # work at fixed x and need none
+        series = self.center or self.right
+        self._dtau = series.dtau if series is not None else {}
 
         self._tables: dict[str, FourierTable] = {}  # by quantity
         self._cdf_state = None
         self._onsets: dict[str, float] = {}
-
-    @cached_property
-    def _dtau(self) -> dict:
-        """d tau/d alpha and d tau/d beta: the series run in y = x + tau."""
-        return shift_partials(self.alpha, self.beta)
 
     # -- probes -----------------------------------------------------------
 
@@ -111,10 +113,12 @@ class StandardDensity:
         table spans the ``points`` sent to it, widened by 1 and cut to
         [-64, 64], and is rebuilt over the union when later points fall
         outside: the partial series stop certifying at their own onsets, and
-        probing those would cost more than the table.
+        probing those would cost more than the table.  So a point served by
+        a partial table may take its value from a wider table on a later
+        call; both values lie within the certified error.
         """
         table = self._tables.get(quantity)
-        if quantity in ("pdf", "dpdf"):
+        if quantity not in _PARTIALS:
             window = (-self.x_keep, self.x_keep)
         else:
             lo = max(float(np.min(points)) - 1.0, -64.0)
@@ -190,10 +194,8 @@ class StandardDensity:
                 val[idx], err[idx] = v[better], e[better]
         return val + s_val, err + s_err
 
-    def _apply_fft(self, x, val, err, quantity: str):
-        need = err > self.tol
-        table = self._fft_table(quantity, x[need])
-        m = need & table.covers(x) & (table.err < err)
+    def _apply_fft(self, x, val, err, table: FourierTable):
+        m = (err > self.tol) & table.covers(x) & (table.err < err)
         if m.any():
             val[m] = table(x[m])
             err[m] = table.err
@@ -229,16 +231,20 @@ class StandardDensity:
         """Certified (value, err) by the one finishing order.
 
         Each point not yet certified goes, in turn, to: the series capped at
-        ``_STAGE1`` terms; the Fourier table, if more than 2048 points remain;
-        the full series budget; the table, built on first need; quadrature,
-        for the points the table does not certify.  The shape partials take
-        the same order, with their own tables.  A table already built is not
-        consulted earlier than that, so repeating a call repeats its values.
+        ``_STAGE1`` terms; the Fourier table, if it is already built or more
+        than 2048 points remain; the full series budget; the table, built on
+        first need; quadrature, for the points the table does not certify.
+        The shape partials take the same order with their own tables, except
+        that a partial table already built is not consulted before the full
+        series, so a point the series certify gets the series value whatever
+        was evaluated before (the fused likelihood path and its parts agree
+        to 1e-12).  For f and f' that holds only until their table is built.
         """
         val, err = self._eval_strategies(x, quantity, self._STAGE1, shift)
         need = err > self.tol
-        if int(need.sum()) > 2048:
-            self._apply_fft(x, val, err, quantity)
+        table = None if quantity in _PARTIALS else self._tables.get(quantity)
+        if need.any() and (table is not None or int(need.sum()) > 2048):
+            self._apply_fft(x, val, err, table or self._fft_table(quantity, x[need]))
             need = err > self.tol
         if need.any():
             m = np.flatnonzero(need)
@@ -248,7 +254,7 @@ class StandardDensity:
             val[m[better]], err[m[better]] = v[better], e[better]
             need = err > self.tol
         if need.any():
-            self._apply_fft(x, val, err, quantity)
+            self._apply_fft(x, val, err, self._fft_table(quantity, x[need]))
             need = err > self.tol
         for i in np.flatnonzero(need):
             v, e = quad_pdf_point(float(x[i]), self.alpha, self.beta, quantity)

@@ -112,11 +112,16 @@ class FourierTable:
         dx_target = (abs_tol / 4.0 * 384.0 / 5.0 / f_interp) ** 0.25
         t_pad = max(t_cut, np.pi / dx_target)
         # The node spacing dx = pi / t_pad does not depend on the grid size,
-        # which sets only the aliasing period.  The smallest grid whose
-        # window is reached serves if its folds certify; else the full one.
-        reach = max(abs(window[0]), abs(window[1]), 1.0)
-        n_fit = 2 ** max(10, math.ceil(math.log2(2.0 * t_pad * reach / (0.45 * np.pi))))
-        for n in sorted({min(n_fit, n_grid), n_grid}):
+        # which sets only the aliasing period.  A shape-partial table spans
+        # only the few points sent to it, so the smallest grid whose window
+        # is reached serves if its folds certify; else, and for the density
+        # and slope tables over the whole central window, the full grid.
+        sizes = [n_grid]
+        if quantity not in _ORDER:
+            reach = max(abs(window[0]), abs(window[1]), 1.0)
+            n_fit = 2 ** max(10, math.ceil(math.log2(2.0 * t_pad * reach / (0.45 * np.pi))))
+            sizes = sorted({min(n_fit, n_grid), n_grid})
+        for n in sizes:
             xg, fg, alias_err = self._invert(t_pad, n, window, abs_tol, tail_sides)
             if alias_err <= abs_tol / 8.0:
                 break

@@ -44,6 +44,8 @@ _ROUNDOFF_SAFETY = 8.0
 _RATIO_CAP = 0.95
 # Tail-series terms that FFT aliasing removal sums over all folds.
 _NEAR_FOLDS = 4
+# Lattice terms ``log_zeta`` sums directly before its Euler-Maclaurin tail.
+_ZETA_DIRECT = 10
 # Envelopes are floored at exp(-700): flooring only loosens a bound, and exp
 # of smaller arguments takes a subnormal path many times slower.
 _LOG_FLOOR = -700.0
@@ -74,8 +76,12 @@ def _certified_sum(env, terms, tol, ratio=None, usable=True):
     ratio contracts, every given term is summed, and the rest is bounded
     geometrically from the last one; a column with no such term before the
     cap certifies nothing.  Summing past the point where the tolerance is
-    met costs nothing (the terms are computed anyway) and keeps the value
-    from jumping when the parameters move that point.  Returns
+    met costs nothing (the terms are computed anyway), keeps the value from
+    jumping when the parameters move that point, and leaves f' an error well
+    below the tolerance: the shape partials' shift term tau_q * f' carries
+    |tau_q| times that error, and with stops at the first certifying term
+    it rarely certified (the i.i.d. Cauchy fit of the test suite, alpha
+    near 1, took 379 s against 23 s on a 2-CPU machine).  Returns
     (value, remainder + roundoff).
     """
     nk = env.shape[0]
@@ -117,21 +123,22 @@ def _contraction(logterm, log_slope_growth=None):
     return np.append(d, np.inf)
 
 
-def log_zeta(s, q, n_direct: int = 10):
+def log_zeta(s, q):
     """Z(s, q) = sum_{n >= 0} log(q + n) (q + n)^(-s), i.e. -d zeta(s, q)/ds.
 
-    The first ``n_direct`` terms are summed directly and the rest by
+    The first ``_ZETA_DIRECT`` terms are summed directly and the rest by
     Euler-Maclaurin with the B2 and B4 corrections.  The remainder is at most
-    (1/720) * int_a^inf |h^(4)| with h(v) = log(v) v^(-s) and a = q + n_direct;
-    writing h^(4) = v^(-s-4) (A log v + B) bounds that integral in closed form.
+    (1/720) * int_a^inf |h^(4)| with h(v) = log(v) v^(-s) and
+    a = q + _ZETA_DIRECT; writing h^(4) = v^(-s-4) (A log v + B) bounds that
+    integral in closed form.
     ``s`` (each > 1) has shape (m, 1) and ``q`` shape (points,); returns
     (value, bound) of shape (m, points).
     """
     q = np.asarray(q, dtype=float)
     with np.errstate(invalid="ignore", divide="ignore"):
-        logv = np.log(q[None, :] + np.arange(n_direct)[:, None])
+        logv = np.log(q[None, :] + np.arange(_ZETA_DIRECT)[:, None])
         direct = np.sum(logv * np.exp(-s[:, :, None] * logv), axis=1)
-        a = q + n_direct
+        a = q + _ZETA_DIRECT
         la = np.log(a)
         # h^(n)(v) = v^(-s-n) (A_n log v + B_n), A_0 = 1, B_0 = 0
         coefs = [(1.0, 0.0)]
@@ -161,6 +168,7 @@ class TailSeriesSide:
         self.kmax = kmax
         tau = skew_shift(alpha, beta)
         self.tau = tau
+        self.dtau = shift_partials(alpha, beta)
         k = np.arange(1, kmax + 1, dtype=float)
         self._k = k
         # log of |k-th coefficient| without the r-power, and its sign pattern
@@ -262,11 +270,6 @@ class TailSeriesSide:
         return val[:-1].sum(axis=0), float(np.max(mag[-1] + em_err)) * 1.5
 
     @cached_property
-    def dtau(self) -> dict:
-        """d tau/d alpha and d tau/d beta for this side's own beta."""
-        return shift_partials(self.alpha, self.beta)
-
-    @cached_property
     def _shape_coefs(self):
         """(extra_logmag, sign, slope) of the alpha and beta partials at fixed r.
 
@@ -324,6 +327,7 @@ class CenterSeries:
         self.kmax = kmax
         tau = skew_shift(alpha, beta)
         self.tau = tau
+        self.dtau = shift_partials(alpha, beta)
         k = np.arange(0, kmax + 1, dtype=float)
         self._k = k
         self._logcoef = (
@@ -365,10 +369,6 @@ class CenterSeries:
         value, err = _certified_sum(env, terms, tol, ratio, usable=valid_k[:, None])
         bad = ~np.isfinite(value)
         return np.where(bad, 0.0, value), np.where(bad, np.inf, err)
-
-    @cached_property
-    def dtau(self) -> dict:
-        return shift_partials(self.alpha, self.beta)
 
     @cached_property
     def _shape_coefs(self):

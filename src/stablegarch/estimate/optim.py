@@ -23,6 +23,15 @@ class BoundedResult(NamedTuple):
     message: str
 
 
+def _logistic(z: np.ndarray) -> np.ndarray:
+    """1 / (1 + e^-z), with the exponent clamped below exp's overflow at 709.8.
+
+    Where nothing is clamped the value is the plain formula's, bit for bit;
+    where it is, the logistic has saturated to within 1e-304 anyway.
+    """
+    return 1.0 / (1.0 + np.exp(np.minimum(-z, 700.0)))
+
+
 class _BoxTransform:
     """Logistic map onto each box side, on a log axis for wide positive ranges.
 
@@ -48,14 +57,14 @@ class _BoxTransform:
 
     def to_x(self, z: np.ndarray) -> np.ndarray:
         x = np.where(self.free, 0.0, self.lo)
-        s = 1.0 / (1.0 + np.exp(-z))
+        s = _logistic(z)
         t = self.a[self.free] + (self.b[self.free] - self.a[self.free]) * s
         x[self.free] = np.where(self.log_scale[self.free], np.exp(t), t)
         return x
 
     def chain(self, z: np.ndarray, x: np.ndarray) -> np.ndarray:
         """d x_free / d z."""
-        s = 1.0 / (1.0 + np.exp(-z))
+        s = _logistic(z)
         inner = (self.b[self.free] - self.a[self.free]) * s * (1.0 - s)
         return np.where(self.log_scale[self.free], inner * x[self.free], inner)
 

@@ -10,9 +10,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import ReturnSeries
-from .domain_attraction import MAX_FAILURE_SHARE, SummedInnovationSpec
+from .domain_attraction import MAX_FAILURE_SHARE, USABLE_GRAD, SummedInnovationSpec
 from .domain_attraction import calibrate_jK, summed_innovations
-from .errors import CalibrationError, NonFiniteLikelihood, NotConverged
+from .errors import CalibrationError, ExplosionError, NonFiniteLikelihood, NotConverged
 from .estimate import fit_stable_mle, param_names
 from .garch.params import GarchParams
 from .garch.recursion import simulate
@@ -104,9 +104,10 @@ def run_experiment(config: ExperimentConfig, log=None) -> ExperimentResult:
     samples of the model driven by the rescaled summed innovations, estimate
     each by stable pseudo-MLE, and form componentwise RMSEs against the data
     generating parameters.  Q is the RMSE of the exact-stable reference case
-    (K = inf) over the RMSE at K.  Replication failures are dropped, and any
-    K losing more than ``MAX_FAILURE_SHARE`` of its replications aborts the
-    run.
+    (K = inf) over the RMSE at K.  An unconverged fit whose gradient is
+    below ``USABLE_GRAD`` counts.  A replication whose path explodes or whose
+    fit fails is dropped, and any K losing more than ``MAX_FAILURE_SHARE`` of
+    its replications aborts the run.
     """
     tau0 = np.concatenate([config.theta0.as_array(), [config.alpha, 0.0, 0.0]])
     names = param_names(config.theta0.order)
@@ -135,11 +136,11 @@ def run_experiment(config: ExperimentConfig, log=None) -> ExperimentResult:
                 rows.append(fit.tau_hat.as_array())
             except NotConverged as exc:
                 # a near-converged point still informs the RMSE
-                if exc.result is not None and exc.result.grad_norm < 1e-2:
+                if exc.result is not None and exc.result.grad_norm < USABLE_GRAD:
                     rows.append(exc.result.tau_hat.as_array())
                 else:
                     failures += 1
-            except (NonFiniteLikelihood, ValueError):
+            except (NonFiniteLikelihood, ExplosionError, ValueError):
                 failures += 1
             if log is not None and (rep + 1) % 20 == 0:
                 log(f"K={_k_label(k)}: {rep + 1}/{config.reps} replications")

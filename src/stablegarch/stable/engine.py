@@ -115,7 +115,9 @@ class StandardDensity:
         outside: the partial series stop certifying at their own onsets, and
         probing those would cost more than the table.  So a point served by
         a partial table may take its value from a wider table on a later
-        call; both values lie within the certified error.
+        call; both values lie within the certified error.  Every table is
+        inverted on the smallest FFT that reaches its window and certifies
+        its folds, at most ``acc.fft_grid_size`` nodes (see ``FourierTable``).
         """
         table = self._tables.get(quantity)
         if quantity not in _PARTIALS:

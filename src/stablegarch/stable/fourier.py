@@ -15,6 +15,11 @@ summed over all folds in closed form as a Hurwitz zeta, and the next term's
 fold sum bounds the rest, so heavy tails do not contaminate the central
 values.  The shape-partial tables remove their folds the same way, from the
 tail series' own partials.
+
+The node spacing is set by the truncation and interpolation bounds alone;
+the grid size sets only the aliasing period.  So every table is inverted on
+the smallest FFT that reaches its window and whose fold bound certifies,
+doubling up to the accuracy's ``fft_grid_size``.
 """
 
 from __future__ import annotations
@@ -97,7 +102,11 @@ class FourierTable:
     """FFT-inverted quantity (density, slope or shape partial) on a window.
 
     ``window`` = (x_from, x_to) is the interval the table must cover; it is
-    cut to 0.45 of the inversion's half-period and widened to 17 nodes.
+    widened to 17 nodes.  ``n_grid`` is the largest FFT size: the inversion
+    runs on the smallest power of two (at least 1024) whose 0.45 half-period
+    reaches the window, doubled until the aliasing folds certify, and
+    ``n_nodes`` records the size used.  At ``n_grid`` the window is cut to
+    0.45 of the half-period.
     """
 
     def __init__(self, alpha: float, beta: float, window: tuple[float, float],
@@ -112,19 +121,17 @@ class FourierTable:
         dx_target = (abs_tol / 4.0 * 384.0 / 5.0 / f_interp) ** 0.25
         t_pad = max(t_cut, np.pi / dx_target)
         # The node spacing dx = pi / t_pad does not depend on the grid size,
-        # which sets only the aliasing period.  A shape-partial table spans
-        # only the few points sent to it, so the smallest grid whose window
-        # is reached serves if its folds certify; else, and for the density
-        # and slope tables over the whole central window, the full grid.
-        sizes = [n_grid]
-        if quantity not in _ORDER:
-            reach = max(abs(window[0]), abs(window[1]), 1.0)
-            n_fit = 2 ** max(10, math.ceil(math.log2(2.0 * t_pad * reach / (0.45 * np.pi))))
-            sizes = sorted({min(n_fit, n_grid), n_grid})
-        for n in sizes:
+        # which sets only the aliasing period.  So the inversion starts on the
+        # smallest grid whose window is reached and doubles it until the folds
+        # certify; n_grid is the last rung, whose result stands either way.
+        reach = max(abs(window[0]), abs(window[1]), 1.0)
+        n = min(2 ** max(10, math.ceil(math.log2(2.0 * t_pad * reach / (0.45 * np.pi)))), n_grid)
+        while True:
             xg, fg, alias_err = self._invert(t_pad, n, window, abs_tol, tail_sides)
-            if alias_err <= abs_tol / 8.0:
+            if alias_err <= abs_tol / 8.0 or n >= n_grid:
                 break
+            n *= 2
+        self.n_nodes = n
         dx = np.pi / t_pad
 
         trunc = trunc_at(t_pad)

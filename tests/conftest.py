@@ -26,15 +26,18 @@ def stable_chf(t, alpha, beta, mu=0.0, gamma=1.0):
     return np.exp(-np.abs(gamma * t) ** alpha + 1j * (skew * t * (pw - 1.0) + mu * t))
 
 
-def quad_density_oracle(x, alpha, beta):
-    """Adaptive-quadrature Fourier inversion of the standardized density."""
+def quad_density_oracle(x, alpha, beta, order=0):
+    """Adaptive-quadrature Fourier inversion of the standardized density.
+
+    ``order`` = 1 inverts (-it) phi instead, the density's x-derivative.
+    """
     t_hi = max(40.0, np.log(1e16) ** (1.0 / alpha))
 
     def re_phi(t):
-        return stable_chf(t, alpha, beta).real
+        return ((-1j * t) ** order * stable_chf(t, alpha, beta)).real
 
     def im_phi(t):
-        return stable_chf(t, alpha, beta).imag
+        return ((-1j * t) ** order * stable_chf(t, alpha, beta)).imag
 
     a1, _ = integrate.quad(re_phi, 0, t_hi, weight="cos", wvar=x,
                            limit=900, epsabs=1e-13, epsrel=1e-11)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from stablegarch.errors import ExplosionError
 from stablegarch.experiment import ExperimentConfig, ExperimentResult, run_experiment
 from stablegarch.garch import GarchParams
 
@@ -43,6 +44,23 @@ class TestRun:
         assert lines[0] == "parameter,inf"
         assert len(lines) == 7
         assert "q_rmse" in details.read_text().splitlines()[0]
+
+    def test_exploding_replication_is_a_failure(self, monkeypatch):
+        from stablegarch import experiment
+        calls = []
+        simulate = experiment.simulate
+
+        def exploding_once(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 2:
+                raise ExplosionError("sigma^2 exceeded the guard", t=7, sigma2=1e13)
+            return simulate(*args, **kwargs)
+
+        monkeypatch.setattr(experiment, "simulate", exploding_once)
+        cfg = ExperimentConfig(k_list=(math.inf,), n=400, reps=5, seed=5)
+        res = run_experiment(cfg)
+        assert res.failures[math.inf] == 1
+        assert res.estimates[math.inf].shape == (4, 6)
 
     def test_small_k_smoke_runs_and_ratios_sensible(self):
         cfg = ExperimentConfig(k_list=(5, math.inf), n=400, reps=4, seed=11,

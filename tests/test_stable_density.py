@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import quad_density_oracle, quad_shape_derivative_oracle
+from conftest import quad_cdf_oracle, quad_density_oracle, quad_shape_derivative_oracle
 from stablegarch.errors import AccuracyNotReached
 from stablegarch.stable import (
     FIT_ACCURACY,
@@ -197,6 +197,51 @@ class TestDensityProperties:
             got = density(x, StableParams(1.0, 0.9))
             assert got == pytest.approx(quad_density_oracle(x, 1.0, 0.9), abs=1e-7)
         assert calls == []
+
+
+class TestTableLadder:
+    """f and f' tables on the smallest FFT whose folds certify."""
+
+    @staticmethod
+    def _tables(alpha, beta):
+        from stablegarch.stable.engine import StandardDensity
+        eng = StandardDensity(alpha, beta, DensityAccuracy())  # cold: no table yet
+        tables = [eng._fft_table(q) for q in ("pdf", "dpdf")]
+        for order, table in enumerate(tables):
+            assert table.err <= eng.tol
+            xs = np.linspace(table.x_lo, table.x_hi, 9)
+            want = [quad_density_oracle(x, alpha, beta, order) for x in xs]
+            assert_allclose(table(xs), want, rtol=0.0, atol=table.err)
+        return eng, tables
+
+    def test_moderate_alpha_on_small_grid(self):
+        _, tables = self._tables(1.7, 0.3)
+        assert max(t.n_nodes for t in tables) <= 2048
+
+    def test_climbs_to_first_certified_size(self):
+        from stablegarch.stable.fourier import FourierTable
+        eng, tables = self._tables(0.8, 0.3)
+        cap = DensityAccuracy().fft_grid_size
+        assert [t.n_nodes for t in tables] == [16384, 16384]
+        assert 16384 < cap
+        # the rung below does not certify its folds: both tables share the
+        # truncation and interpolation terms, so the gap between their bounds
+        # is at most the smaller grid's fold bound, which must exceed tol / 8
+        half = FourierTable(0.8, 0.3, (-eng.x_keep, eng.x_keep), 8192, eng.tol,
+                            tail_sides=(eng.right, eng.left))
+        assert half.n_nodes == 8192
+        assert half.err - tables[0].err > eng.tol / 8.0
+
+    @pytest.mark.parametrize("alpha, beta", [(1.7, 0.3), (0.8, 0.3)])
+    def test_cdf_ppf_round_trip(self, alpha, beta):
+        from stablegarch.stable.engine import StandardDensity
+        eng = StandardDensity(alpha, beta, DensityAccuracy())
+        for p in (0.01, 0.05, 0.5, 0.95, 0.99):
+            x = eng.ppf(p)
+            (got,), (err,) = eng.cdf_with_err(np.array([x]))
+            assert got == pytest.approx(p, abs=1e-12)
+            # the Gil-Pelaez oracle is itself good to about 5e-10
+            assert quad_cdf_oracle(x, alpha, beta) == pytest.approx(p, abs=err + 1e-9)
 
 
 class TestDensityDx:

@@ -244,17 +244,24 @@ def cmd_experiment(output_path, details_path, config_path, alpha, k_list, n,
 @click.option("--replications", type=int, default=24, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 def cmd_frontier(output_path, alpha_list, b_grid, horizon, replications, seed):
-    """Locate the strict-stationarity frontier a*(b) for each alpha."""
+    """Locate the strict-stationarity frontier a*(b) for each alpha.
+
+    Writes alpha, b, a_star and stderr, the standard error (se) of a*.
+    """
     alphas = _float_list(alpha_list, "--alpha")
     grid = _float_list(b_grid, "--b-grid")
+    try:
+        points = [pt for al in alphas
+                  for pt in stationarity_frontier(al, grid, horizon, replications, seed)]
+    except ValueError as exc:
+        raise click.ClickException(str(exc))
     import csv as _csv
     with open(output_path, "w", newline="", encoding="utf-8") as fh:
         w = _csv.writer(fh)
         w.writerow(["alpha", "b", "a_star", "stderr"])
-        for al in alphas:
-            for pt in stationarity_frontier(al, grid, horizon, replications, seed):
-                w.writerow([f"{pt.alpha:g}", f"{pt.b:g}",
-                            f"{pt.a_star:.6g}", f"{pt.stderr:.3g}"])
+        for pt in points:
+            w.writerow([f"{pt.alpha:g}", f"{pt.b:g}",
+                        f"{pt.a_star:.6g}", f"{pt.stderr:.3g}"])
     click.echo(f"wrote {output_path}")
 
 

@@ -19,9 +19,9 @@ class AccuracyNotReached(StableGarchError):
 
 
 class ExplosionError(StableGarchError):
-    """Simulated conditional variance exceeded the overflow guard.
+    """The simulated variance overflowed to a non-finite value.
 
-    Signals a parameterization outside the strict-stationarity region.
+    Carries the step ``t`` and the value ``sigma2`` it reached.
     """
 
     def __init__(self, message, t=None, sigma2=None):

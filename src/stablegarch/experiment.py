@@ -105,9 +105,9 @@ def run_experiment(config: ExperimentConfig, log=None) -> ExperimentResult:
     each by stable pseudo-MLE, and form componentwise RMSEs against the data
     generating parameters.  Q is the RMSE of the exact-stable reference case
     (K = inf) over the RMSE at K.  An unconverged fit whose gradient is
-    below ``USABLE_GRAD`` counts.  A replication whose path explodes or whose
-    fit fails is dropped, and any K losing more than ``MAX_FAILURE_SHARE`` of
-    its replications aborts the run.
+    below ``USABLE_GRAD`` counts.  A replication whose simulated variance
+    overflows to a non-finite value or whose fit fails is dropped, and any K
+    losing more than ``MAX_FAILURE_SHARE`` of its replications aborts the run.
     """
     tau0 = np.concatenate([config.theta0.as_array(), [config.alpha, 0.0, 0.0]])
     names = param_names(config.theta0.order)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ..data import ReturnSeries
@@ -9,8 +11,6 @@ from ..errors import ExplosionError
 from ..stable import StableParams
 from ..stable import sample as stable_sample
 from .params import GarchParams, VolatilityPath
-
-EXPLOSION_FACTOR = 1e12
 
 
 def _presample_value(eps2: np.ndarray) -> float:
@@ -66,9 +66,8 @@ def simulate(theta: GarchParams, psi: StableParams, n: int, burn_in: int = 500,
 
     Innovations are stable draws from psi unless an explicit array of length
     n + burn_in is injected (used for summed-innovation experiments).  The
-    first burn_in steps are discarded.  Raises ExplosionError once a variance
-    exceeds EXPLOSION_FACTOR * omega, which signals a parameterization
-    outside the strict-stationarity region.
+    first burn_in steps are discarded.  Raises ExplosionError once the
+    variance overflows to a non-finite value.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -81,32 +80,27 @@ def simulate(theta: GarchParams, psi: StableParams, n: int, burn_in: int = 500,
         eta = np.asarray(innovations, dtype=float)
         if eta.size < total:
             raise ValueError(f"need {total} innovations, got {eta.size}")
-        eta = eta[:total]
-    p, q = len(theta.b), len(theta.a)
-    guard = EXPLOSION_FACTOR * theta.omega
-    start = theta.omega / max(1.0 - sum(theta.a) - sum(theta.b), 0.05)
-    e2 = np.full(q, start)
-    s2 = np.full(p, start) if p else np.empty(0)
+    omega, a, b = theta.omega, theta.a, theta.b
+    start = omega / max(1.0 - sum(a) - sum(b), 0.05)
+    # lags as Python floats, most recent first
+    e2 = [start] * len(a)
+    s2 = [start] * len(b)
     eps_out = np.empty(total)
     sig2_out = np.empty(total)
-    a = np.array(theta.a)
-    b = np.array(theta.b)
-    for t in range(total):
-        var = theta.omega + float(a @ e2)
-        if p:
-            var += float(b @ s2)
-        if not np.isfinite(var) or var > guard:
-            raise ExplosionError(
-                f"sigma^2 exceeded {guard:.3g} at step {t}; "
-                "parameters look non-stationary", t=t, sigma2=var)
-        e = np.sqrt(var) * eta[t]
+    for t, z in enumerate(eta[:total].tolist()):
+        var = omega
+        for ai, x in zip(a, e2):
+            var += ai * x
+        for bj, x in zip(b, s2):
+            var += bj * x
+        if not math.isfinite(var):
+            raise ExplosionError(f"sigma^2 overflowed to {var} at step {t}", t=t, sigma2=var)
+        e = math.sqrt(var) * z
         eps_out[t] = e
         sig2_out[t] = var
-        if q:
-            e2 = np.roll(e2, 1)
-            e2[0] = e * e
-        if p:
-            s2 = np.roll(s2, 1)
-            s2[0] = var
+        e2.insert(0, e * e)
+        e2.pop()
+        s2.insert(0, var)
+        s2.pop()
     return (ReturnSeries(eps_out[burn_in:]),
             VolatilityPath(sig2_out[burn_in:]))

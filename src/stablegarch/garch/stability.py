@@ -5,6 +5,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 import numpy as np
+from scipy import optimize
 
 from ..stable import StableParams
 from ..stable import sample as stable_sample
@@ -19,6 +20,8 @@ class LyapunovEstimate(NamedTuple):
 
 
 class FrontierPoint(NamedTuple):
+    """Root a_star of the GARCH(1,1) Lyapunov exponent at (alpha, b); stderr is the se of a*."""
+
     alpha: float
     b: float
     a_star: float
@@ -58,74 +61,73 @@ def matrix_norm_l1(m: np.ndarray) -> np.ndarray:
     return np.abs(m).sum(axis=(-2, -1))
 
 
+def _squared_draws(psi: StableParams, horizon: int, replications: int, seed) -> np.ndarray:
+    """eta_t^2 of the standardized law, one spawned stream per replication (row)."""
+    seeds = np.random.SeedSequence(seed).spawn(replications)
+    eta2 = np.empty((replications, horizon))
+    for r, s in enumerate(seeds):
+        eta2[r] = stable_sample(psi.standardized(), horizon,
+                                np.random.default_rng(s)) ** 2
+    return eta2
+
+
 def lyapunov_exponent(theta: GarchParams, psi: StableParams, horizon: int = 4000,
                       replications: int = 24, seed=0) -> LyapunovEstimate:
     """Monte-Carlo top Lyapunov exponent of the companion-matrix products.
 
-    Each replication accumulates log || A_t ... A_1 || along an independent
-    innovation stream, rescaling the running product to unit norm every few
-    steps so heavy-tailed draws cannot overflow it.  The exponent does not
+    Each replication averages over an independent innovation stream of
+    ``horizon`` draws; the standard error is that of the mean over the
+    replications.  For GARCH(1,1) A(eta) = (eta^2, 1)^T (a, b) has rank one,
+    so the exponent is exactly E log(b + a eta^2) (Nelson 1990) and the
+    estimate is the sample mean of log(b + a eta^2).  Other orders accumulate
+    log || A_t ... A_1 ||, rescaling the running product to unit norm every
+    few steps so heavy-tailed draws cannot overflow it.  The exponent does not
     depend on omega (the companion matrix contains no level term).
     """
     if horizon < 10 ** 3:
         raise ValueError("horizon must be at least 1000")
     if replications < 2:
         raise ValueError("need at least 2 replications")
-    c0, c1 = _companion_split(theta)
-    d = c0.shape[0]
-    seeds = np.random.SeedSequence(seed).spawn(replications)
-    eta2 = np.empty((replications, horizon))
-    for r, s in enumerate(seeds):
-        eta2[r] = stable_sample(psi.standardized(), horizon,
-                                np.random.default_rng(s)) ** 2
-    prod = np.broadcast_to(np.eye(d), (replications, d, d)).copy()
-    acc = np.zeros(replications)
-    for t in range(horizon):
-        prod = c0 @ prod + eta2[:, t, None, None] * (c1 @ prod)
-        if (t + 1) % _RENORM_EVERY == 0:
-            norm = matrix_norm_l1(prod)
-            acc += np.log(norm)
-            prod /= norm[:, None, None]
-    norm = matrix_norm_l1(prod)
-    acc += np.log(norm)
-    per_rep = acc / horizon
+    eta2 = _squared_draws(psi, horizon, replications, seed)
+    if len(theta.a) == len(theta.b) == 1:
+        per_rep = np.log(theta.b[0] + theta.a[0] * eta2).mean(axis=1)
+    else:
+        c0, c1 = _companion_split(theta)
+        prod = np.broadcast_to(np.eye(c0.shape[0]), (replications,) + c0.shape).copy()
+        acc = np.zeros(replications)
+        for t in range(horizon):
+            prod = c0 @ prod + eta2[:, t, None, None] * (c1 @ prod)
+            if (t + 1) % _RENORM_EVERY == 0:
+                norm = matrix_norm_l1(prod)
+                acc += np.log(norm)
+                prod /= norm[:, None, None]
+        per_rep = (acc + np.log(matrix_norm_l1(prod))) / horizon
     return LyapunovEstimate(float(per_rep.mean()),
                             float(per_rep.std(ddof=1) / np.sqrt(replications)))
 
 
 def stationarity_frontier(alpha: float, b_grid, horizon: int = 4000,
                           replications: int = 24, seed=0) -> list[FrontierPoint]:
-    """Frontier a*(b) where the top Lyapunov exponent crosses zero.
+    """Frontier a*(b) of GARCH(1,1) where the top Lyapunov exponent crosses zero.
 
-    For each b the ARCH coefficient is bisected; the same innovation seed is
-    reused across bisection steps (common random numbers) and the search
-    stops once |gamma| falls within twice its Monte-Carlo standard error.
+    Every estimate reuses the same innovation seed (common random numbers),
+    so gamma-hat(a) = mean log(b + a eta^2) is smooth and strictly increasing
+    in a, and a* is its root, found by ``brentq`` after doubling the upper
+    end of the bracket from 0.5.  ``stderr`` is the se of a*, by the delta
+    method: se(gamma-hat) / mean(eta^2 / (b + a* eta^2)) on the same draws.
     """
     psi = StableParams(alpha, 0.0)
     out = []
     for b in np.atleast_1d(np.asarray(b_grid, dtype=float)):
         def gamma_at(a_val: float) -> LyapunovEstimate:
-            theta = GarchParams(omega=1.0, a=(a_val,), b=(b,) if b > 0 else (0.0,))
+            theta = GarchParams(omega=1.0, a=(a_val,), b=(b,))
             return lyapunov_exponent(theta, psi, horizon, replications, seed)
 
         lo, hi = 1e-8, 0.5
-        g_hi = gamma_at(hi)
-        while g_hi.estimate <= 0.0 and hi < 1e6:
-            lo, hi = hi, hi * 2.0
-            g_hi = gamma_at(hi)
-        est = None
-        for _ in range(40):
-            mid = 0.5 * (lo + hi)
-            g = gamma_at(mid)
-            if abs(g.estimate) <= 2.0 * g.stderr or (hi - lo) < 1e-4 * max(hi, 1.0):
-                est = (mid, g.stderr)
-                break
-            if g.estimate > 0.0:
-                hi = mid
-            else:
-                lo = mid
-        if est is None:
-            mid = 0.5 * (lo + hi)
-            est = (mid, gamma_at(mid).stderr)
-        out.append(FrontierPoint(alpha, float(b), est[0], est[1]))
+        while gamma_at(hi).estimate <= 0.0:
+            lo, hi = hi, 2.0 * hi
+        a_star = optimize.brentq(lambda a_val: gamma_at(a_val).estimate, lo, hi)
+        eta2 = _squared_draws(psi, horizon, replications, seed)
+        slope = float(np.mean(eta2 / (b + a_star * eta2)))
+        out.append(FrontierPoint(alpha, float(b), a_star, gamma_at(a_star).stderr / slope))
     return out

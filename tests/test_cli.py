@@ -247,6 +247,31 @@ class TestFrontierCommand:
         a_star = float(rows[0].split(",")[2])
         assert a_star < 0.06
 
+    def test_a_star_falls_with_b(self, runner, tmp_path):
+        out = tmp_path / "fr.csv"
+        r = invoke(runner, ["frontier", "--alpha", "1.6", "--b-grid", "0,0.6",
+                            "--horizon", "1000", "--replications", "4",
+                            "--output", str(out)])
+        assert r.exit_code == 0, r.output
+        header, *rows = out.read_text().strip().splitlines()
+        assert header == "alpha,b,a_star,stderr"
+        assert len(rows) == 2
+        (_, _, a0, se0), (_, _, a6, se6) = [map(float, row.split(",")) for row in rows]
+        assert 0.0 < a6 < a0
+        assert se0 > 0.0 and se6 > 0.0
+
+    @pytest.mark.parametrize("args, text", [
+        (["--alpha", "3"], "alpha must be in (0, 2]"),
+        (["--b-grid", "-0.1"], "lag coefficients must be nonnegative"),
+        (["--horizon", "10"], "horizon must be at least 1000"),
+    ])
+    def test_out_of_range_input_is_a_message(self, runner, tmp_path, args, text):
+        out = tmp_path / "fr.csv"
+        r = invoke(runner, ["frontier", *args, "--output", str(out)])
+        assert r.exit_code == 1
+        assert r.output.startswith("Error: ") and text in r.output
+        assert not out.exists()
+
     def test_unparsable_alpha_named(self, runner, tmp_path):
         r = invoke(runner, ["frontier", "--alpha", "x",
                             "--output", str(tmp_path / "fr.csv")])

@@ -122,6 +122,23 @@ class TestSimulate:
         with pytest.raises(ExplosionError):
             simulate(theta, StableParams(1.2, 0.0), n=5000, seed=1)
 
+    def test_stationary_heavy_tail_model_simulates(self):
+        # gamma = E log(b + a eta^2) = -0.127 here, yet one alpha = 1.2 draw
+        # lifts sigma^2 far above omega; only an overflow is an explosion
+        theta = GarchParams(0.01, a=(0.034,), b=(0.667,))
+        eps, path = simulate(theta, StableParams(1.2, 0.0), 1000, burn_in=500, seed=10)
+        assert np.isfinite(eps.values).all()
+        assert np.isfinite(path.sigma2).all()
+
+    def test_order_2_2_lags_match_the_lag_filter(self):
+        # the same recursion in another summation order: once the presample
+        # state is forgotten the two paths agree to rounding
+        theta = GarchParams(0.01, a=(0.05, 0.03), b=(0.5, 0.2))
+        eps, truth = simulate(theta, StableParams(1.7, 0.0), n=800, burn_in=200, seed=3)
+        path = volatility_path(eps, theta)
+        rel = np.abs(path.sigma2[300:] - truth.sigma2[300:]) / truth.sigma2[300:]
+        assert rel.max() < 1e-12
+
     def test_deterministic_per_seed(self):
         a1, _ = simulate(THETA0, StableParams(1.6, 0.0), n=50, seed=8)
         a2, _ = simulate(THETA0, StableParams(1.6, 0.0), n=50, seed=8)
@@ -186,6 +203,17 @@ class TestLyapunov:
                                horizon=1500, replications=4, seed=3)
         assert g1.estimate == g2.estimate
 
+    @pytest.mark.parametrize("a_val, b_val", [(0.3, 0.6), (0.05, 0.9), (1.5, 0.0)])
+    def test_rank_one_mean_matches_matrix_products(self, a_val, b_val):
+        # a zero second ARCH lag leaves the model unchanged but sends it
+        # through the matrix products, on the same draws
+        psi = StableParams(1.6, 0.0)
+        exact = lyapunov_exponent(GarchParams(1.0, a=(a_val,), b=(b_val,)), psi,
+                                  horizon=4000, replications=24, seed=3)
+        products = lyapunov_exponent(GarchParams(1.0, a=(a_val, 0.0), b=(b_val,)), psi,
+                                     horizon=4000, replications=24, seed=3)
+        assert abs(exact.estimate - products.estimate) <= 0.5 * exact.stderr
+
     def test_matches_scalar_recurrence_formula(self):
         # for GARCH(1,1) the exponent is E log(a eta^2 + b); quadrature oracle
         a_val, b_val = 0.4, 0.3
@@ -219,3 +247,10 @@ class TestFrontier:
         hi = stationarity_frontier(2.0, grid, horizon=2500, replications=16, seed=9)
         for plo, pmid, phi in zip(lo, mid, hi):
             assert plo.a_star < pmid.a_star < phi.a_star
+
+    @pytest.mark.parametrize("b_val", [0.0, 0.8])
+    def test_stderr_is_se_of_a_star(self, b_val):
+        pts = [stationarity_frontier(1.6, [b_val], seed=s)[0] for s in range(12)]
+        spread = np.std([p.a_star for p in pts], ddof=1)
+        reported = np.median([p.stderr for p in pts])
+        assert 0.5 * reported <= spread <= 2.0 * reported

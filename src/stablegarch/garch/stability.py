@@ -117,6 +117,7 @@ def stationarity_frontier(alpha: float, b_grid, horizon: int = 4000,
     method: se(gamma-hat) / mean(eta^2 / (b + a* eta^2)) on the same draws.
     """
     psi = StableParams(alpha, 0.0)
+    seed = np.random.SeedSequence(seed).entropy  # None: new draws per call, not per estimate
     out = []
     for b in np.atleast_1d(np.asarray(b_grid, dtype=float)):
         def gamma_at(a_val: float) -> LyapunovEstimate:

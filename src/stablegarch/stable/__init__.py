@@ -11,8 +11,8 @@ certifies.  The engine's finishing order is documented in ``engine``.
 The same strategies give the shape partials d f/d alpha and d f/d beta at
 fixed x: the series term by term, the tables and quadrature by inverting phi
 times d(log phi).  ``log_density_terms`` turns them into the score of log f
-in the shape parameters with one engine; the likelihood, the i.i.d. stable
-fit and ``log_density_grad`` all call it.
+in the shape parameters with one engine call for all four; the likelihood,
+the i.i.d. stable fit and ``log_density_grad`` all call it.
 """
 
 from __future__ import annotations
@@ -80,18 +80,14 @@ def log_density_terms(x: np.ndarray, alpha: float, beta: float,
 
     The density is floored at 1e-300 before logs and ratios.  The shape
     derivatives are the engine's certified partials d f/d(alpha, beta) over
-    f, all from the one engine of (alpha, beta); at the alpha = 2 and
+    f, from one call to the engine of (alpha, beta); at the alpha = 2 and
     |beta| = 1 edges they are one-sided.  Returns arrays of shapes (n,), (n,)
     and (n, 2).
     """
     eng = get_engine(StableParams(alpha, beta), acc)
-    f, _ = eng.pdf_with_err(x)
+    f, slope, d_alpha, d_beta = eng.evaluate(x, ("pdf", "dpdf", "dalpha", "dbeta"))[:, 0]
     f = np.maximum(f, 1e-300)
-    slope = eng.dpdf_with_err(x)
-    d_shape = np.empty((f.size, 2))
-    for col, wrt in enumerate(("alpha", "beta")):
-        d_shape[:, col] = eng.partial_with_err(x, wrt, slope)[0] / f
-    return np.log(f), slope[0] / f, d_shape
+    return np.log(f), slope / f, np.column_stack([d_alpha, d_beta]) / f[:, None]
 
 
 def log_density_grad(x, psi: StableParams, acc: DensityAccuracy = DEFAULT_ACCURACY):

@@ -2,13 +2,13 @@
 
 A ``StandardDensity`` instance owns the series expansions, the lazily built
 Fourier tables, and the CDF machinery for one (alpha, beta) pair.  It
-evaluates four quantities at fixed x: the density ("pdf"), its slope
-("dpdf") and the shape partials d f/d alpha ("dalpha") and d f/d beta
+evaluates any set of four quantities at fixed x: the density ("pdf"), its
+slope ("dpdf") and the shape partials d f/d alpha ("dalpha") and d f/d beta
 ("dbeta").  Every strategy reports a certified absolute error; each point of
-each quantity is finished by the first strategy in one fixed order that
-certifies the requested tolerance (series, Fourier table, then per-point
-adaptive quadrature for the points no table certifies; see
-``_eval_signless``).
+each quantity is finished by the first step of one fixed order that
+certifies the requested tolerance (series passes shared by the quantities
+asked for together, Fourier table, then per-point adaptive quadrature for
+the points no table certifies; see ``_eval_signless``).
 
 Engines are cached per (alpha, beta, accuracy); all evaluations on them are
 read-only after construction apart from lazy table attachment (a
@@ -34,6 +34,12 @@ _PDF_FLOOR = 1e-300
 _ODD = ("dpdf", "dbeta")
 # the shape partials, whose tables span only the points sent to them
 _PARTIALS = ("dalpha", "dbeta")
+
+
+def _pick(raw, target):
+    """(value, err): the tail's where it meets ``target``, else the better of tail and centre."""
+    take = (raw[1] > target) & (raw[3] < raw[1])
+    return np.array([np.where(take, raw[2], raw[0]), np.where(take, raw[3], raw[1])])
 
 
 class StandardDensity:
@@ -139,62 +145,38 @@ class StandardDensity:
 
     # -- pointwise evaluation ---------------------------------------------
 
-    def _series(self, series, arg, quantity: str, kcap, left: bool = False):
-        """(value, err) of one quantity at fixed x from one series.
+    def _series_pass(self, y, quantities, kcap, need=None, target=None):
+        """{quantity: rows (tail value, err, centre value, err)} at y = x + tau.
 
-        The series run in y = x + tau, and the tail's left side in r = -y
-        with beta mirrored, so d/dx and d/d beta change sign there.  For a
-        shape partial this is the series' own partial at fixed y, certified
-        to half the tolerance; ``_eval_strategies`` adds the shift term.
+        One pass per piece: the tail sides on the points some quantity
+        ``need``s (default all), the left in r = -y with beta mirrored (so
+        d/dx and d/d beta flip), the centre where a quantity's tail error
+        misses its ``target`` (default: everywhere).  Partials are the
+        series' own at fixed y, to half the tolerance; d f/d beta has none
+        at alpha = 1, a pole of tau = beta tan(alpha pi/2).
         """
-        sgn = -1.0 if left else 1.0
-        if quantity == "pdf":
-            return series.pdf(arg, self.tol, kcap)
-        if quantity == "dpdf":
-            v, e = series.dpdf(arg, self.tol, kcap)
-            return sgn * v, e
-        v, e = series.partial(arg, self.tol / 2.0, kcap, quantity)
-        return (sgn * v if quantity == "dbeta" else v), e
-
-    def _eval_strategies(self, x: np.ndarray, quantity: str, kcap=None, shift=None):
-        """Best certified (value, err) per point across series strategies.
-
-        Staged: a cheap low-term pass certifies the bulk of typical inputs,
-        the full term budget is spent only on the points that remain.  For a
-        shape partial, ``shift`` = (value, err) of the shift term
-        tau_q * f'(x): at fixed x the partial is the series' partial at fixed
-        y = x + tau plus that term, and its error counts against the
-        tolerance, so a large tau_q (alpha near 1 with skew) leaves the point
-        to the table.
-        """
-        val = np.zeros_like(x)
-        err = np.full_like(x, np.inf)
-        if quantity == "dbeta" and self.alpha == 1.0:
-            return val, err  # tau = beta tan(alpha pi/2) has a pole at alpha = 1
-        s_val, s_err = shift if shift is not None else (0.0, 0.0)
-        target = self.tol - s_err
-        y = x + self.tau
+        raw = np.zeros((len(quantities), 4, y.size))
+        raw[:, 1] = raw[:, 3] = np.inf
+        need = np.ones(raw[:, 0].shape, bool) if need is None else need.copy()
+        if "dbeta" in quantities and self.alpha == 1.0:
+            need[quantities.index("dbeta")] = False
+        tols = [self.tol / 2.0 if q in _PARTIALS else self.tol for q in quantities]
         ay = np.abs(y)
-        tail_gate = ay >= (0.4 if self.alpha <= 1.0 else 1.2)
-        center_gate = ay <= 80.0
         if self.has_tail_series:
-            pos = y > 0.0
-            for side_pos, side in ((True, self.right), (False, self.left)):
-                m = (pos == side_pos) & tail_gate & (err > target)
-                if not m.any():
-                    continue
-                v, e = self._series(side, ay[m], quantity, kcap, left=not side_pos)
-                better = e < err[m]
-                idx = np.flatnonzero(m)[better]
-                val[idx], err[idx] = v[better], e[better]
+            gate = need & (ay >= (0.4 if self.alpha <= 1.0 else 1.2))
+            flip = np.array([-1.0 if q in _ODD else 1.0 for q in quantities])[:, None]
+            for side, on in ((self.right, y > 0.0), (self.left, y <= 0.0)):
+                m = on & gate.any(axis=0)
+                if m.any():
+                    v, e = side.evaluate(ay[m], quantities, tols, kcap, gate[:, m])
+                    raw[:, 0, m], raw[:, 1, m] = (v if side is self.right else flip * v), e
         if self.center is not None:
-            m = center_gate & (err > target)
+            gate = need & (ay <= 80.0) & (raw[:, 1] > (-np.inf if target is None else target))
+            m = gate.any(axis=0)
             if m.any():
-                v, e = self._series(self.center, y[m], quantity, kcap)
-                better = e < err[m]
-                idx = np.flatnonzero(m)[better]
-                val[idx], err[idx] = v[better], e[better]
-        return val + s_val, err + s_err
+                v, e = self.center.evaluate(y[m], quantities, tols, kcap, gate[:, m])
+                raw[:, 2, m], raw[:, 3, m] = v, e
+        return dict(zip(quantities, raw))
 
     def _apply_fft(self, x, val, err, table: FourierTable):
         m = (err > self.tol) & table.covers(x) & (table.err < err)
@@ -202,71 +184,90 @@ class StandardDensity:
             val[m] = table(x[m])
             err[m] = table.err
 
-    def _eval(self, x, quantity: str, slope=None):
-        """Certified (value, err) of one quantity, in chunks.
+    def _eval_signless(self, x: np.ndarray, quantities):
+        """Certified {quantity: (value, err)} by the one finishing order.
 
-        A shape partial needs f'(x) for its shift term: ``slope`` = (f', err)
-        at x if the caller has it, else it is evaluated here.
+        Each point of each quantity not yet certified goes, in turn, to: the
+        series capped at ``_STAGE1`` terms; the Fourier table, if it is
+        already built or more than 2048 points remain; the full series
+        budget; the table, built on first need; quadrature, for the points
+        the table does not certify.  A series stage is one pass per piece
+        for all quantities.  A partial table already built is not consulted
+        before the full series, so a point the series certify gets the
+        series value whatever was evaluated before; for f and f' that holds
+        only until their table is built.  A partial at fixed x adds the
+        shift term tau_q * f'(x), which needs the finished f', so partials
+        finish last; their need of the full series and early table is judged
+        on f' after stage 1, whose error only shrinks later.
+        """
+        wanted = set(quantities)
+        if any(self._dtau.get(q, 0.0) for q in wanted):
+            wanted.add("dpdf")
+        qs = tuple(q for q in ("pdf", "dpdf") + _PARTIALS if q in wanted)  # f' before partials
+        y = x + self.tau
+        first = self._series_pass(y, qs, self._STAGE1)
+        state, shift, early = {}, {}, {}
+        for q in qs:
+            shift[q], state[q] = self._start(x, q, first[q], state, early)
+        need = np.array([state[q][1] > self.tol for q in qs])
+        target = self.tol - np.array([shift[q][1] for q in qs])
+        full = self._series_pass(y, qs, None, need, target)
+        for q in qs:
+            if q in _PARTIALS:  # again, with the finished f'
+                shift[q], state[q] = self._start(x, q, first[q], state, early)
+            val, err = state[q]
+            m = np.flatnonzero(err > self.tol)
+            v, e = _pick(full[q][:, m], self.tol - shift[q][1][m]) + shift[q][:, m]
+            better = e < err[m]
+            val[m[better]], err[m[better]] = v[better], e[better]
+            need = err > self.tol
+            if need.any():
+                self._apply_fft(x, val, err, self._fft_table(q, x[need]))
+                need = err > self.tol
+            for i in np.flatnonzero(need):
+                v, e = quad_pdf_point(float(x[i]), self.alpha, self.beta, q)
+                if e < err[i]:
+                    val[i], err[i] = v, e
+        return state
+
+    def _start(self, x, q, raw, state, early):
+        """Shift term tau_q * f' and (value, err) after stage 1 and early table (kept)."""
+        dtau = self._dtau.get(q, 0.0)
+        shift = np.array([[dtau], [abs(dtau)]]) * state["dpdf"] if dtau else np.zeros((2, x.size))
+        val, err = _pick(raw, self.tol - shift[1]) + shift
+        if q not in early:
+            table = None if q in _PARTIALS else self._tables.get(q)
+            need = err > self.tol
+            if need.any() and (table is not None or int(need.sum()) > 2048):
+                table = table or self._fft_table(q, x[need])
+            early[q] = table
+        if early[q] is not None:
+            self._apply_fft(x, val, err, early[q])
+        return shift, (val, err)
+
+    def evaluate(self, x, quantities):
+        """(value, err) of each of ``quantities`` at x, in one finishing order.
+
+        Any of "pdf", "dpdf", "dalpha" and "dbeta"; returns an array of shape
+        (len(quantities), 2, points).
         """
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        val = np.empty_like(x)
-        err = np.empty_like(x)
-        dtau = self._dtau.get(quantity, 0.0)
-        if dtau != 0.0 and slope is None:
-            slope = self._eval(x, "dpdf")
+        out = np.empty((len(quantities), 2, x.size))
         # at beta = 0 evaluate on |x| so symmetry holds exactly (the Fourier
         # grid is not symmetric about zero) and flip the odd quantities
         mirror = self.beta == 0.0
         for lo in range(0, x.size, _CHUNK):
             sl = slice(lo, lo + _CHUNK)
-            shift = None
-            if dtau != 0.0:
-                fp = slope[0][sl] * np.sign(x[sl]) if mirror else slope[0][sl]
-                shift = (dtau * fp, abs(dtau) * slope[1][sl])
-            val[sl], err[sl] = self._eval_signless(np.abs(x[sl]) if mirror else x[sl],
-                                                   quantity, shift)
-            if mirror and quantity in _ODD:
-                val[sl] *= np.sign(x[sl])
-        return val, err
-
-    def _eval_signless(self, x: np.ndarray, quantity: str, shift=None):
-        """Certified (value, err) by the one finishing order.
-
-        Each point not yet certified goes, in turn, to: the series capped at
-        ``_STAGE1`` terms; the Fourier table, if it is already built or more
-        than 2048 points remain; the full series budget; the table, built on
-        first need; quadrature, for the points the table does not certify.
-        The shape partials take the same order with their own tables, except
-        that a partial table already built is not consulted before the full
-        series, so a point the series certify gets the series value whatever
-        was evaluated before (the fused likelihood path and its parts agree
-        to 1e-12).  For f and f' that holds only until their table is built.
-        """
-        val, err = self._eval_strategies(x, quantity, self._STAGE1, shift)
-        need = err > self.tol
-        table = None if quantity in _PARTIALS else self._tables.get(quantity)
-        if need.any() and (table is not None or int(need.sum()) > 2048):
-            self._apply_fft(x, val, err, table or self._fft_table(quantity, x[need]))
-            need = err > self.tol
-        if need.any():
-            m = np.flatnonzero(need)
-            sub = None if shift is None else (shift[0][m], shift[1][m])
-            v, e = self._eval_strategies(x[m], quantity, None, sub)
-            better = e < err[m]
-            val[m[better]], err[m[better]] = v[better], e[better]
-            need = err > self.tol
-        if need.any():
-            self._apply_fft(x, val, err, self._fft_table(quantity, x[need]))
-            need = err > self.tol
-        for i in np.flatnonzero(need):
-            v, e = quad_pdf_point(float(x[i]), self.alpha, self.beta, quantity)
-            if e < err[i]:
-                val[i], err[i] = v, e
-        return val, err
+            got = self._eval_signless(np.abs(x[sl]) if mirror else x[sl], quantities)
+            for i, q in enumerate(quantities):
+                out[i, :, sl] = got[q]
+                if mirror and q in _ODD:
+                    out[i, 0, sl] *= np.sign(x[sl])
+        return out
 
     def pdf_with_err(self, x):
         """Density values and certified absolute error bounds, vectorized."""
-        val, err = self._eval(x, "pdf")
+        val, err = self.evaluate(x, ("pdf",))[0]
         return np.maximum(val, 0.0, out=val), err
 
     def pdf(self, x):
@@ -276,23 +277,22 @@ class StandardDensity:
 
     def dpdf_with_err(self, x):
         """Derivative values and certified absolute error bounds, vectorized."""
-        return self._eval(x, "dpdf")
+        return tuple(self.evaluate(x, ("dpdf",))[0])
 
     def dpdf(self, x):
         v, e = self.dpdf_with_err(x)
         self._check(e)
         return v
 
-    def partial_with_err(self, x, wrt: str, slope=None):
+    def partial_with_err(self, x, wrt: str):
         """Shape partial d f/d alpha (wrt="alpha") or d f/d beta at fixed x.
 
         Values and certified absolute error bounds, vectorized.  At alpha = 2
-        and |beta| = 1 these are the one-sided partials.  ``slope``, the
-        (value, err) pair of ``dpdf_with_err(x)``, saves evaluating f' again.
+        and |beta| = 1 these are the one-sided partials.
         """
         if wrt not in ("alpha", "beta"):
             raise ValueError(f"wrt must be 'alpha' or 'beta', got {wrt!r}")
-        return self._eval(x, "d" + wrt, slope)
+        return tuple(self.evaluate(x, ("d" + wrt,))[0])
 
     def logpdf(self, x):
         """log f with a floor guarding underflow in extreme tails."""

@@ -26,8 +26,11 @@ envelopes scaled by the magnitudes of the factors on the sine and cosine
 parts.  The engine adds the shift term tau_q * f'(x) that moving y = x + tau
 brings.
 
-Evaluations accept a term cap so dispatchers can run a cheap first pass and
-re-evaluate only the points that failed to certify.
+Each tail side and the centre series evaluate several quantities in one
+pass: log|y|, the powers of the argument and their signs are shared, and each
+quantity adds only its own factors and its own certificate.  A pass accepts a
+term cap, so dispatchers can run a cheap first pass and re-evaluate only the
+points that failed to certify.
 """
 
 from __future__ import annotations
@@ -64,7 +67,7 @@ def shift_partials(alpha: float, beta: float) -> dict:
             "dbeta": np.tan(np.pi * alpha / 2.0)}
 
 
-def _certified_sum(env, terms, tol, ratio=None, usable=True):
+def _certified_sum(env, terms, tol, ratio=None):
     """Truncated sum of a series with a certified error, per column.
 
     ``terms`` and their envelopes ``env`` have shape (k, points).  Without
@@ -72,8 +75,8 @@ def _certified_sum(env, terms, tol, ratio=None, usable=True):
     envelope (optimal truncation), and _ASYM_SAFETY times that envelope is
     charged.  With ``ratio`` = (a_k, b_n), where a_k + b_n bounds
     log(env_{j+1}/env_j) for every j >= k in column n, it converges: it
-    certifies from the first ``usable`` term below tol/_ASYM_SAFETY whose
-    ratio contracts, every given term is summed, and the rest is bounded
+    certifies from the first term below tol/_ASYM_SAFETY whose ratio
+    contracts, every given term is summed, and the rest is bounded
     geometrically from the last one; a column with no such term before the
     cap certifies nothing.  Summing past the point where the tolerance is
     met costs nothing (the terms are computed anyway), keeps the value from
@@ -82,29 +85,28 @@ def _certified_sum(env, terms, tol, ratio=None, usable=True):
     |tau_q| times that error, and with stops at the first certifying term
     it rarely certified (the i.i.d. Cauchy fit of the test suite, alpha
     near 1, took 379 s against 23 s on a 2-CPU machine).  Returns
-    (value, remainder + roundoff).
+    (value, remainder + roundoff); ``env`` and ``terms`` are overwritten.
     """
     nk = env.shape[0]
     if ratio is None:
         kstop = np.argmin(env, axis=0)
-        env_stop = np.take_along_axis(env, kstop[None, :], 0)[0]
-        remainder = _ASYM_SAFETY * env_stop
+        summed = np.arange(nk)[:, None] <= kstop[None, :]
+        remainder = _ASYM_SAFETY * env[kstop, np.arange(env.shape[1])]
+        terms = np.multiply(terms, summed, out=terms)
+        maxenv = np.multiply(env, summed, out=env).max(axis=0)
     else:
         log_k, log_n = ratio
         contracts = log_n[None, :] < (np.log(_RATIO_CAP) - log_k)[:, None]
-        ok = (env <= tol / _ASYM_SAFETY) & contracts & usable
+        ok = (env <= tol / _ASYM_SAFETY) & contracts
         ok[-1, :] = False  # cannot certify at the term cap
-        found = ok.any(axis=0)
         k0 = np.argmax(ok, axis=0)
+        found = ok[k0, np.arange(env.shape[1])]
         q = np.exp(np.clip(log_k[k0] + log_n, _LOG_FLOOR, np.log(_RATIO_CAP)))
-        kstop = np.full(env.shape[1], nk - 1)
-        env_stop = env[-1]
-        remainder = np.where(found, env_stop * q / (1.0 - q) + env_stop, np.inf)
-    value = np.take_along_axis(np.cumsum(terms, axis=0), kstop[None, :], 0)[0]
-    if ratio is None:
-        maxenv = (env * (np.arange(nk)[:, None] <= kstop[None, :])).max(axis=0)
-    else:
+        kstop = nk - 1
+        remainder = np.where(found, env[-1] * q / (1.0 - q) + env[-1], np.inf)
         maxenv = env.max(axis=0)
+    # row by row whatever the batch size: np.sum pairs a lone column's terms
+    value = terms.sum(axis=0) if terms.shape[1] > 1 else np.cumsum(terms, axis=0)[-1]
     roundoff = _ROUNDOFF_SAFETY * _EPS * maxenv * np.maximum(kstop + 1, 8)
     return value, remainder + roundoff
 
@@ -171,6 +173,7 @@ class TailSeriesSide:
         self.dtau = shift_partials(alpha, beta)
         k = np.arange(1, kmax + 1, dtype=float)
         self._k = k
+        self._specs = {}
         # log of |k-th coefficient| without the r-power, and its sign pattern
         self._logcoef = (
             special.gammaln(k * alpha + 1.0)
@@ -183,50 +186,83 @@ class TailSeriesSide:
         """Constant K in f(y) ~ K y^(-alpha-1) on this side (may be 0 at beta = -1)."""
         return float(np.exp(self._logcoef[0]) * self._sink[0] / np.pi)
 
-    def _assemble(self, r, power_slope, power_off, extra_logmag, sign, tol, kcap,
-                  slope=None):
-        """Sum sign_k * env_k with certification, env_k its envelope.
+    def _spec(self, quantity: str):
+        """(extra, off, sign, slope, ratio) of one quantity's terms, cached.
 
-        The k-th envelope is coef_k * exp(extra_logmag_k) *
-        r**(-(power_slope*k + power_off)), and |sign_k| <= 1.  ``slope`` =
-        (s_k, m_k) with |s_k| <= m_k adds s_k * env_k * log(r) to each term
-        and m_k * env_k * |log(r)| to its envelope.
+        Term k is sign_k * env_k, |sign_k| <= 1, with envelope env_k = coef_k *
+        exp(extra_k) * r**(-(alpha*k + off)) / pi.  ``slope`` = (s_k, m_k),
+        |s_k| <= m_k, adds s_k * env_k * log(r) to the term and m_k * env_k *
+        |log(r)| to its envelope; ``ratio`` bounds envelope ratios (alpha <= 1).
         """
-        r = np.asarray(r, dtype=float)
+        if quantity not in self._specs:
+            k, slope = self._k, None
+            if quantity in ("dalpha", "dbeta"):
+                off, (extra, sign, slope) = 1.0, self._shape_coefs[quantity]
+            else:
+                off, extra, sign = {"pdf": (1.0, np.broadcast_to(0.0, k.shape), self._sink),
+                                    "dpdf": (2.0, np.log(k * self.alpha + 1.0), -self._sink),
+                                    "sf": (0.0, -np.log(k * self.alpha), self._sink)}[quantity]
+            ratio = None
+            if self.alpha <= 1.0:
+                # (1 + m_{k+1}|log r|) / (1 + m_k |log r|) <= max(1, m_{k+1}/m_k)
+                growth = None if slope is None else np.maximum(0.0, np.diff(np.log(slope[1])))
+                ratio = _contraction(self._logcoef + extra, growth)
+            self._specs[quantity] = (extra, off, sign, slope, ratio)
+        return self._specs[quantity]
+
+    def _budget(self, spec, tol, kcap, logr):
+        """Terms a quantity sums at the points ``logr``: 0 if there are none."""
+        extra, off, _, slope, _ = spec
         nk = self.kmax if kcap is None else min(kcap, self.kmax)
-        logr = np.where(r > 0.0, np.log(np.where(r > 0.0, r, 1.0)), 0.0)
-        if kcap is None and r.size:
+        if kcap is None and logr.size:
             # slice the term budget to what the slowest point can ever use
             worst = float(logr.min())
-            probe = (self._logcoef[:nk]
-                     - (power_slope * self._k[:nk] + power_off) * worst
-                     + extra_logmag[:nk])
+            probe = (self._logcoef[:nk] - (self.alpha * self._k[:nk] + off) * worst
+                     + extra[:nk])
             if slope is not None:
                 probe = probe + np.log1p(slope[1][:nk] * abs(worst))
             done = probe <= np.log(tol / (_ASYM_SAFETY * 10.0) * np.pi + 1e-300)
             if done.any():
                 nk = min(nk, max(int(np.argmax(done)) + 2, 8))
-        k = self._k[:nk]
-        logpow = -(power_slope * k + power_off)
-        logmag = (self._logcoef[:nk, None] + extra_logmag[:nk, None]
-                  + logpow[:, None] * logr[None, :])
-        env = np.exp(np.clip(logmag, _LOG_FLOOR, 700.0)) / np.pi
-        terms = env * sign[:nk, None]
-        growth = None
-        if slope is not None:
-            s_k, m_k = slope[0][:nk, None], slope[1][:nk, None]
-            terms += env * s_k * logr[None, :]
-            env *= 1.0 + m_k * np.abs(logr)[None, :]
-            # (1 + m_{k+1}|log r|) / (1 + m_k |log r|) <= max(1, m_{k+1}/m_k)
-            growth = np.maximum(0.0, np.diff(np.log(slope[1])))
-        ratio = None
-        if self.alpha <= 1.0:
-            # convergent mode: the contraction ratio bounds the tail
-            ratio = (_contraction(self._logcoef + extra_logmag, growth)[:nk],
-                     -power_slope * logr)
-        value, err = _certified_sum(env, terms, tol, ratio)
-        bad = ~np.isfinite(value) | (r <= 0.0)
-        return np.where(bad, 0.0, value), np.where(bad, np.inf, err)
+        return nk if logr.size else 0
+
+    def evaluate(self, r, quantities, tols, kcap=None, need=None):
+        """(values, errors), each of shape (len(quantities), points), at r.
+
+        The quantities ("pdf", "dpdf" = d/dr, "sf" = upper tail mass, or the
+        partials "dalpha" and "dbeta" of this side's own beta at fixed r)
+        share log r and the powers of r, and each is certified to its entry
+        of ``tols``.  Without ``kcap`` each term budget is cut to what the
+        slowest of the quantity's ``need`` points (a boolean row each,
+        default all) can use; a quantity with none is skipped.
+        """
+        r = np.asarray(r, dtype=float)
+        logr = np.where(r > 0.0, np.log(np.where(r > 0.0, r, 1.0)), 0.0)
+        specs = [self._spec(q) for q in quantities]
+        rows = need if need is not None else [slice(None)] * len(quantities)
+        nks = [self._budget(sp, tol, kcap, logr[row]) for sp, tol, row in zip(specs, tols, rows)]
+        out = np.zeros((2, len(quantities), r.size))
+        out[1] = np.inf
+        last = None  # offset of the powers log r**(-(alpha*k + off)), one held at a time
+        for i in sorted(range(len(quantities)), key=lambda j: specs[j][1]):
+            (extra, off, sign, slope, ratio), tol, nk = specs[i], tols[i], nks[i]
+            if not nk:
+                continue
+            if off != last:
+                kp = -(self.alpha * self._k[:max(nks)] + off)
+                last, logpow = off, np.multiply.outer(kp, logr)
+            logmag = (self._logcoef[:nk] + extra[:nk])[:, None] + logpow[:nk]
+            env = np.exp(np.clip(logmag, _LOG_FLOOR, 700.0, out=logmag), out=logmag)
+            env /= np.pi
+            terms = env * sign[:nk, None]
+            if slope is not None:
+                terms += env * slope[0][:nk, None] * logr
+                env *= 1.0 + slope[1][:nk, None] * np.abs(logr)
+            value, err = _certified_sum(
+                env, terms, tol, None if ratio is None else (ratio[:nk], -self.alpha * logr))
+            bad = ~np.isfinite(value) | (r <= 0.0)
+            out[:, i] = np.where(bad, 0.0, value), np.where(bad, np.inf, err)
+        return out
 
     def fold_sum(self, q0, period, quantity: str = "pdf"):
         """Sum of the series over the lattice (q0 + j) * period, j >= 0.
@@ -295,25 +331,13 @@ class TailSeriesSide:
             "dbeta": (np.log(b_mag), tb * d_tau / b_mag, None),
         }
 
-    def pdf(self, r, tol, kcap=None):
-        """Density terms r^(-k*alpha-1); returns (value, certified abs error)."""
-        extra = np.zeros(self.kmax)
-        return self._assemble(r, self.alpha, 1.0, extra, self._sink, tol, kcap)
+    def pdf(self, r, tol):
+        """Density at r on this side; returns (value, certified abs error)."""
+        return self.evaluate(r, ("pdf",), (tol,))[:, 0]
 
-    def dpdf(self, r, tol, kcap=None):
-        """Derivative d/dr of the density on this side."""
-        extra = np.log(self._k * self.alpha + 1.0)
-        return self._assemble(r, self.alpha, 2.0, extra, -self._sink, tol, kcap)
-
-    def sf(self, r, tol, kcap=None):
+    def sf(self, r, tol):
         """Upper tail mass: integral of the density from r to infinity."""
-        extra = -np.log(self._k * self.alpha)
-        return self._assemble(r, self.alpha, 0.0, extra, self._sink, tol, kcap)
-
-    def partial(self, r, tol, kcap, quantity: str):
-        """"dalpha" or "dbeta" (this side's own beta) of the density at fixed r."""
-        extra, sign, slope = self._shape_coefs[quantity]
-        return self._assemble(r, self.alpha, 1.0, extra, sign, tol, kcap, slope)
+        return self.evaluate(r, ("sf",), (tol,))[:, 0]
 
 
 class CenterSeries:
@@ -330,6 +354,7 @@ class CenterSeries:
         self.dtau = shift_partials(alpha, beta)
         k = np.arange(0, kmax + 1, dtype=float)
         self._k = k
+        self._specs = {}
         self._logcoef = (
             special.gammaln((k + 1.0) / alpha)
             - special.gammaln(k + 1.0)
@@ -337,38 +362,67 @@ class CenterSeries:
         )
         self._cosk = np.cos((k + 1.0) / alpha * np.arctan(tau) - k * np.pi / 2.0)
 
-    def _assemble(self, y, shift_pow, extra_logmag, trig, tol, kcap):
-        y = np.asarray(y, dtype=float)
-        ay = np.abs(y)
-        logay = np.where(ay > 0.0, np.log(np.where(ay > 0.0, ay, 1.0)), -745.0)
+    def _spec(self, quantity: str):
+        """(extra, off, trig, ratio) of one quantity's terms, cached.
+
+        Term k is trig_k * coef_k * exp(extra_k) * y**(k + off) / (alpha pi);
+        the ratio bound is infinite where k + off < 0 (extra -inf).
+        """
+        if quantity not in self._specs:
+            k = self._k
+            off, extra, trig = 0.0, np.broadcast_to(0.0, k.shape), self._cosk
+            if quantity == "dpdf":
+                off, extra = -1.0, np.where(k > 0, np.log(np.where(k > 0, k, 1.0)), -np.inf)
+            elif quantity != "pdf":
+                extra, trig = self._shape_coefs[quantity]
+            self._specs[quantity] = (extra, off, trig, _contraction(self._logcoef + extra))
+        return self._specs[quantity]
+
+    def _budget(self, spec, tol, kcap, logay):
+        """Terms a quantity sums at the points ``logay``: 0 if there are none."""
         nk = (self.kmax + 1) if kcap is None else min(kcap, self.kmax + 1)
-        if kcap is None and ay.size:
-            worst = float(logay.max())
-            probe = (self._logcoef[:nk] + self._k[:nk] * worst
-                     + np.nan_to_num(extra_logmag[:nk], neginf=0.0))
-            done = probe <= np.log(tol / (_ASYM_SAFETY * 10.0) * self.alpha * np.pi
-                                   + 1e-300)
+        if kcap is None and logay.size:
+            probe = self._logcoef[:nk] + self._k[:nk] * float(logay.max()) + spec[0][:nk]
+            done = probe <= np.log(tol / (_ASYM_SAFETY * 10.0) * self.alpha * np.pi + 1e-300)
             done[:4] = False  # envelopes can start below threshold near k = 0
             if done.any():
                 nk = min(nk, max(int(np.argmax(done)) + 2, 8))
-        k = self._k[:nk]
-        kp = k + shift_pow
-        valid_k = kp >= 0.0
-        logmag = (self._logcoef[:nk, None] + extra_logmag[:nk, None]
-                  + np.where(valid_k, kp, 0.0)[:, None] * logay[None, :])
-        logmag = np.where(valid_k[:, None], logmag, -np.inf)
-        # y^kp sign for negative y
-        neg = (y < 0.0)[None, :] & (np.mod(kp, 2.0) == 1.0)[:, None]
-        sign = np.where(neg, -1.0, 1.0)
-        # kp = 0 keeps the bare coefficient even at y = 0
-        zero_fix = (kp == 0.0)[:, None] & (ay == 0.0)[None, :]
-        logmag = np.where(zero_fix, (self._logcoef[:nk] + extra_logmag[:nk])[:, None], logmag)
-        env = np.exp(np.clip(logmag, _LOG_FLOOR, 700.0)) / (self.alpha * np.pi)
-        terms = env * sign * trig[:nk, None]
-        ratio = (_contraction(self._logcoef + extra_logmag)[:nk], logay)
-        value, err = _certified_sum(env, terms, tol, ratio, usable=valid_k[:, None])
-        bad = ~np.isfinite(value)
-        return np.where(bad, 0.0, value), np.where(bad, np.inf, err)
+        return nk if logay.size else 0
+
+    def evaluate(self, y, quantities, tols, kcap=None, need=None):
+        """As ``TailSeriesSide.evaluate``, at y, for "pdf", "dpdf" (d/dy), "dalpha", "dbeta".
+
+        The quantities share log|y|, the powers of |y| and their signs.
+        """
+        y = np.asarray(y, dtype=float)
+        ay = np.abs(y)
+        logay = np.where(ay > 0.0, np.log(np.where(ay > 0.0, ay, 1.0)), -745.0)
+        specs = [self._spec(q) for q in quantities]
+        rows = need if need is not None else [slice(None)] * len(quantities)
+        nks = [self._budget(sp, tol, kcap, logay[row]) for sp, tol, row in zip(specs, tols, rows)]
+        out = np.zeros((2, len(quantities), y.size))
+        out[1] = np.inf
+        neg = (y < 0.0)[None, :] if (y < 0.0).any() else None
+        last = None  # offset of log|y|**(k + off) and the sign of y**(k + off), one at a time
+        for i in sorted(range(len(quantities)), key=lambda j: specs[j][1]):
+            (extra, off, trig, ratio), tol, nk = specs[i], tols[i], nks[i]
+            if not nk:
+                continue
+            if off != last:
+                kp = self._k[:max(nks)] + off
+                # kp = 0 keeps the bare coefficient even at y = 0 (0 * log 0 = 0)
+                last, logpow = off, np.multiply.outer(kp, logay)
+                sign = None if neg is None else np.where(neg & (kp % 2 == 1)[:, None], -1.0, 1.0)
+            logmag = (self._logcoef[:nk] + extra[:nk])[:, None] + logpow[:nk]
+            env = np.exp(np.clip(logmag, _LOG_FLOOR, 700.0, out=logmag), out=logmag)
+            env /= self.alpha * np.pi
+            terms = env * trig[:nk, None]
+            if sign is not None:
+                terms *= sign[:nk]
+            value, err = _certified_sum(env, terms, tol, (ratio[:nk], logay))
+            bad = ~np.isfinite(value)
+            out[:, i] = np.where(bad, 0.0, value), np.where(bad, np.inf, err)
+        return out
 
     @cached_property
     def _shape_coefs(self):
@@ -400,20 +454,9 @@ class CenterSeries:
             out[quantity] = (np.log(mag), (c * self._cosk + s_ * sink) / mag)
         return out
 
-    def pdf(self, y, tol, kcap=None):
+    def pdf(self, y, tol):
         """Density at shifted argument y; returns (value, certified abs error)."""
-        extra = np.zeros(self.kmax + 1)
-        return self._assemble(y, 0.0, extra, self._cosk, tol, kcap)
-
-    def dpdf(self, y, tol, kcap=None):
-        """Derivative d/dy of the density."""
-        extra = np.where(self._k > 0, np.log(np.where(self._k > 0, self._k, 1.0)), -np.inf)
-        return self._assemble(y, -1.0, extra, self._cosk, tol, kcap)
-
-    def partial(self, y, tol, kcap, quantity: str):
-        """"dalpha" or "dbeta" of the density at fixed y."""
-        extra, trig = self._shape_coefs[quantity]
-        return self._assemble(y, 0.0, extra, trig, tol, kcap)
+        return self.evaluate(y, ("pdf",), (tol,))[:, 0]
 
 
 def tail_constant(alpha: float, beta: float, side: int) -> float:

@@ -254,3 +254,19 @@ class TestFrontier:
         spread = np.std([p.a_star for p in pts], ddof=1)
         reported = np.median([p.stderr for p in pts])
         assert 0.5 * reported <= spread <= 2.0 * reported
+
+    def test_unseeded_frontier_shares_draws(self, monkeypatch):
+        # seed=None still means common random numbers within one call, so
+        # brentq sees one smooth function of a and the se its draws
+        from stablegarch.garch import stability
+        seeds = []
+        lyap = stability.lyapunov_exponent
+
+        def recording(theta, psi, horizon, replications, seed):
+            seeds.append(seed)
+            return lyap(theta, psi, horizon, replications, seed)
+
+        monkeypatch.setattr(stability, "lyapunov_exponent", recording)
+        stationarity_frontier(1.6, [0.6], horizon=1000, replications=4, seed=None)
+        assert len(seeds) > 2
+        assert seeds[0] is not None and all(s == seeds[0] for s in seeds)

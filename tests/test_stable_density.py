@@ -400,5 +400,59 @@ class TestShapePartials:
         assert engine._engine.cache_info().misses == 1
 
 
+
+_FUSED_LAWS = [(a, b) for a in (0.8, 1.3, 1.7, 1.95) for b in (0.0, 0.3, -0.6)]
+_FUSED_LAWS += [(1.0, 0.0), (1.0, 0.9)]  # S(1, 0.9): no series, tables and quadrature
+_FUSED_X = np.array([-500.0, -40.0, -7.0, -6.0, -5.0, -2.5, -1.0, -0.3, 0.0,
+                     0.3, 1.0, 2.5, 5.0, 6.0, 7.0, 40.0, 500.0])
+
+
+class TestFusedPass:
+    """f, f' and both partials evaluated together against one at a time."""
+
+    @pytest.mark.parametrize("acc", [FIT_ACCURACY, DensityAccuracy()], ids=["fit", "default"])
+    @pytest.mark.parametrize("alpha, beta", _FUSED_LAWS)
+    def test_matches_single_quantity_paths(self, alpha, beta, acc):
+        from stablegarch.stable import engine, log_density_terms
+        from stablegarch.stable.engine import StandardDensity
+        singles = [StandardDensity(alpha, beta, acc).pdf_with_err(_FUSED_X),
+                   StandardDensity(alpha, beta, acc).dpdf_with_err(_FUSED_X),
+                   StandardDensity(alpha, beta, acc).partial_with_err(_FUSED_X, "alpha"),
+                   StandardDensity(alpha, beta, acc).partial_with_err(_FUSED_X, "beta")]
+        fused = StandardDensity(alpha, beta, acc).evaluate(
+            _FUSED_X, ("pdf", "dpdf", "dalpha", "dbeta"))
+        fused[0, 0] = np.maximum(fused[0, 0], 0.0)  # as pdf_with_err clips
+        for (val, err), (f_val, f_err) in zip(singles, fused):
+            assert_allclose(f_val, val, rtol=0.0, atol=1e-12)
+            assert np.array_equal(f_err <= acc.abs_tol, err <= acc.abs_tol)
+        engine._engine.cache_clear()  # log_density_terms on a fresh engine
+        logf, slope, d_shape = log_density_terms(_FUSED_X, alpha, beta, acc)
+        f = np.exp(logf)
+        got = [f, slope * f, d_shape[:, 0] * f, d_shape[:, 1] * f]
+        for g, (val, _) in zip(got, singles):
+            assert_allclose(g, val, rtol=0.0, atol=1e-12)
+
+    def test_one_pass_per_piece_and_stage(self, monkeypatch):
+        # stage 1 and the full budget: at most two passes of each series
+        # piece for all four quantities of a likelihood evaluation
+        from stablegarch.stable import engine, log_density_terms, sample
+        from stablegarch.stable.series import CenterSeries, TailSeriesSide
+        passes = []
+        for cls in (CenterSeries, TailSeriesSide):
+            def counting(self, arg, quantities, *args, _evaluate=cls.evaluate, **kwargs):
+                passes.append((id(self), tuple(quantities)))
+                return _evaluate(self, arg, quantities, *args, **kwargs)
+            monkeypatch.setattr(cls, "evaluate", counting)
+        engine._engine.cache_clear()
+        x = sample(StableParams(1.7, 0.3), 1000, np.random.default_rng(3))
+        log_density_terms(x, 1.7, 0.3)
+        per_piece = {}
+        for piece, quantities in passes:
+            per_piece[piece] = per_piece.get(piece, 0) + 1
+            assert quantities == ("pdf", "dpdf", "dalpha", "dbeta")
+        assert len(per_piece) == 3 and max(per_piece.values()) <= 2
+        assert len(passes) > 3  # the full budget ran too
+
+
 def _base(psi):
     return dict(alpha=psi.alpha, beta=psi.beta, mu=psi.mu, gamma=psi.gamma)

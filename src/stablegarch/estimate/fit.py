@@ -65,7 +65,7 @@ def fit_stable_mle(eps: ReturnSeries, bounds: BoundsConfig | None = None,
         std, pd_ok = std_errors_from_information(j_n, len(eps))
         if not pd_ok:
             message += "; J_n not positive definite; standard errors are NaN"
-        alpha_idx = order.p + order.q + 1
+        alpha_idx = order.dim
         if active[alpha_idx] and res.x[alpha_idx] >= bounds.upper[alpha_idx] - 1e-9:
             # at the Gaussian edge the asymmetry is not identified
             std = std.copy()
@@ -133,8 +133,8 @@ def _build_starts(eps, bounds, order, start, n_starts, seed):
     grid = _PSI_START_GRID[: max(n_starts - len(starts), 0)]
     for a0, b0 in grid:
         a_j = float(np.clip(a0 + rng.uniform(-0.02, 0.02),
-                            bounds.lower[order.p + order.q + 1] + 0.01,
-                            bounds.upper[order.p + order.q + 1] - 0.005))
+                            bounds.lower[order.dim] + 0.01,
+                            bounds.upper[order.dim] - 0.005))
         eng = get_engine(StableParams(round(a_j, 3), 0.0), FIT_ACCURACY)
         iqr0 = eng.ppf(0.75) - eng.ppf(0.25)
         scale = max(iqr_data / iqr0, 1e-4)
@@ -158,7 +158,7 @@ def fit_gaussian_qmle(eps: ReturnSeries, bounds: BoundsConfig | None = None,
     """
     if bounds is None:
         bounds = BoundsConfig.default(order).theta_only(order)
-    dim = order.p + order.q + 1
+    dim = order.dim
     if bounds.lower.size != dim:
         bounds = BoundsConfig(bounds.lower[:dim], bounds.upper[:dim])
 

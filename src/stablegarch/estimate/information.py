@@ -21,7 +21,7 @@ def compute_Jn(eps: ReturnSeries, tau_hat: ModelParams,
     tau0 = tau_hat.as_array()
     order = tau_hat.order
     dim = tau0.size
-    n_theta = order.p + order.q + 1
+    n_theta = order.dim
     steps = 1e-3 * np.maximum(np.abs(tau0), 0.01)
     # stay inside the natural domain: positive omega, nonnegative lags,
     # alpha below 2, asymmetry inside (-1, 1)

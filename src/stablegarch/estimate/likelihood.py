@@ -64,7 +64,7 @@ def variance_derivatives(eps: ReturnSeries, theta: GarchParams):
             out[lag:] = series[: n - lag]
         return out
 
-    grads = np.empty((n, p + q + 1))
+    grads = np.empty((n, theta.order.dim))
     grads[:, 0] = signal.lfilter([1.0], ar, np.ones(n))
     for i in range(1, q + 1):
         grads[:, i] = signal.lfilter([1.0], ar, lagged(e2, i, pre))

@@ -51,7 +51,7 @@ class ModelParams:
     @classmethod
     def from_array(cls, tau: np.ndarray, order: GarchOrder) -> "ModelParams":
         tau = np.asarray(tau, dtype=float)
-        d = order.p + order.q + 1
+        d = order.dim
         return cls(theta=GarchParams.from_array(tau[:d], order),
                    alpha=float(tau[d]), beta=float(tau[d + 1]), mu=float(tau[d + 2]))
 
@@ -96,7 +96,7 @@ class BoundsConfig:
         return self.upper > self.lower
 
     def theta_only(self, order: GarchOrder) -> "BoundsConfig":
-        d = order.p + order.q + 1
+        d = order.dim
         return BoundsConfig(self.lower[:d], self.upper[:d])
 
     def clip_inside(self, x: np.ndarray) -> np.ndarray:
@@ -125,13 +125,13 @@ class FitResult:
     def param_array(self) -> np.ndarray:
         arr = self.tau_hat.as_array()
         if self.method == "gaussian":
-            return arr[: self.tau_hat.order.p + self.tau_hat.order.q + 1]
+            return arr[: self.tau_hat.order.dim]
         return arr
 
     def names(self) -> list[str]:
         names = param_names(self.tau_hat.order)
         if self.method == "gaussian":
-            return names[: self.tau_hat.order.p + self.tau_hat.order.q + 1]
+            return names[: self.tau_hat.order.dim]
         return names
 
     def to_dict(self) -> dict:
@@ -167,7 +167,7 @@ class FitResult:
     def from_dict(cls, d: dict) -> "FitResult":
         order = GarchOrder(p=int(d["order"]["p"]), q=int(d["order"]["q"]))
         est = np.asarray(d["estimates"], dtype=float)
-        dim_theta = order.p + order.q + 1
+        dim_theta = order.dim
         theta = GarchParams.from_array(est[:dim_theta], order)
         if d["method"] == "gaussian":
             tau = ModelParams(theta, 2.0, 0.0, 0.0)

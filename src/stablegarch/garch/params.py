@@ -20,6 +20,7 @@ class GarchOrder:
 
     @property
     def dim(self) -> int:
+        """Length of theta = (omega, a_1..a_q, b_1..b_p)."""
         return self.p + self.q + 1
 
 

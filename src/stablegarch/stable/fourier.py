@@ -10,11 +10,11 @@ density ("pdf"), its x-derivative ("dpdf"), or a shape partial at fixed x
 The FFT error decomposes into (i) truncation of the characteristic function
 beyond the sampled window, (ii) aliasing, i.e. folded-in density tails at
 period 2*pi/dt, and (iii) spline interpolation error.  Aliasing is removed
-explicitly: each of the first ``series._NEAR_FOLDS`` tail-series terms is
-summed over all folds in closed form as a Hurwitz zeta, and the next term's
-fold sum bounds the rest, so heavy tails do not contaminate the central
-values.  The shape-partial tables remove their folds the same way, from the
-tail series' own partials.
+explicitly by ``TailSeriesSide.fold_sum``: each of the first
+``series._NEAR_FOLDS`` terms of the tabulated quantity's own tail series is
+summed over all folds in closed form, and the next term's fold sum bounds
+the rest, so heavy tails do not contaminate the central values.  Without
+tail series (alpha = 1) the folds are removed to leading order only.
 
 The node spacing is set by the truncation and interpolation bounds alone;
 the grid size sets only the aliasing period.  So every table is inverted on
@@ -31,7 +31,7 @@ from scipy import integrate, interpolate, special
 
 from .chf import char_fn, dlog_char_fn
 from .params import StableParams
-from .series import TailSeriesSide, log_zeta, tail_constant
+from .series import ODD_QUANTITIES, TailSeriesSide, log_zeta, tail_constant
 
 _ORDER = {"pdf": 0, "dpdf": 1}
 
@@ -183,7 +183,7 @@ class FourierTable:
         q_l = 1.0 + (left.tau - xg) / period
         v_r, e_r = right.fold_sum(q_r, period, quantity)
         v_l, e_l = left.fold_sum(q_l, period, quantity)
-        if quantity in ("dpdf", "dbeta"):
+        if quantity in ODD_QUANTITIES:
             v_l = -v_l  # the left side runs in -x with beta mirrored
         fg -= v_r + v_l
         return e_r + e_l

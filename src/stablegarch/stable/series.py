@@ -26,11 +26,15 @@ envelopes scaled by the magnitudes of the factors on the sine and cosine
 parts.  The engine adds the shift term tau_q * f'(x) that moving y = x + tau
 brings.
 
-Each tail side and the centre series evaluate several quantities in one
-pass: log|y|, the powers of the argument and their signs are shared, and each
-quantity adds only its own factors and its own certificate.  A pass accepts a
-term cap, so dispatchers can run a cheap first pass and re-evaluate only the
-points that failed to certify.
+Each series term is stated once, as a quantity's ``_spec``: a log factor and
+a sign per term, a power offset, and (tail partial in alpha) a log|y| slope.
+One evaluator, ``_Expansion.evaluate``, serves both expansions: the
+quantities asked for together share log|y|, the powers of the argument and
+their signs, and each adds only its own factors and its own certificate.  A
+pass accepts a term cap, so dispatchers can run a cheap first pass and
+re-evaluate only the points that failed to certify.  The tail's
+``fold_sum``, which removes aliasing folds from the Fourier tables, sums the
+same specs over a lattice in closed form.
 """
 
 from __future__ import annotations
@@ -52,6 +56,9 @@ _ZETA_DIRECT = 10
 # Envelopes are floored at exp(-700): flooring only loosens a bound, and exp
 # of smaller arguments takes a subnormal path many times slower.
 _LOG_FLOOR = -700.0
+# Quantities odd under the parity f(x, alpha, beta) = f(-x, alpha, -beta):
+# the slope and the beta partial flip sign between the two tail sides.
+ODD_QUANTITIES = ("dpdf", "dbeta")
 
 
 def skew_shift(alpha: float, beta: float) -> float:
@@ -161,19 +168,80 @@ def log_zeta(s, q):
     return value, bound
 
 
-class TailSeriesSide:
-    """Tail expansion coefficients for one side (argument r = y > 0)."""
+class _Expansion:
+    """A series in powers of |z|, several quantities evaluated in one pass.
 
-    def __init__(self, alpha: float, beta: float, kmax: int):
+    A subclass states its mathematics: ``_logcoef`` (log |coefficient| of
+    term k), ``_exponent`` (the power of |z| in a quantity's term k), its
+    step ``_step`` in k, the norm ``_norm``, ``_spec`` and ``_budget``.
+    """
+
+    def __init__(self, alpha: float, beta: float, kmax: int, k0: int):
         self.alpha = alpha
         self.beta = beta
         self.kmax = kmax
-        tau = skew_shift(alpha, beta)
-        self.tau = tau
+        self.tau = skew_shift(alpha, beta)
         self.dtau = shift_partials(alpha, beta)
-        k = np.arange(1, kmax + 1, dtype=float)
-        self._k = k
+        self._k = np.arange(k0, kmax + 1, dtype=float)
         self._specs = {}
+
+    def evaluate(self, z, quantities, tols, kcap=None, need=None):
+        """(values, errors), each of shape (len(quantities), points), at z.
+
+        The quantities share log|z|, the powers of |z| (held for one offset
+        at a time) and the signs of odd powers at z < 0, and each is
+        certified to its entry of ``tols``.  Without ``kcap`` each term
+        budget is cut to what the slowest of the quantity's ``need`` points
+        (a boolean row each, default all) can use; a quantity with none is
+        skipped.
+        """
+        z = np.asarray(z, dtype=float)
+        az = np.abs(z)
+        logz = np.where(az > 0.0, np.log(np.where(az > 0.0, az, 1.0)), -745.0)
+        specs = [self._spec(q) for q in quantities]
+        rows = need if need is not None else [slice(None)] * len(quantities)
+        nks = [self._budget(sp, tol, kcap, logz[row]) for sp, tol, row in zip(specs, tols, rows)]
+        out = np.zeros((2, len(quantities), z.size))
+        out[1] = np.inf
+        neg = (z < 0.0)[None, :] if (z < 0.0).any() else None
+        last = None
+        for i in sorted(range(len(quantities)), key=lambda j: specs[j][1]):
+            (extra, off, sign, slope, ratio), tol, nk = specs[i], tols[i], nks[i]
+            if not nk:
+                continue
+            if off != last:
+                kp = self._exponent(self._k[:max(nks)], off)
+                # kp = 0 keeps the bare coefficient even at z = 0 (0 * log 0 = 0)
+                last, logpow = off, np.multiply.outer(kp, logz)
+                odd = None if neg is None else np.where(neg & (kp % 2 == 1)[:, None], -1.0, 1.0)
+            logmag = (self._logcoef[:nk] + extra[:nk])[:, None] + logpow[:nk]
+            env = np.exp(np.clip(logmag, _LOG_FLOOR, 700.0, out=logmag), out=logmag)
+            env /= self._norm
+            terms = env * sign[:nk, None]
+            if slope is not None:
+                terms += env * slope[0][:nk, None] * logz
+                env *= 1.0 + slope[1][:nk, None] * np.abs(logz)
+            if odd is not None:
+                terms *= odd[:nk]
+            value, err = _certified_sum(
+                env, terms, tol, None if ratio is None else (ratio[:nk], self._step * logz))
+            bad = ~np.isfinite(value)
+            out[:, i] = np.where(bad, 0.0, value), np.where(bad, np.inf, err)
+        return out
+
+    def pdf(self, z, tol):
+        """Density at z; returns (value, certified abs error)."""
+        return self.evaluate(z, ("pdf",), (tol,))[:, 0]
+
+
+class TailSeriesSide(_Expansion):
+    """Tail expansion for one side, in r = y > 0: term k carries r**(-(alpha*k + off))."""
+
+    def __init__(self, alpha: float, beta: float, kmax: int):
+        super().__init__(alpha, beta, kmax, 1)
+        k, tau = self._k, self.tau
+        self._norm = np.pi
+        self._step = -alpha
         # log of |k-th coefficient| without the r-power, and its sign pattern
         self._logcoef = (
             special.gammaln(k * alpha + 1.0)
@@ -182,17 +250,19 @@ class TailSeriesSide:
         )
         self._sink = np.sin(k * (np.arctan(tau) + alpha * np.pi / 2.0)) * (-1.0) ** (k + 1)
 
-    def leading_constant(self) -> float:
-        """Constant K in f(y) ~ K y^(-alpha-1) on this side (may be 0 at beta = -1)."""
-        return float(np.exp(self._logcoef[0]) * self._sink[0] / np.pi)
+    def _exponent(self, k, off):
+        return -(self.alpha * k + off)
 
     def _spec(self, quantity: str):
         """(extra, off, sign, slope, ratio) of one quantity's terms, cached.
 
-        Term k is sign_k * env_k, |sign_k| <= 1, with envelope env_k = coef_k *
-        exp(extra_k) * r**(-(alpha*k + off)) / pi.  ``slope`` = (s_k, m_k),
-        |s_k| <= m_k, adds s_k * env_k * log(r) to the term and m_k * env_k *
-        |log(r)| to its envelope; ``ratio`` bounds envelope ratios (alpha <= 1).
+        The quantities are "pdf", "dpdf" (d/dr), "sf" (the upper tail mass)
+        and the partials "dalpha" and "dbeta" of this side's own beta at
+        fixed r.  Term k is sign_k * env_k, |sign_k| <= 1, with envelope
+        env_k = coef_k * exp(extra_k) * r**(-(alpha*k + off)) / pi.
+        ``slope`` = (s_k, m_k), |s_k| <= m_k, adds s_k * env_k * log(r) to the
+        term and m_k * env_k * |log(r)| to its envelope; ``ratio`` bounds
+        envelope ratios (alpha <= 1).
         """
         if quantity not in self._specs:
             k, slope = self._k, None
@@ -226,84 +296,40 @@ class TailSeriesSide:
                 nk = min(nk, max(int(np.argmax(done)) + 2, 8))
         return nk if logr.size else 0
 
-    def evaluate(self, r, quantities, tols, kcap=None, need=None):
-        """(values, errors), each of shape (len(quantities), points), at r.
-
-        The quantities ("pdf", "dpdf" = d/dr, "sf" = upper tail mass, or the
-        partials "dalpha" and "dbeta" of this side's own beta at fixed r)
-        share log r and the powers of r, and each is certified to its entry
-        of ``tols``.  Without ``kcap`` each term budget is cut to what the
-        slowest of the quantity's ``need`` points (a boolean row each,
-        default all) can use; a quantity with none is skipped.
-        """
-        r = np.asarray(r, dtype=float)
-        logr = np.where(r > 0.0, np.log(np.where(r > 0.0, r, 1.0)), 0.0)
-        specs = [self._spec(q) for q in quantities]
-        rows = need if need is not None else [slice(None)] * len(quantities)
-        nks = [self._budget(sp, tol, kcap, logr[row]) for sp, tol, row in zip(specs, tols, rows)]
-        out = np.zeros((2, len(quantities), r.size))
-        out[1] = np.inf
-        last = None  # offset of the powers log r**(-(alpha*k + off)), one held at a time
-        for i in sorted(range(len(quantities)), key=lambda j: specs[j][1]):
-            (extra, off, sign, slope, ratio), tol, nk = specs[i], tols[i], nks[i]
-            if not nk:
-                continue
-            if off != last:
-                kp = -(self.alpha * self._k[:max(nks)] + off)
-                last, logpow = off, np.multiply.outer(kp, logr)
-            logmag = (self._logcoef[:nk] + extra[:nk])[:, None] + logpow[:nk]
-            env = np.exp(np.clip(logmag, _LOG_FLOOR, 700.0, out=logmag), out=logmag)
-            env /= np.pi
-            terms = env * sign[:nk, None]
-            if slope is not None:
-                terms += env * slope[0][:nk, None] * logr
-                env *= 1.0 + slope[1][:nk, None] * np.abs(logr)
-            value, err = _certified_sum(
-                env, terms, tol, None if ratio is None else (ratio[:nk], -self.alpha * logr))
-            bad = ~np.isfinite(value) | (r <= 0.0)
-            out[:, i] = np.where(bad, 0.0, value), np.where(bad, np.inf, err)
-        return out
-
     def fold_sum(self, q0, period, quantity: str = "pdf"):
-        """Sum of the series over the lattice (q0 + j) * period, j >= 0.
+        """Sum of the quantity's series over the lattice r_j = (q0 + j) * period, j >= 0.
 
-        Used to remove aliasing folds from FFT inversions: summing each of the
-        first ``_NEAR_FOLDS`` series terms over the lattice gives a Hurwitz
-        zeta in closed form.  ``quantity`` is "pdf", "dpdf" (d/dr) or a shape
-        partial at fixed x, "dalpha" or "dbeta" (this side's own beta): the
-        lattice points r_j = x + tau + j * period then move with tau, which
-        brings d zeta/d q = -s zeta(s + 1, q), and the alpha partial's
-        log(r_j) factor brings Z(s, q) = -d zeta/d s (``log_zeta``).
-        Returns (value, error) where the error bounds the first omitted term's
-        lattice sum and the Euler-Maclaurin remainders.
+        Used to remove aliasing folds from FFT inversions.  Each of the first
+        ``_NEAR_FOLDS`` terms of the quantity's ``_spec``, summed over the
+        lattice, is a Hurwitz zeta at s = alpha*k + off, plus
+        Z(s, q) = -d zeta/d s (``log_zeta``) where the term has a log r
+        slope.  A shape partial is taken at fixed x, where the lattice points
+        x + tau + j * period move with tau: that adds d tau/d q times the f'
+        folds.  Returns (value, error) where the error bounds the first
+        omitted term's lattice sum and the Euler-Maclaurin remainders.
         """
-        q0 = np.asarray(q0, dtype=float)[None, :]
+        q0 = np.asarray(q0, dtype=float)
         n = min(_NEAR_FOLDS, self.kmax - 1) + 1  # the last term only bounds the rest
-        s = self._k[:n, None] * self.alpha + 1.0
         logp = np.log(period)
-        base = np.exp(self._logcoef[:n, None] - s * logp) / np.pi
-        sink = self._sink[:n, None]
-        z0 = special.zeta(s, q0)
-        em_err = 0.0
-        if quantity == "pdf":
-            val, mag = sink * (base * z0), base * z0
-        else:
-            shift = s * base * special.zeta(s + 1.0, q0) / period
-            if quantity == "dpdf":
-                val, mag = -sink * shift, shift
-            else:
-                extra, sign, slope = self._shape_coefs[quantity]
-                dtau = self.dtau[quantity]
-                amag = np.exp(extra[:n, None]) * base
-                val = amag * sign[:n, None] * z0 - dtau * sink * shift
-                mag = amag * z0 + abs(dtau) * shift
-                if slope is not None:
-                    lz, lz_err = log_zeta(s, q0[0])
-                    logsum = logp * z0 + lz
-                    val = val + amag * slope[0][:n, None] * logsum
-                    mag = mag + amag * slope[1][:n, None] * np.abs(logsum)
-                    em_err = np.sum(amag * slope[1][:n, None] * lz_err, axis=0)
-        return val[:-1].sum(axis=0), float(np.max(mag[-1] + em_err)) * 1.5
+        parts = [(quantity, 1.0)] + ([("dpdf", self.dtau[quantity])] if quantity in self.dtau else [])
+        value = bound = 0.0
+        for q, weight in parts:
+            extra, off, sign, slope, _ = self._spec(q)
+            s = self._k[:n, None] * self.alpha + off
+            amag = np.exp(self._logcoef[:n, None] + extra[:n, None] - s * logp) / np.pi
+            zeta = special.zeta(s, q0)
+            mag = amag * zeta
+            terms = sign[:n, None] * mag
+            em_err = 0.0
+            if slope is not None:
+                lz, lz_err = log_zeta(s, q0)
+                logsum = logp * zeta + lz  # sum of log(r_j) (q0 + j)^(-s)
+                terms = terms + amag * slope[0][:n, None] * logsum
+                mag = mag + amag * slope[1][:n, None] * np.abs(logsum)
+                em_err = np.sum(amag * slope[1][:n, None] * lz_err, axis=0)
+            value = value + weight * terms[:-1].sum(axis=0)
+            bound = bound + abs(weight) * (mag[-1] + em_err)
+        return value, float(np.max(bound)) * 1.5
 
     @cached_property
     def _shape_coefs(self):
@@ -331,30 +357,17 @@ class TailSeriesSide:
             "dbeta": (np.log(b_mag), tb * d_tau / b_mag, None),
         }
 
-    def pdf(self, r, tol):
-        """Density at r on this side; returns (value, certified abs error)."""
-        return self.evaluate(r, ("pdf",), (tol,))[:, 0]
 
-    def sf(self, r, tol):
-        """Upper tail mass: integral of the density from r to infinity."""
-        return self.evaluate(r, ("sf",), (tol,))[:, 0]
-
-
-class CenterSeries:
-    """Taylor expansion of the density in y = x + tau (alpha > 1, or Cauchy)."""
+class CenterSeries(_Expansion):
+    """Taylor expansion in y = x + tau (alpha > 1, or Cauchy): term k carries y**(k + off)."""
 
     def __init__(self, alpha: float, beta: float, kmax: int):
         if not (alpha > 1.0 or (alpha == 1.0 and beta == 0.0)):
             raise ValueError("center series requires alpha > 1 (or alpha = 1, beta = 0)")
-        self.alpha = alpha
-        self.beta = beta
-        self.kmax = kmax
-        tau = skew_shift(alpha, beta)
-        self.tau = tau
-        self.dtau = shift_partials(alpha, beta)
-        k = np.arange(0, kmax + 1, dtype=float)
-        self._k = k
-        self._specs = {}
+        super().__init__(alpha, beta, kmax, 0)
+        k, tau = self._k, self.tau
+        self._norm = alpha * np.pi
+        self._step = 1.0
         self._logcoef = (
             special.gammaln((k + 1.0) / alpha)
             - special.gammaln(k + 1.0)
@@ -362,11 +375,16 @@ class CenterSeries:
         )
         self._cosk = np.cos((k + 1.0) / alpha * np.arctan(tau) - k * np.pi / 2.0)
 
-    def _spec(self, quantity: str):
-        """(extra, off, trig, ratio) of one quantity's terms, cached.
+    def _exponent(self, k, off):
+        return k + off
 
-        Term k is trig_k * coef_k * exp(extra_k) * y**(k + off) / (alpha pi);
-        the ratio bound is infinite where k + off < 0 (extra -inf).
+    def _spec(self, quantity: str):
+        """(extra, off, trig, None, ratio) of one quantity's terms, cached.
+
+        The quantities are "pdf", "dpdf" (d/dy), "dalpha" and "dbeta".  Term
+        k is trig_k * coef_k * exp(extra_k) * y**(k + off) / (alpha pi), with
+        no log slope; the ratio bound is infinite where k + off < 0
+        (extra -inf).
         """
         if quantity not in self._specs:
             k = self._k
@@ -375,7 +393,7 @@ class CenterSeries:
                 off, extra = -1.0, np.where(k > 0, np.log(np.where(k > 0, k, 1.0)), -np.inf)
             elif quantity != "pdf":
                 extra, trig = self._shape_coefs[quantity]
-            self._specs[quantity] = (extra, off, trig, _contraction(self._logcoef + extra))
+            self._specs[quantity] = (extra, off, trig, None, _contraction(self._logcoef + extra))
         return self._specs[quantity]
 
     def _budget(self, spec, tol, kcap, logay):
@@ -388,41 +406,6 @@ class CenterSeries:
             if done.any():
                 nk = min(nk, max(int(np.argmax(done)) + 2, 8))
         return nk if logay.size else 0
-
-    def evaluate(self, y, quantities, tols, kcap=None, need=None):
-        """As ``TailSeriesSide.evaluate``, at y, for "pdf", "dpdf" (d/dy), "dalpha", "dbeta".
-
-        The quantities share log|y|, the powers of |y| and their signs.
-        """
-        y = np.asarray(y, dtype=float)
-        ay = np.abs(y)
-        logay = np.where(ay > 0.0, np.log(np.where(ay > 0.0, ay, 1.0)), -745.0)
-        specs = [self._spec(q) for q in quantities]
-        rows = need if need is not None else [slice(None)] * len(quantities)
-        nks = [self._budget(sp, tol, kcap, logay[row]) for sp, tol, row in zip(specs, tols, rows)]
-        out = np.zeros((2, len(quantities), y.size))
-        out[1] = np.inf
-        neg = (y < 0.0)[None, :] if (y < 0.0).any() else None
-        last = None  # offset of log|y|**(k + off) and the sign of y**(k + off), one at a time
-        for i in sorted(range(len(quantities)), key=lambda j: specs[j][1]):
-            (extra, off, trig, ratio), tol, nk = specs[i], tols[i], nks[i]
-            if not nk:
-                continue
-            if off != last:
-                kp = self._k[:max(nks)] + off
-                # kp = 0 keeps the bare coefficient even at y = 0 (0 * log 0 = 0)
-                last, logpow = off, np.multiply.outer(kp, logay)
-                sign = None if neg is None else np.where(neg & (kp % 2 == 1)[:, None], -1.0, 1.0)
-            logmag = (self._logcoef[:nk] + extra[:nk])[:, None] + logpow[:nk]
-            env = np.exp(np.clip(logmag, _LOG_FLOOR, 700.0, out=logmag), out=logmag)
-            env /= self.alpha * np.pi
-            terms = env * trig[:nk, None]
-            if sign is not None:
-                terms *= sign[:nk]
-            value, err = _certified_sum(env, terms, tol, (ratio[:nk], logay))
-            bad = ~np.isfinite(value)
-            out[:, i] = np.where(bad, 0.0, value), np.where(bad, np.inf, err)
-        return out
 
     @cached_property
     def _shape_coefs(self):
@@ -454,18 +437,15 @@ class CenterSeries:
             out[quantity] = (np.log(mag), (c * self._cosk + s_ * sink) / mag)
         return out
 
-    def pdf(self, y, tol):
-        """Density at shifted argument y; returns (value, certified abs error)."""
-        return self.evaluate(y, ("pdf",), (tol,))[:, 0]
-
 
 def tail_constant(alpha: float, beta: float, side: int) -> float:
     """Constant K with f(x) ~ K |x|^(-alpha-1) as x -> side * infinity.
 
-    For alpha = 1 the expansion coefficients degenerate and the known value
+    It is the tail series' first term, 0 at side * beta = -1.  For alpha = 1
+    the expansion coefficients degenerate and the known value
     (1 + side*beta)/pi is returned instead.
     """
     if alpha == 1.0:
-        return (1.0 + (beta if side > 0 else -beta)) / np.pi
-    b = beta if side > 0 else -beta
-    return TailSeriesSide(alpha, b, 8).leading_constant()
+        return (1.0 + side * beta) / np.pi
+    tail = TailSeriesSide(alpha, side * beta, 1)
+    return float(np.exp(tail._logcoef[0]) * tail._sink[0] / np.pi)

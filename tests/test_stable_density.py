@@ -454,5 +454,41 @@ class TestFusedPass:
         assert len(passes) > 3  # the full budget ran too
 
 
+class TestFoldSums:
+    """Aliasing folds are the tail series' own sums over the fold lattice."""
+
+    @pytest.mark.parametrize("alpha, beta", [(1.7, 0.0), (1.7, 0.3), (1.95, 0.0), (1.95, 0.3)])
+    def test_fold_sum_is_lattice_sum_of_series(self, alpha, beta):
+        from stablegarch.stable.series import TailSeriesSide
+        period, q0 = 300.0, np.array([0.9, 1.0, 1.15])
+        r = ((q0[:, None] + np.arange(200_000)) * period).ravel()
+        for side in (TailSeriesSide(alpha, beta, 16), TailSeriesSide(alpha, -beta, 16)):
+            lattice = {q: side.evaluate(r, (q,), (1e-300,), kcap=4)[0, 0]
+                       .reshape(q0.size, -1).sum(axis=1)
+                       for q in ("pdf", "dpdf", "dalpha", "dbeta")}
+            for q, brute in lattice.items():
+                # a partial at fixed x: the lattice points move with tau
+                want = brute + side.dtau.get(q, 0.0) * lattice["dpdf"]
+                assert_allclose(side.fold_sum(q0, period, q)[0], want, rtol=1e-8)
+
+
+class TestTailMass:
+    """The cdf beyond its anchors, where only the tail mass serves it."""
+
+    @pytest.mark.parametrize("beta", [0.5, -0.9])
+    def test_no_series_law_against_oracle(self, beta):
+        # S(1, beta != 0) has no tail series: the mass comes from a
+        # quadrature grid in log|x|, charged 1e-6
+        from stablegarch.stable.engine import StandardDensity
+        eng = StandardDensity(1.0, beta, DensityAccuracy())
+        xs = np.array([-200.0, -63.5, 63.5, 200.0])
+        got, err = eng.cdf_with_err(xs)
+        st = eng._build_cdf()
+        assert np.all((xs < st["a_l"]) | (xs > st["a_r"]))
+        want = np.array([quad_cdf_oracle(x, 1.0, beta) for x in xs])
+        # the Gil-Pelaez oracle is within 1e-7 of a 30-digit inversion here
+        assert np.all(np.abs(got - want) <= err + 2e-7)
+
+
 def _base(psi):
     return dict(alpha=psi.alpha, beta=psi.beta, mu=psi.mu, gamma=psi.gamma)

@@ -279,6 +279,8 @@ def cmd_var(fit_paths, outsample_path, p_list, report_path, series_path, column)
     try:
         column_sel = int(column) if column.isdigit() else column
         outsample = read_returns_csv(outsample_path, column_sel)
+        if len(outsample) < 2:
+            raise ValueError(f"{outsample_path}: need at least two returns to backtest")
     except ValueError as exc:
         raise click.ClickException(str(exc))
     ps = _float_list(p_list, "--p")

@@ -12,7 +12,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy import special
 
-from .errors import CalibrationError, NotConverged
+from .errors import CalibrationError
 from .stable import FIT_ACCURACY, StableParams, get_engine
 from .stable import log_density_terms
 from .stable import density as stable_density
@@ -205,7 +205,7 @@ def calibrate_jK(alpha: float, K, samples: int = 1000, reps: int = 100,
             x = summed_innovations(base, samples, rng)
             try:
                 res = _fit_stable_iid(x)
-            except (NotConverged, ValueError):
+            except ValueError:
                 res = None
             if res is None or not (res.converged or res.grad_norm < USABLE_GRAD):
                 failures += 1

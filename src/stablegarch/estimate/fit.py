@@ -114,7 +114,7 @@ def _build_starts(eps, bounds, order, start, n_starts, seed):
     cap = float(np.quantile(np.abs(eps.values), 0.99))
     clipped = ReturnSeries(np.clip(eps.values, -cap, cap))
     try:
-        g_fit = fit_gaussian_qmle(clipped, bounds.theta_only(order), order=order)
+        g_fit = fit_gaussian_qmle(clipped, bounds, order=order)
         theta_g = g_fit.tau_hat.theta
     except (NotConverged, NonFiniteLikelihood):
         v = float(np.median(eps.values ** 2)) * 2.2
@@ -143,7 +143,7 @@ def _build_starts(eps, bounds, order, start, n_starts, seed):
         # level block scales by its square
         th[: order.q + 1] = th[: order.q + 1] * scale ** 2
         x0 = np.concatenate([th, [a_j, b0, med / scale]])
-        starts.append(bounds.clip_inside(x0))
+        starts.append(x0)
     return starts
 
 
@@ -157,10 +157,8 @@ def fit_gaussian_qmle(eps: ReturnSeries, bounds: BoundsConfig | None = None,
     residuals, so that sqrt(diag(J_n^{-1})/n) is the sandwich error.
     """
     if bounds is None:
-        bounds = BoundsConfig.default(order).theta_only(order)
-    dim = order.dim
-    if bounds.lower.size != dim:
-        bounds = BoundsConfig(bounds.lower[:dim], bounds.upper[:dim])
+        bounds = BoundsConfig.default(order)
+    bounds = bounds.theta_only(order)
 
     def fun_grad(theta_arr):
         return gaussian_criterion_and_grad(eps, GarchParams.from_array(theta_arr, order))

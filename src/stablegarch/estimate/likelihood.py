@@ -5,9 +5,11 @@ Observation t contributes
     l_t = 0.5 * log(sigma2_t) - log f(eta_t - mu; alpha, beta),
     eta_t = eps_t / sigma_t,
 
-with sigma2_t from the truncated GARCH recursion and f the stable density
-with unit scale.  ``loglik_terms`` returns every l_t together with its score
-row d(l_t)/d(tau):
+with sigma2_t from ``garch.recursion``, started from the in-sample mean of
+eps**2, and f the stable density with unit scale.  (A VaR forecast instead
+uses only the returns before t: the first row of ``risk.var_series`` is NaN
+and a backtest of n returns counts n - 1.)  ``loglik_terms`` returns every
+l_t together with its score row d(l_t)/d(tau):
 
 * theta block: 0.5 * phi_t * Z_t, with phi_t = (d sigma2_t / d theta) / sigma2_t
   and Z_t = 1 + eta_t * f'/f;
@@ -25,11 +27,10 @@ difference it as their oracle.
 from __future__ import annotations
 
 import numpy as np
-from scipy import signal
 
 from ..data import ReturnSeries
 from ..garch.params import GarchParams
-from ..garch.recursion import _presample_value, volatility_path
+from ..garch.recursion import variance_derivatives, volatility_path
 from ..stable import FIT_ACCURACY, DensityAccuracy, StableParams, get_engine
 from ..stable import log_density_terms
 from .params import ModelParams
@@ -42,35 +43,6 @@ def neg_log_likelihood(eps: ReturnSeries, tau: ModelParams,
     eta = eps.values / np.sqrt(sig2)
     eng = get_engine(StableParams(tau.alpha, tau.beta), acc)
     return float(np.mean(0.5 * np.log(sig2) - eng.logpdf(eta - tau.mu)))
-
-
-def variance_derivatives(eps: ReturnSeries, theta: GarchParams):
-    """Volatility path and d(sigma2_t)/d(theta) via linear lag filters.
-
-    Each derivative obeys the same autoregression in the b-lags as sigma2
-    itself, with forcing 1 (omega), lagged squared returns (a_i) or lagged
-    variances (b_j); presample values are treated as constants.
-    """
-    e2 = eps.values ** 2
-    n = e2.size
-    p, q = len(theta.b), len(theta.a)
-    pre = _presample_value(e2)
-    sig2 = volatility_path(eps, theta).sigma2
-    ar = np.concatenate([[1.0], -np.asarray(theta.b, dtype=float)])
-
-    def lagged(series, lag, fill):
-        out = np.full(n, fill)
-        if lag < n:
-            out[lag:] = series[: n - lag]
-        return out
-
-    grads = np.empty((n, theta.order.dim))
-    grads[:, 0] = signal.lfilter([1.0], ar, np.ones(n))
-    for i in range(1, q + 1):
-        grads[:, i] = signal.lfilter([1.0], ar, lagged(e2, i, pre))
-    for j in range(1, p + 1):
-        grads[:, q + j] = signal.lfilter([1.0], ar, lagged(sig2, j, pre))
-    return sig2, grads
 
 
 def loglik_terms(eps: ReturnSeries, tau: ModelParams,

@@ -1,7 +1,7 @@
 """GARCH(p, q) recursion, simulation and strict-stationarity tooling."""
 
 from .params import GarchOrder, GarchParams, VolatilityPath
-from .recursion import one_step_variance, simulate, volatility_path
+from .recursion import simulate, volatility_path
 from .stability import (
     FrontierPoint,
     LyapunovEstimate,
@@ -13,7 +13,7 @@ from .stability import (
 
 __all__ = [
     "GarchOrder", "GarchParams", "VolatilityPath",
-    "volatility_path", "one_step_variance", "simulate",
+    "volatility_path", "simulate",
     "companion_matrix", "lyapunov_exponent", "stationarity_frontier",
     "LyapunovEstimate", "FrontierPoint", "matrix_norm_l1",
 ]

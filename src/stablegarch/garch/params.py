@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,9 +67,14 @@ class GarchParams:
 
 @dataclass
 class VolatilityPath:
-    """Conditional variances along a sample."""
+    """Conditional variances along a sample.
+
+    ``forecast[t - 2]`` is sigma2_t for t = 2..n+1 from the returns before t
+    only, so the first return has none; a simulated path carries no forecast.
+    """
 
     sigma2: np.ndarray
+    forecast: np.ndarray | None = None
 
     def __post_init__(self):
         self.sigma2 = np.asarray(self.sigma2, dtype=float)

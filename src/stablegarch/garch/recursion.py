@@ -14,49 +14,66 @@ from .params import GarchParams, VolatilityPath
 
 
 def _presample_value(eps2: np.ndarray) -> float:
-    """Presample squared returns and variances: the in-sample mean of eps**2."""
+    """Presample squared returns and variances: the mean of the eps**2 a path runs on."""
     return float(np.mean(eps2))
 
 
-def volatility_path(eps: ReturnSeries, theta: GarchParams) -> VolatilityPath:
-    """Conditional variances sigma2_1..sigma2_n given observed returns.
-
-    Presample squared returns and variances are both set to the in-sample
-    mean of eps**2; the influence of that choice decays geometrically.
-    """
+def _lag_filter(theta: GarchParams, force: np.ndarray) -> np.ndarray:
+    """Solve y_t = force_t + sum_j b_j y_{t-j} down each column, from rest."""
     from scipy import signal
 
-    e2 = eps.values ** 2
-    n = e2.size
-    p, q = len(theta.b), len(theta.a)
-    pre = _presample_value(e2)
-    buf_e2 = np.concatenate([np.full(q, pre), e2])
-    # forcing c_t = omega + sum_i a_i eps2_{t-i}; the b-lags form a linear
-    # recursion solved by a lag filter with presample variances as state
-    c = np.full(n, theta.omega)
-    for i, ai in enumerate(theta.a, start=1):
-        if ai != 0.0:
-            c += ai * buf_e2[q - i:q - i + n]
-    if p == 0:
-        return VolatilityPath(c)
     ar = np.concatenate([[1.0], -np.asarray(theta.b, dtype=float)])
-    zi = signal.lfiltic([1.0], ar, np.full(p, pre), np.empty(0))
-    sig2, _ = signal.lfilter([1.0], ar, c, zi=zi)
-    return VolatilityPath(sig2)
+    return signal.lfilter([1.0], ar, force, axis=0)
 
 
-def one_step_variance(eps: ReturnSeries, theta: GarchParams) -> float:
-    """Forecast variance for the next observation after the series end."""
-    path = volatility_path(eps, theta)
-    e2 = eps.values ** 2
-    p, q = len(theta.b), len(theta.a)
-    pre = _presample_value(e2)
-    acc = theta.omega
+def _presample_response(e2: np.ndarray, theta: GarchParams):
+    """(A, B) with sigma2_t = A_t + B_t * s for t = 1..n+1, s the presample value.
+
+    The recursion is linear in s, the value of every presample squared return
+    and variance; row t uses the squared returns before t only.  Presample
+    variances enter B's forcing, so the filter starts from rest.
+    """
+    n = e2.size
+    force = np.zeros((n + 1, 2))
+    force[:, 0] = theta.omega
     for i, ai in enumerate(theta.a, start=1):
-        acc += ai * (e2[-i] if i <= e2.size else pre)
+        force[:, 0] += ai * np.concatenate([np.zeros(i), e2])[:n + 1]
+        force[:i, 1] += ai
     for j, bj in enumerate(theta.b, start=1):
-        acc += bj * (path.sigma2[-j] if j <= path.sigma2.size else pre)
-    return float(acc)
+        force[:j, 1] += bj
+    resp = _lag_filter(theta, force)
+    return resp[:, 0], resp[:, 1]
+
+
+def volatility_path(eps: ReturnSeries, theta: GarchParams) -> VolatilityPath:
+    """Conditional variances sigma2_1..sigma2_n and forecasts sigma2_2..sigma2_{n+1}.
+
+    ``sigma2`` sets the presample squared returns and variances to the
+    in-sample mean of eps**2; its influence decays geometrically.  A
+    forecast of sigma2_t uses the returns before t only: it is the path of
+    eps_1..eps_{t-1}, from the mean of their squares, carried one step on.
+    """
+    e2 = eps.values ** 2
+    base, slope = _presample_response(e2, theta)
+    prefix_means = np.cumsum(e2) / np.arange(1, e2.size + 1)
+    return VolatilityPath(base[:-1] + slope[:-1] * _presample_value(e2),
+                          forecast=base[1:] + slope[1:] * prefix_means)
+
+
+def variance_derivatives(eps: ReturnSeries, theta: GarchParams):
+    """Volatility path sigma2 and d(sigma2_t)/d(theta), shape (n, dim).
+
+    Each derivative obeys the same autoregression in the b-lags as sigma2
+    itself, with forcing 1 (omega), lagged squared returns (a_i) or lagged
+    variances (b_j); presample values are treated as constants.
+    """
+    e2 = eps.values ** 2
+    n, pre = e2.size, _presample_value(e2)
+    sig2 = volatility_path(eps, theta).sigma2
+    lagged = [np.concatenate([np.full(k, pre), x])[:n]
+              for x, n_lags in ((e2, len(theta.a)), (sig2, len(theta.b)))
+              for k in range(1, n_lags + 1)]
+    return sig2, _lag_filter(theta, np.column_stack([np.ones(n)] + lagged))
 
 
 def simulate(theta: GarchParams, psi: StableParams, n: int, burn_in: int = 500,

@@ -1,20 +1,22 @@
 """Value-at-Risk forecasting and out-of-sample hit-frequency backtesting.
 
 The VaR of eps_t is sigma_t times the p-quantile of the fitted innovation
-law, with sigma_t from the GARCH recursion on returns through t - 1 and the
-stable quantile certified at ``DEFAULT_ACCURACY``.
+law (stable quantiles certified at ``DEFAULT_ACCURACY``), with sigma_t the
+GARCH forecast from the returns before t only.  The first return has none
+before it: its row of ``var_series`` (and of the CLI's var CSV) is NaN, and
+a backtest of n returns has ``total`` = n - 1.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy import stats
 
 from .data import ReturnSeries
 from .estimate.params import FitResult
-from .garch.recursion import one_step_variance, volatility_path
+from .garch.recursion import volatility_path
 from .stable import quantile
 
 
@@ -43,8 +45,7 @@ class BacktestReport:
     method: str
 
     def to_dict(self) -> dict:
-        return {"p": self.p, "hits": self.hits, "total": self.total,
-                "hit_frequency": self.hit_frequency, "method": self.method}
+        return asdict(self)
 
 
 def innovation_quantile(fit: FitResult, p: float) -> float:
@@ -58,16 +59,15 @@ def var_forecast(fit: FitResult, history: ReturnSeries, p: float,
                  horizon_index: int | None = None) -> VarForecast:
     """VaR for the observation at ``horizon_index`` given returns before it.
 
-    The volatility for time t is produced by the recursion from returns
-    through t - 1 (the information set of the forecast); by default
-    horizon_index = len(history), the first out-of-sample step.
+    The volatility for time t comes from the recursion on returns 1..t-1
+    only (the information set of the forecast); by default
+    horizon_index = len(history) + 1, the first step past the history.
     """
     n = len(history)
     t = n + 1 if horizon_index is None else int(horizon_index)
     if not (2 <= t <= n + 1):
         raise ValueError("horizon_index must lie in [2, len(history) + 1]")
-    sub = history if t == n + 1 else history.slice(0, t - 1)
-    sig = float(np.sqrt(one_step_variance(sub, fit.tau_hat.theta)))
+    sig = float(np.sqrt(volatility_path(history, fit.tau_hat.theta).forecast[t - 2]))
     q = innovation_quantile(fit, p)
     return VarForecast(t=t, var_value=sig * q, sigma=sig, p=p)
 
@@ -75,11 +75,11 @@ def var_forecast(fit: FitResult, history: ReturnSeries, p: float,
 def var_series(fit: FitResult, outsample: ReturnSeries, p: float):
     """Rolling one-step VaR over a sample with frozen parameters.
 
-    Returns (var_values, sigmas, hits): the recursion is updated with each
-    realized return, the innovation quantile stays fixed, and a hit is a
-    realized return at or below its forecast.
+    Returns (var_values, sigmas, hits): the innovation quantile stays fixed,
+    and a hit is a realized return at or below its forecast.  Row 1 has no
+    forecast: its VaR and sigma are NaN and it is not a hit.
     """
-    sig = volatility_path(outsample, fit.tau_hat.theta).sigma
+    sig = np.sqrt(np.append(np.nan, volatility_path(outsample, fit.tau_hat.theta).forecast[:-1]))
     q = innovation_quantile(fit, p)
     var_vals = sig * q
     hits = outsample.values <= var_vals
@@ -88,7 +88,9 @@ def var_series(fit: FitResult, outsample: ReturnSeries, p: float):
 
 def backtest(fit: FitResult, outsample: ReturnSeries, p: float) -> BacktestReport:
     """Hit frequency of the rolling VaR over a disjoint out-of-sample window."""
-    _, _, hits = var_series(fit, outsample, p)
-    n = len(outsample)
-    return BacktestReport(p=p, hits=int(hits.sum()), total=n,
-                          hit_frequency=float(hits.mean()), method=fit.method)
+    total = len(outsample) - 1
+    if total < 1:
+        raise ValueError("a backtest needs at least two returns; the first has no forecast")
+    hits = int(var_series(fit, outsample, p)[2].sum())
+    return BacktestReport(p=p, hits=hits, total=total,
+                          hit_frequency=hits / total, method=fit.method)

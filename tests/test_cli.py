@@ -194,6 +194,16 @@ class TestVarCommand:
         assert r.exit_code == 1
         assert "bad.json" in r.output and "order" in r.output
 
+    def test_single_return_outsample_named(self, runner, tmp_path):
+        # the first return has no forecast, so one return leaves nothing to test
+        outs = tmp_path / "o.csv"
+        write_returns_csv(outs, ReturnSeries(np.array([0.1])))
+        fit = tmp_path / "f.json"
+        fit.write_text("{}")
+        r = invoke(runner, ["var", "--fit", str(fit), "--outsample", str(outs)])
+        assert r.exit_code == 1
+        assert "two returns" in r.output
+
     @pytest.mark.parametrize("level", ["x", "0.05,1.5"])
     def test_bad_level_named(self, runner, tmp_path, level):
         outs = tmp_path / "o.csv"

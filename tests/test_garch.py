@@ -16,6 +16,7 @@ from stablegarch.garch import (
     stationarity_frontier,
     volatility_path,
 )
+from stablegarch.garch.recursion import variance_derivatives
 from stablegarch.stable import StableParams
 
 THETA0 = GarchParams(0.01, a=(0.02,), b=(0.7,))
@@ -90,6 +91,26 @@ class TestVolatilityPath:
         path = volatility_path(eps, theta)
         rel = np.abs(path.sigma2[300:] - truth.sigma2[300:]) / truth.sigma2[300:]
         assert rel.max() < 1e-6
+
+
+class TestVarianceDerivatives:
+    @pytest.mark.parametrize("p, q", [(1, 1), (0, 1), (1, 2), (2, 1), (2, 2)])
+    def test_columns_match_central_differences(self, p, q):
+        # the presample is a function of the data alone, so sigma2 is a
+        # smooth function of theta and differences of the path are valid
+        rng = np.random.default_rng(10 * p + q)
+        eps = ReturnSeries(rng.standard_t(1.7, 400) * 0.1)
+        theta = GarchParams(0.02, a=(0.06, 0.04)[:q], b=(0.45, 0.25)[:p])
+        _, grads = variance_derivatives(eps, theta)
+        x = theta.as_array()
+        for k in range(x.size):
+            h = 1e-6 * x[k]
+            up, dn = x.copy(), x.copy()
+            up[k] += h
+            dn[k] -= h
+            diff = (volatility_path(eps, GarchParams.from_array(up, theta.order)).sigma2
+                    - volatility_path(eps, GarchParams.from_array(dn, theta.order)).sigma2)
+            assert_allclose(grads[:, k], diff / (2 * h), rtol=1e-6, atol=1e-9)
 
 
 class TestSimulate:

@@ -48,6 +48,29 @@ class TestVarForecast:
             var_forecast(fit, eps, p=0.01, horizon_index=12)
 
 
+class TestNoLookAhead:
+    def test_last_return_moves_no_forecast(self):
+        theta = GarchParams(0.01, a=(0.03,), b=(0.6,))
+        fit = make_fit(theta=theta, alpha=1.7)
+        out, _ = simulate(theta, StableParams(1.7, 0.0), n=200, seed=5)
+        shocked = out.values.copy()
+        shocked[-1] = 50.0
+        v1, s1, _ = var_series(fit, out, p=0.05)
+        v2, s2, _ = var_series(fit, ReturnSeries(shocked), p=0.05)
+        assert np.isnan(v1[0]) and np.isnan(s1[0])
+        np.testing.assert_array_equal(v1, v2)
+        np.testing.assert_array_equal(s1, s2)
+
+    def test_series_matches_forecast_at_every_date(self):
+        theta = GarchParams(0.01, a=(0.05, 0.03), b=(0.5, 0.2))
+        fit = make_fit(theta=theta, alpha=1.7, beta=0.3)
+        out, _ = simulate(theta, StableParams(1.7, 0.3), n=120, seed=13)
+        vals, _, _ = var_series(fit, out, p=0.05)
+        want = [var_forecast(fit, out, p=0.05, horizon_index=t).var_value
+                for t in range(2, len(out) + 1)]
+        np.testing.assert_allclose(vals[1:], want, rtol=1e-12)
+
+
 class TestBacktest:
     def test_hits_monotone_in_p(self):
         fit = make_fit()
@@ -55,7 +78,8 @@ class TestBacktest:
         r1 = backtest(fit, out, p=0.01)
         r5 = backtest(fit, out, p=0.05)
         assert r1.hits <= r5.hits
-        assert r1.total == r5.total == 5000
+        # the first return has no returns before it, so no forecast
+        assert r1.total == r5.total == 4999
 
     def test_frequency_within_binomial_band_at_truth(self):
         fit = make_fit()
@@ -78,13 +102,18 @@ class TestBacktest:
         np.testing.assert_array_equal(hits, hits_s)
 
     def test_weak_inequality_convention(self):
-        # a return exactly at the forecast counts as a hit
+        # a return exactly at the forecast counts as a hit; the first return
+        # has no forecast, so even a loss far below the quantile is no hit
         theta = GarchParams(1.0, a=(0.0,), b=(0.0,))
         fit = make_fit(theta=theta, alpha=1.5)
         q = quantile(0.1, StableParams(1.5, 0.0))
-        out = ReturnSeries(np.array([q, q - 1e-9, q + 1e-9, 0.0]))
+        out = ReturnSeries(np.array([q - 1.0, q, q - 1e-9, q + 1e-9, 0.0]))
         _, _, hits = var_series(fit, out, p=0.1)
-        assert hits.tolist() == [True, True, False, False]
+        assert hits.tolist() == [False, True, True, False, False]
+
+    def test_single_return_has_nothing_to_backtest(self):
+        with pytest.raises(ValueError):
+            backtest(make_fit(), ReturnSeries(np.array([0.1])), p=0.05)
 
     def test_stable_beats_gaussian_on_heavy_tails(self):
         # fits at the truth: the stable quantile matches the innovation law,

@@ -8,10 +8,9 @@ import math
 import sys
 
 import click
-import numpy as np
 import yaml
 
-from .data import ReturnSeries, read_returns_csv, write_returns_csv
+from .data import read_returns_csv, write_returns_csv
 from .domain_attraction import SummedInnovationSpec, summed_innovations
 from .errors import ExplosionError, NonFiniteLikelihood, NotConverged, StableGarchError
 from .estimate import FitResult, fit_gaussian_qmle, fit_stable_mle
@@ -19,7 +18,7 @@ from .experiment import ExperimentConfig, run_experiment
 from .garch.params import GarchOrder, GarchParams
 from .garch.recursion import simulate as garch_simulate
 from .garch.stability import stationarity_frontier
-from .risk import backtest, var_series
+from .risk import BacktestReport, var_series
 from .stable import FIT_ACCURACY, DensityAccuracy, StableParams
 
 
@@ -52,11 +51,11 @@ def _psi_from_config(cfg: dict) -> StableParams:
         raise click.ClickException(f"innovation: {exc}")
 
 
-def _accuracy_from_config(cfg: dict) -> DensityAccuracy | None:
+def _accuracy_from_config(cfg: dict) -> DensityAccuracy:
     """FIT_ACCURACY with the settings the config's ``accuracy`` block gives."""
     acc = cfg.get("accuracy")
     if not acc:
-        return None
+        return FIT_ACCURACY
     known = {f.name for f in dataclasses.fields(DensityAccuracy)}
     unknown = sorted(set(acc) - known)
     if unknown:
@@ -114,35 +113,21 @@ def cmd_fit(input_path, output_path, config_path, method, column, date_column,
         raise click.ClickException(str(exc))
     order = GarchOrder(p=p_order, q=q_order)
     acc = _accuracy_from_config(cfg)
-    meta = {"n": len(series)}
-    if series.dates:
-        meta["first_date"] = series.dates[0]
-        meta["last_date"] = series.dates[-1]
     try:
         if method == "gaussian":
             fit = fit_gaussian_qmle(series, order=order)
         else:
-            kwargs = {} if acc is None else {"acc": acc}
             fit = fit_stable_mle(series, order=order, seed=seed,
-                                 n_starts=n_starts, **kwargs)
+                                 n_starts=n_starts, acc=acc)
     except NotConverged as exc:
-        fit = exc.result
-        _write_fit(fit, output_path, meta)
+        exc.result.to_json(output_path)
         click.echo(f"did not converge: {exc}", err=True)
         sys.exit(3)
     except (NonFiniteLikelihood, ExplosionError, ValueError) as exc:
         raise click.ClickException(str(exc))
-    _write_fit(fit, output_path, meta)
+    fit.to_json(output_path)
     click.echo(f"wrote {output_path}: "
                + ", ".join(f"{n}={v:.6g}" for n, v in zip(fit.names(), fit.param_array())))
-
-
-def _write_fit(fit: FitResult, path, meta):
-    doc = fit.to_dict()
-    doc["data"] = meta
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
 
 
 @main.command("simulate")
@@ -213,10 +198,8 @@ def cmd_experiment(output_path, details_path, config_path, alpha, k_list, n,
              ("seed", int, seed, cfg.get("seed")),
              ("calibration_samples", int, None, calib.get("samples")),
              ("calibration_reps", int, None, calib.get("reps"))]
-    kw = dict(theta0=_theta_from_config(cfg), cache_path=cache_path)
-    acc = _accuracy_from_config(cfg)
-    if acc is not None:
-        kw["accuracy"] = acc
+    kw = dict(theta0=_theta_from_config(cfg), cache_path=cache_path,
+              accuracy=_accuracy_from_config(cfg))
     try:
         for key, conv, flag, value in given:
             if flag is not None or value is not None:
@@ -291,21 +274,15 @@ def cmd_var(fit_paths, outsample_path, p_list, report_path, series_path, column)
     warnings = []
     for path in fit_paths:
         try:
-            with open(path, encoding="utf-8") as fh:
-                doc = json.load(fh)
-            fit = FitResult.from_dict(doc)
+            fit = FitResult.from_json(path)
         except (KeyError, TypeError, ValueError) as exc:
             raise click.ClickException(f"{path}: not a fit JSON ({exc!r})")
-        data_meta = doc.get("data", {})
-        if outsample.dates and data_meta.get("last_date"):
-            if outsample.dates[0] <= data_meta["last_date"]:
-                warnings.append(
-                    f"{path}: outsample starts at {outsample.dates[0]}, "
-                    f"inside the fit window ending {data_meta['last_date']}")
+        if outsample.dates and fit.last_date and outsample.dates[0] <= fit.last_date:
+            warnings.append(f"{path}: outsample starts at {outsample.dates[0]}, "
+                            f"inside the fit window ending {fit.last_date}")
         for p in ps:
-            rep = backtest(fit, outsample, p)
-            reports.append(rep.to_dict())
             vv, sig, hits = var_series(fit, outsample, p)
+            reports.append(BacktestReport.from_hits(p, hits, fit.method).to_dict())
             series_cols[f"var_{fit.method}_p{p:g}"] = vv
             series_cols[f"hit_{fit.method}_p{p:g}"] = hits.astype(float)
             if f"sigma_{fit.method}" not in series_cols:

@@ -72,12 +72,18 @@ def fit_stable_mle(eps: ReturnSeries, bounds: BoundsConfig | None = None,
             std[alpha_idx + 1] = np.nan
     fit = FitResult(tau_hat=tau_hat, neg_loglik=res.fun, J_n=j_n, std_errors=std,
                     iterations=total_iter, converged=res.converged,
-                    constraint_active=active, method="stable", n_obs=len(eps),
-                    grad_norm=res.grad_norm, message=message)
+                    constraint_active=active, method="stable",
+                    grad_norm=res.grad_norm, message=message, **_window(eps))
     if not res.converged:
         raise NotConverged(
             f"gradient norm {res.grad_norm:.2e} above tolerance", result=fit)
     return fit
+
+
+def _window(eps: ReturnSeries) -> dict:
+    """FitResult's data window fields: n_obs and the first and last date."""
+    dates = eps.dates or [None]
+    return {"n_obs": len(eps), "first_date": dates[0], "last_date": dates[-1]}
 
 
 def _best_start(fun_grad, starts, bounds: BoundsConfig):
@@ -196,8 +202,8 @@ def fit_gaussian_qmle(eps: ReturnSeries, bounds: BoundsConfig | None = None,
     fit = FitResult(tau_hat=tau_hat, neg_loglik=res.fun, J_n=j_n, std_errors=std,
                     iterations=total_iter, converged=converged,
                     constraint_active=_active_constraints(res.x, bounds),
-                    method="gaussian", n_obs=len(eps), grad_norm=res.grad_norm,
-                    message=message)
+                    method="gaussian", grad_norm=res.grad_norm,
+                    message=message, **_window(eps))
     if not converged:
         raise NotConverged(reason, result=fit)
     return fit

@@ -109,7 +109,8 @@ def minimize_bounded(fun_grad: Callable[[np.ndarray], tuple],
         res = res2
     x_hat = tr.to_x(res.x)
     gnorm = float(np.max(np.abs(res.jac))) if res.jac is not None else np.inf
-    converged = bool(np.isfinite(res.fun)) and gnorm <= _GRAD_TOL
+    # the _BIG sentinel of a non-finite objective has a zero gradient
+    converged = bool(res.fun < _BIG) and gnorm <= _GRAD_TOL
     return BoundedResult(x=x_hat, fun=float(res.fun), grad_norm=gnorm,
                          iterations=total_nit, converged=converged,
                          message=str(res.message))

@@ -108,7 +108,17 @@ class BoundsConfig:
 
 @dataclass
 class FitResult:
-    """Estimation output: parameters, information matrix and diagnostics."""
+    """Estimation output: parameters, information matrix and diagnostics.
+
+    ``to_json`` writes and ``from_json`` reads the fit document of the CLI's
+    ``fit`` and ``var``: the fields "method", "order" {"p", "q"}, "names",
+    "estimates", "std_errors", "neg_loglik", "J_n" (row-major),
+    "iterations", "converged", "constraint_active", "grad_norm", "message"
+    and "data" {"n", "first_date", "last_date"}, the window of the n_obs
+    returns fitted (dates null when the series has none).  Non-finite
+    errors and gradient norms are null.  Documents that also carry a
+    top-level "n_obs" (the earlier CLI layout) load; n is read from "data".
+    """
 
     tau_hat: ModelParams
     neg_loglik: float
@@ -121,6 +131,8 @@ class FitResult:
     n_obs: int = 0
     grad_norm: float = np.nan
     message: str = ""
+    first_date: str | None = None
+    last_date: str | None = None
 
     def param_array(self) -> np.ndarray:
         arr = self.tau_hat.as_array()
@@ -134,9 +146,10 @@ class FitResult:
             return names[: self.tau_hat.order.dim]
         return names
 
-    def to_dict(self) -> dict:
+    def to_json(self, path) -> None:
+        """Write the fit document to ``path``."""
         order = self.tau_hat.order
-        d = {
+        doc = {
             "method": self.method,
             "order": {"p": order.p, "q": order.q},
             "names": self.names(),
@@ -150,51 +163,38 @@ class FitResult:
             "converged": bool(self.converged),
             "constraint_active": (None if self.constraint_active is None
                                   else [bool(v) for v in self.constraint_active]),
-            "n_obs": int(self.n_obs),
             "grad_norm": _float_or_none(self.grad_norm),
             "message": self.message,
+            "data": {"n": int(self.n_obs), "first_date": self.first_date,
+                     "last_date": self.last_date},
         }
-        return d
-
-    def to_json(self, path=None) -> str:
-        text = json.dumps(self.to_dict(), indent=2)
-        if path is not None:
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(text + "\n")
-        return text
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "FitResult":
-        order = GarchOrder(p=int(d["order"]["p"]), q=int(d["order"]["q"]))
-        est = np.asarray(d["estimates"], dtype=float)
-        dim_theta = order.dim
-        theta = GarchParams.from_array(est[:dim_theta], order)
-        if d["method"] == "gaussian":
-            tau = ModelParams(theta, 2.0, 0.0, 0.0)
-        else:
-            tau = ModelParams(theta, *est[dim_theta:dim_theta + 3])
-        dim = len(d["names"])
-        jn = None
-        if d.get("J_n") is not None:
-            jn = np.asarray(d["J_n"], dtype=float).reshape(dim, dim)
-        se = None
-        if d.get("std_errors") is not None:
-            se = np.array([np.nan if v is None else float(v) for v in d["std_errors"]])
-        ca = None
-        if d.get("constraint_active") is not None:
-            ca = np.asarray(d["constraint_active"], dtype=bool)
-        return cls(tau_hat=tau, neg_loglik=float(d["neg_loglik"]), J_n=jn,
-                   std_errors=se, iterations=int(d["iterations"]),
-                   converged=bool(d["converged"]), constraint_active=ca,
-                   method=d["method"], n_obs=int(d.get("n_obs", 0)),
-                   grad_norm=(np.nan if d.get("grad_norm") is None
-                              else float(d["grad_norm"])),
-                   message=d.get("message", ""))
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh, indent=2)
+            fh.write("\n")
 
     @classmethod
     def from_json(cls, path) -> "FitResult":
+        """Read a fit document; a missing field raises KeyError."""
         with open(path, encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+            d = json.load(fh)
+        order = GarchOrder(p=int(d["order"]["p"]), q=int(d["order"]["q"]))
+        est = np.asarray(d["estimates"], dtype=float)
+        theta = GarchParams.from_array(est[:order.dim], order)
+        shape = (2.0, 0.0, 0.0) if d["method"] == "gaussian" else est[order.dim:order.dim + 3]
+        dim = len(d["names"])
+        jn, se, ca, gn = (d.get(k) for k in ("J_n", "std_errors", "constraint_active",
+                                             "grad_norm"))
+        data = d["data"]
+        # numpy reads a null of a float array as NaN
+        return cls(tau_hat=ModelParams(theta, *shape), neg_loglik=float(d["neg_loglik"]),
+                   J_n=None if jn is None else np.asarray(jn, dtype=float).reshape(dim, dim),
+                   std_errors=None if se is None else np.array(se, dtype=float),
+                   iterations=int(d["iterations"]), converged=bool(d["converged"]),
+                   constraint_active=None if ca is None else np.asarray(ca, dtype=bool),
+                   method=d["method"], n_obs=int(data["n"]),
+                   grad_norm=np.nan if gn is None else float(gn),
+                   message=d.get("message", ""),
+                   first_date=data.get("first_date"), last_date=data.get("last_date"))
 
 
 def _float_or_none(v):

@@ -44,6 +44,15 @@ class BacktestReport:
     hit_frequency: float
     method: str
 
+    @classmethod
+    def from_hits(cls, p: float, hits: np.ndarray, method: str) -> "BacktestReport":
+        """Report on a ``var_series`` hit column, whose first row has no forecast."""
+        total = len(hits) - 1
+        if total < 1:
+            raise ValueError("a backtest needs at least two returns; the first has no forecast")
+        count = int(hits.sum())
+        return cls(p=p, hits=count, total=total, hit_frequency=count / total, method=method)
+
     def to_dict(self) -> dict:
         return asdict(self)
 
@@ -88,9 +97,4 @@ def var_series(fit: FitResult, outsample: ReturnSeries, p: float):
 
 def backtest(fit: FitResult, outsample: ReturnSeries, p: float) -> BacktestReport:
     """Hit frequency of the rolling VaR over a disjoint out-of-sample window."""
-    total = len(outsample) - 1
-    if total < 1:
-        raise ValueError("a backtest needs at least two returns; the first has no forecast")
-    hits = int(var_series(fit, outsample, p)[2].sum())
-    return BacktestReport(p=p, hits=hits, total=total,
-                          hit_frequency=hits / total, method=fit.method)
+    return BacktestReport.from_hits(p, var_series(fit, outsample, p)[2], fit.method)

@@ -32,6 +32,7 @@ _PROBE_RADII = np.geomspace(0.02, 800.0, 140)
 _PDF_FLOOR = 1e-300
 # the shape partials, whose tables span only the points sent to them
 _PARTIALS = ("dalpha", "dbeta")
+_QUANTITIES = ("pdf", "dpdf") + _PARTIALS  # f' before partials
 
 
 def _pick(raw, target):
@@ -200,7 +201,7 @@ class StandardDensity:
         wanted = set(quantities)
         if any(self._dtau.get(q, 0.0) for q in wanted):
             wanted.add("dpdf")
-        qs = tuple(q for q in ("pdf", "dpdf") + _PARTIALS if q in wanted)  # f' before partials
+        qs = tuple(q for q in _QUANTITIES if q in wanted)
         y = x + self.tau
         first = self._series_pass(y, qs, self._STAGE1)
         state, shift, early = {}, {}, {}
@@ -246,8 +247,12 @@ class StandardDensity:
         """(value, err) of each of ``quantities`` at x, in one finishing order.
 
         Any of "pdf", "dpdf", "dalpha" and "dbeta"; returns an array of shape
-        (len(quantities), 2, points).
+        (len(quantities), 2, points).  At alpha = 2 and |beta| = 1 the shape
+        partials are one-sided.
         """
+        unknown = set(quantities).difference(_QUANTITIES)
+        if unknown:
+            raise ValueError(f"unknown quantities {sorted(unknown)}; use one of {_QUANTITIES}")
         x = np.atleast_1d(np.asarray(x, dtype=float))
         out = np.empty((len(quantities), 2, x.size))
         # at beta = 0 evaluate on |x| so symmetry holds exactly (the Fourier
@@ -280,16 +285,6 @@ class StandardDensity:
         v, e = self.dpdf_with_err(x)
         self._check(e)
         return v
-
-    def partial_with_err(self, x, wrt: str):
-        """Shape partial d f/d alpha (wrt="alpha") or d f/d beta at fixed x.
-
-        Values and certified absolute error bounds, vectorized.  At alpha = 2
-        and |beta| = 1 these are the one-sided partials.
-        """
-        if wrt not in ("alpha", "beta"):
-            raise ValueError(f"wrt must be 'alpha' or 'beta', got {wrt!r}")
-        return tuple(self.evaluate(x, ("d" + wrt,))[0])
 
     def logpdf(self, x):
         """log f with a floor guarding underflow in extreme tails."""

@@ -229,10 +229,6 @@ class _Expansion:
             out[:, i] = np.where(bad, 0.0, value), np.where(bad, np.inf, err)
         return out
 
-    def pdf(self, z, tol):
-        """Density at z; returns (value, certified abs error)."""
-        return self.evaluate(z, ("pdf",), (tol,))[:, 0]
-
 
 class TailSeriesSide(_Expansion):
     """Tail expansion for one side, in r = y > 0: term k carries r**(-(alpha*k + off))."""

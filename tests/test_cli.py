@@ -1,5 +1,6 @@
 """Command-line interface tests."""
 
+import csv
 import json
 import math
 
@@ -11,6 +12,8 @@ import yaml
 
 from stablegarch.cli import _accuracy_from_config, main
 from stablegarch.data import read_returns_csv, write_returns_csv, ReturnSeries
+from stablegarch.estimate import FitResult
+from stablegarch.risk import var_series
 from stablegarch.stable import DensityAccuracy
 
 
@@ -103,6 +106,24 @@ class TestFitCommand:
         assert abs(est["alpha"] - 1.6) < 0.25
         assert doc["data"]["n"] == 900
 
+    @pytest.mark.parametrize("method", ["gaussian", "stable"])
+    def test_dated_fit_document_round_trips(self, runner, sim_csv, tmp_path, method):
+        # the API reads the CLI's document, data window included, and
+        # writes it back unchanged
+        series = read_returns_csv(sim_csv)
+        dates = [str(d) for d in np.datetime64("2001-01-01") + np.arange(len(series))]
+        dated = tmp_path / "dated.csv"
+        write_returns_csv(dated, ReturnSeries(series.values, dates))
+        first, second = tmp_path / "fit.json", tmp_path / "again.json"
+        r = invoke(runner, ["fit", "--input", str(dated), "--output", str(first),
+                            "--method", method, "--n-starts", "1"])
+        assert r.exit_code in (0, 3), r.output
+        doc = json.loads(first.read_text())
+        assert doc["data"] == {"n": 900, "first_date": dates[0], "last_date": dates[-1]}
+        assert "n_obs" not in doc
+        FitResult.from_json(first).to_json(second)
+        assert second.read_text() == first.read_text()
+
     def test_gaussian_dispatch(self, runner, sim_csv, tmp_path):
         out = tmp_path / "g.json"
         r = invoke(runner, ["fit", "--input", str(sim_csv), "--output", str(out),
@@ -177,6 +198,36 @@ class TestVarCommand:
         assert ps == [0.01, 0.05]
         header = var_csv.read_text().splitlines()[0]
         assert "var_gaussian_p0.01" in header and "hit_gaussian_p0.05" in header
+
+    def test_report_hits_are_the_csv_hit_column(self, runner, tmp_path, monkeypatch):
+        import stablegarch.cli
+        import stablegarch.risk
+        data, outs = tmp_path / "r.csv", tmp_path / "o.csv"
+        invoke(runner, ["simulate", "--output", str(data), "--n", "900", "--seed", "3"])
+        invoke(runner, ["simulate", "--output", str(outs), "--n", "700", "--seed", "4"])
+        fit_json = tmp_path / "f.json"
+        invoke(runner, ["fit", "--input", str(data), "--output", str(fit_json),
+                        "--method", "gaussian"])
+        calls = []
+
+        def counted(fit, outsample, p):
+            calls.append(p)
+            return var_series(fit, outsample, p)
+        # under both names, so a backtest inside the command counts too
+        monkeypatch.setattr(stablegarch.cli, "var_series", counted)
+        monkeypatch.setattr(stablegarch.risk, "var_series", counted)
+        rep, var_csv = tmp_path / "report.json", tmp_path / "var.csv"
+        r = invoke(runner, ["var", "--fit", str(fit_json), "--fit", str(fit_json),
+                            "--outsample", str(outs), "--p", "0.01,0.05",
+                            "--report", str(rep), "--series-output", str(var_csv)])
+        assert r.exit_code == 0, r.output
+        assert calls == [0.01, 0.05, 0.01, 0.05]
+        with open(var_csv, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        for d in json.loads(rep.read_text())["reports"]:
+            column = [float(row[f"hit_gaussian_p{d['p']:g}"]) for row in rows]
+            assert d["hits"] == sum(column) > 0
+            assert d["total"] == len(rows) - 1
 
     def test_missing_fit_file_usage_error(self, runner, tmp_path):
         outs = tmp_path / "o.csv"

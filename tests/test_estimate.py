@@ -235,6 +235,15 @@ class TestBoxTransform:
         assert_allclose(tr.chain(z, x), 0.0, atol=1e-300)
 
 
+class TestMinimizeBounded:
+    def test_non_finite_objective_is_not_converged(self):
+        # the optimizer sees the 1e12 sentinel with a zero gradient everywhere
+        from stablegarch.estimate.optim import minimize_bounded
+        res = minimize_bounded(lambda x: (np.nan, np.zeros_like(x)), np.array([0.5, 0.5]),
+                               BoundsConfig(np.zeros(2), np.ones(2)))
+        assert not res.converged
+
+
 class TestFitGaussian:
     def test_recovers_gaussian_garch(self):
         # eta ~ N(0,1): variance-one innovations via gamma = 1/sqrt(2)

@@ -140,13 +140,13 @@ class TestDensityProperties:
             y = x + eng.tau
             cands = []
             if eng.center is not None:
-                cands.append(eng.center.pdf(y, acc.abs_tol))
+                cands.append(eng.center.evaluate(y, ("pdf",), (acc.abs_tol,))[:, 0])
             r = np.abs(y)
             tail_v = np.empty_like(x)
             tail_e = np.full_like(x, np.inf)
             pos = y > 0
-            tail_v[pos], tail_e[pos] = eng.right.pdf(r[pos], acc.abs_tol)
-            tail_v[~pos], tail_e[~pos] = eng.left.pdf(r[~pos], acc.abs_tol)
+            tail_v[pos], tail_e[pos] = eng.right.evaluate(r[pos], ("pdf",), (acc.abs_tol,))[:, 0]
+            tail_v[~pos], tail_e[~pos] = eng.left.evaluate(r[~pos], ("pdf",), (acc.abs_tol,))[:, 0]
             cands.append((tail_v, tail_e))
             table = eng._fft_table()
             fv = table(x)
@@ -359,7 +359,7 @@ class TestShapePartials:
         from stablegarch.stable.engine import StandardDensity
         eng = StandardDensity(alpha, beta, acc)  # cold: no table yet
         for wrt in ("alpha", "beta"):
-            got, err = eng.partial_with_err(xs, wrt)
+            got, err = eng.evaluate(xs, ("d" + wrt,))[0]
             want = np.array([quad_shape_derivative_oracle(x, alpha, beta, wrt) for x in xs])
             assert np.all(err <= acc.abs_tol)
             assert_allclose(got, want, rtol=0.0, atol=2.0 * acc.abs_tol)
@@ -374,7 +374,7 @@ class TestShapePartials:
         xs = np.array([-2.0, -0.3, 0.7, 4.0])
         eng = self._check(1.6, 0.0, xs)
         assert eng._tables == {}
-        assert np.max(np.abs(eng.partial_with_err(xs, "beta")[0])) > 1e-2
+        assert np.max(np.abs(eng.evaluate(xs, ("dbeta",))[0, 0])) > 1e-2
 
     @pytest.mark.parametrize("alpha, beta, xs, acc", [
         (0.9, 0.4, [-2.8, -2.6, -2.5, -2.3], DensityAccuracy()),
@@ -392,6 +392,11 @@ class TestShapePartials:
         eng = self._check(alpha, beta, np.array(xs), acc)
         assert {"dalpha", "dbeta"} <= set(eng._tables)
         assert calls == []
+
+    def test_unknown_quantity_named(self):
+        eng = get_engine(StableParams(1.6, 0.0), FIT_ACCURACY)
+        with pytest.raises(ValueError, match="'dgamma'.*'pdf', 'dpdf', 'dalpha', 'dbeta'"):
+            eng.evaluate(np.array([0.5]), ("pdf", "dgamma"))
 
     def test_log_density_terms_builds_one_engine(self):
         from stablegarch.stable import engine, log_density_terms
@@ -417,8 +422,8 @@ class TestFusedPass:
         from stablegarch.stable.engine import StandardDensity
         singles = [StandardDensity(alpha, beta, acc).pdf_with_err(_FUSED_X),
                    StandardDensity(alpha, beta, acc).dpdf_with_err(_FUSED_X),
-                   StandardDensity(alpha, beta, acc).partial_with_err(_FUSED_X, "alpha"),
-                   StandardDensity(alpha, beta, acc).partial_with_err(_FUSED_X, "beta")]
+                   StandardDensity(alpha, beta, acc).evaluate(_FUSED_X, ("dalpha",))[0],
+                   StandardDensity(alpha, beta, acc).evaluate(_FUSED_X, ("dbeta",))[0]]
         fused = StandardDensity(alpha, beta, acc).evaluate(
             _FUSED_X, ("pdf", "dpdf", "dalpha", "dbeta"))
         fused[0, 0] = np.maximum(fused[0, 0], 0.0)  # as pdf_with_err clips

@@ -230,6 +230,8 @@ def cmd_frontier(output_path, alpha_list, b_grid, horizon, replications, seed):
     """Locate the strict-stationarity frontier a*(b) for each alpha.
 
     Writes alpha, b, a_star and stderr, the standard error (se) of a*.
+    For each alpha the innovation draws are taken once and shared by every
+    Lyapunov estimate and every b (common random numbers).
     """
     alphas = _float_list(alpha_list, "--alpha")
     grid = _float_list(b_grid, "--b-grid")

@@ -115,9 +115,11 @@ class FitResult:
     "estimates", "std_errors", "neg_loglik", "J_n" (row-major),
     "iterations", "converged", "constraint_active", "grad_norm", "message"
     and "data" {"n", "first_date", "last_date"}, the window of the n_obs
-    returns fitted (dates null when the series has none).  Non-finite
-    errors and gradient norms are null.  Documents that also carry a
-    top-level "n_obs" (the earlier CLI layout) load; n is read from "data".
+    returns fitted (dates null when the series has none).  Every non-finite
+    number (neg_loglik, J_n, std_errors, grad_norm) is written as null and
+    read back as NaN, so the document is strict JSON.  Documents that also
+    carry a top-level "n_obs" (the earlier CLI layout) load; n is read from
+    "data".
     """
 
     tau_hat: ModelParams
@@ -156,9 +158,9 @@ class FitResult:
             "estimates": [float(v) for v in self.param_array()],
             "std_errors": (None if self.std_errors is None
                            else [_float_or_none(v) for v in self.std_errors]),
-            "neg_loglik": float(self.neg_loglik),
+            "neg_loglik": _float_or_none(self.neg_loglik),
             "J_n": (None if self.J_n is None
-                    else [float(v) for v in np.asarray(self.J_n).ravel()]),
+                    else [_float_or_none(v) for v in np.asarray(self.J_n).ravel()]),
             "iterations": int(self.iterations),
             "converged": bool(self.converged),
             "constraint_active": (None if self.constraint_active is None
@@ -186,13 +188,14 @@ class FitResult:
                                              "grad_norm"))
         data = d["data"]
         # numpy reads a null of a float array as NaN
-        return cls(tau_hat=ModelParams(theta, *shape), neg_loglik=float(d["neg_loglik"]),
+        return cls(tau_hat=ModelParams(theta, *shape),
+                   neg_loglik=float(np.asarray(d["neg_loglik"], dtype=float)),
                    J_n=None if jn is None else np.asarray(jn, dtype=float).reshape(dim, dim),
                    std_errors=None if se is None else np.array(se, dtype=float),
                    iterations=int(d["iterations"]), converged=bool(d["converged"]),
                    constraint_active=None if ca is None else np.asarray(ca, dtype=bool),
                    method=d["method"], n_obs=int(data["n"]),
-                   grad_norm=np.nan if gn is None else float(gn),
+                   grad_norm=float(np.asarray(gn, dtype=float)),
                    message=d.get("message", ""),
                    first_date=data.get("first_date"), last_date=data.get("last_date"))
 

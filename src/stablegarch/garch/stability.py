@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -62,13 +63,28 @@ def matrix_norm_l1(m: np.ndarray) -> np.ndarray:
 
 
 def _squared_draws(psi: StableParams, horizon: int, replications: int, seed) -> np.ndarray:
-    """eta_t^2 of the standardized law, one spawned stream per replication (row)."""
+    """eta_t^2 of the standardized law, one spawned stream per replication (row).
+
+    The draws are read-only.  An integer seed names its draws, so the last
+    integer-seeded set is kept and every estimate on the same (law, horizon,
+    replications, seed) reuses it: a frontier call draws once, for all its
+    estimates and every b.  Any other seed (None: fresh entropy) draws anew
+    on each call.
+    """
+    draw = _kept_draws if isinstance(seed, int) else _draw_squared
+    return draw(psi.standardized(), horizon, replications, seed)
+
+
+def _draw_squared(psi: StableParams, horizon: int, replications: int, seed) -> np.ndarray:
     seeds = np.random.SeedSequence(seed).spawn(replications)
     eta2 = np.empty((replications, horizon))
     for r, s in enumerate(seeds):
-        eta2[r] = stable_sample(psi.standardized(), horizon,
-                                np.random.default_rng(s)) ** 2
+        eta2[r] = stable_sample(psi, horizon, np.random.default_rng(s)) ** 2
+    eta2.flags.writeable = False
     return eta2
+
+
+_kept_draws = lru_cache(maxsize=1)(_draw_squared)
 
 
 def lyapunov_exponent(theta: GarchParams, psi: StableParams, horizon: int = 4000,
@@ -82,7 +98,9 @@ def lyapunov_exponent(theta: GarchParams, psi: StableParams, horizon: int = 4000
     estimate is the sample mean of log(b + a eta^2).  Other orders accumulate
     log || A_t ... A_1 ||, rescaling the running product to unit norm every
     few steps so heavy-tailed draws cannot overflow it.  The exponent does not
-    depend on omega (the companion matrix contains no level term).
+    depend on omega (the companion matrix contains no level term).  An
+    integer ``seed`` reuses the draws of the last call with the same law,
+    horizon, replications and seed; ``seed=None`` draws anew on every call.
     """
     if horizon < 10 ** 3:
         raise ValueError("horizon must be at least 1000")
@@ -110,11 +128,13 @@ def stationarity_frontier(alpha: float, b_grid, horizon: int = 4000,
                           replications: int = 24, seed=0) -> list[FrontierPoint]:
     """Frontier a*(b) of GARCH(1,1) where the top Lyapunov exponent crosses zero.
 
-    Every estimate reuses the same innovation seed (common random numbers),
+    Every estimate reuses the same innovation draws (common random numbers),
     so gamma-hat(a) = mean log(b + a eta^2) is smooth and strictly increasing
     in a, and a* is its root, found by ``brentq`` after doubling the upper
     end of the bracket from 0.5.  ``stderr`` is the se of a*, by the delta
     method: se(gamma-hat) / mean(eta^2 / (b + a* eta^2)) on the same draws.
+    The draws do not depend on b: they are taken once per call and shared
+    by every estimate and every b of the grid.
     """
     psi = StableParams(alpha, 0.0)
     seed = np.random.SeedSequence(seed).entropy  # None: new draws per call, not per estimate

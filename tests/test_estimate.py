@@ -1,5 +1,7 @@
 """Likelihood, score, fitting and information-matrix tests."""
 
+import json
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -316,3 +318,24 @@ class TestInformation:
         assert_allclose(back.J_n, fit.J_n, atol=1e-12)
         assert back.converged == fit.converged
         assert back.names() == fit.names()
+
+    def test_non_finite_fit_document_is_strict_json(self, tmp_path):
+        # NaN and infinities are null, not the bare NaN/Infinity tokens
+        jn = np.eye(6)
+        jn[1, 2] = np.nan
+        jn[3, 3] = np.inf
+        fit = FitResult(tau_hat=TAU0, neg_loglik=np.nan, J_n=jn,
+                        std_errors=np.full(6, np.nan), iterations=0, converged=False,
+                        constraint_active=None, n_obs=10)
+        path = tmp_path / "fit.json"
+        fit.to_json(path)
+
+        def reject(token):
+            raise ValueError(f"non-JSON constant {token}")
+
+        doc = json.loads(path.read_text(), parse_constant=reject)
+        assert doc["neg_loglik"] is None and doc["J_n"][8] is None and doc["J_n"][21] is None
+        back = FitResult.from_json(path)
+        assert np.isnan(back.neg_loglik)
+        assert np.isnan(back.J_n[1, 2]) and np.isnan(back.J_n[3, 3])
+        assert_allclose(np.delete(back.J_n.ravel(), [8, 21]), np.delete(jn.ravel(), [8, 21]))

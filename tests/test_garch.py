@@ -291,3 +291,41 @@ class TestFrontier:
         stationarity_frontier(1.6, [0.6], horizon=1000, replications=4, seed=None)
         assert len(seeds) > 2
         assert seeds[0] is not None and all(s == seeds[0] for s in seeds)
+
+    def test_one_draw_per_frontier_call(self, monkeypatch):
+        # a law, size and seed no other test uses, so nothing is kept yet
+        from stablegarch.garch import stability
+        draws = []
+        sample = stability.stable_sample
+
+        def counting(*args, **kw):
+            draws.append(1)
+            return sample(*args, **kw)
+
+        monkeypatch.setattr(stability, "stable_sample", counting)
+        pts = stationarity_frontier(1.45, [0.0, 0.5, 0.9], horizon=1100, replications=5,
+                                    seed=2027)
+        assert len(pts) == 3
+        assert len(draws) == 5
+
+    def test_kept_draws_are_read_only(self):
+        from stablegarch.garch import stability
+        eta2 = stability._squared_draws(StableParams(1.6, 0.0), 1000, 3, 21)
+        assert eta2 is stability._squared_draws(StableParams(1.6, 0.0, 2.0, 3.0), 1000, 3, 21)
+        assert not eta2.flags.writeable
+        with pytest.raises(ValueError):
+            eta2[0, 0] = 1.0
+
+    def test_unseeded_estimates_draw_anew(self):
+        theta = GarchParams(1.0, a=(0.3,), b=(0.6,))
+        psi = StableParams(1.6, 0.0)
+        first = lyapunov_exponent(theta, psi, horizon=1000, replications=4, seed=None)
+        second = lyapunov_exponent(theta, psi, horizon=1000, replications=4, seed=None)
+        assert first.estimate != second.estimate
+
+    def test_kept_draws_give_the_fresh_draws_frontier(self, monkeypatch):
+        from stablegarch.garch import stability
+        kept = stationarity_frontier(1.2, [0.3, 0.8], horizon=1000, replications=6, seed=11)
+        monkeypatch.setattr(stability, "_kept_draws", stability._draw_squared)
+        fresh = stationarity_frontier(1.2, [0.3, 0.8], horizon=1000, replications=6, seed=11)
+        assert kept == fresh

@@ -67,7 +67,12 @@ def cdf(x, psi: StableParams, acc: DensityAccuracy = DEFAULT_ACCURACY):
 
 
 def quantile(p, psi: StableParams, acc: DensityAccuracy = DEFAULT_ACCURACY):
-    """Quantile function: x with |cdf(x, psi) - p| within the accuracy budget."""
+    """Quantile function: the root of cdf(x, psi) = p.
+
+    Each p is inverted on the piece of the certified cdf that holds it (see
+    ``StandardDensity.ppf``): Brent's method in one knot cell of the central
+    spline, or Newton's method on the log tail mass beyond the anchors.
+    """
     pts, scalar = _as_points(p)
     eng = get_engine(psi, acc)
     vals = np.array([psi.mu + psi.gamma * eng.ppf(float(q)) for q in pts])

@@ -17,6 +17,7 @@ shape-partial table is replaced by a wider one when points fall outside it).
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -30,6 +31,9 @@ from .series import ODD_QUANTITIES, CenterSeries, TailSeriesSide, skew_shift, ta
 _CHUNK = 16384
 _PROBE_RADII = np.geomspace(0.02, 800.0, 140)
 _PDF_FLOOR = 1e-300
+_EPS = np.finfo(float).eps
+# log r beyond which a tail quantile is not sought
+_LOG_R_MAX = 690.0
 # the shape partials, whose tables span only the points sent to them
 _PARTIALS = ("dalpha", "dbeta")
 _QUANTITIES = ("pdf", "dpdf") + _PARTIALS  # f' before partials
@@ -312,8 +316,8 @@ class StandardDensity:
             a_r = self.x_keep - 1.0
             a_l = -a_r
             self._tail_grids = {side: self._build_tail_grid(a_r, side) for side in (+1, -1)}
-        (f_al,), _ = self._tail_mass(np.array([a_l]), -1)
-        (sf_ar,), (sf_err,) = self._tail_mass(np.array([a_r]), +1)
+        (f_al,), _, (slope_l,) = self._tail_mass(np.array([a_l]), -1, slope=True)
+        (sf_ar,), (sf_err,), (slope_r,) = self._tail_mass(np.array([a_r]), +1, slope=True)
         table = self._fft_table()
         if not np.isfinite(table.err):
             # no certified central mass: ppf would bracket a zero spline
@@ -321,11 +325,15 @@ class StandardDensity:
                 f"no Fourier table certified the cdf for alpha={self.alpha}, "
                 f"beta={self.beta}", worst_error=float(table.err))
         anti = table.antiderivative()
-        mass_int = float(anti(a_r) - anti(a_l))
-        mismatch = abs(f_al + mass_int + sf_ar - 1.0)
+        anti_al = float(anti(a_l))
+        # the central cdf at the spline's knots inside the anchors, for ppf
+        knots = np.concatenate([[a_l], anti.x[(anti.x > a_l) & (anti.x < a_r)], [a_r]])
+        knot_cdf = f_al + (anti(knots) - anti_al)
+        mismatch = abs(knot_cdf[-1] + sf_ar - 1.0)
         err = mismatch + sf_err + table.err * (a_r - a_l)
-        self._cdf_state = dict(a_l=a_l, a_r=a_r, f_al=f_al, anti=anti,
-                               sf_ar=sf_ar, err=err)
+        self._cdf_state = dict(a_l=a_l, a_r=a_r, f_al=f_al, anti=anti, anti_al=anti_al, err=err,
+                               knots=knots, knot_cdf=knot_cdf,
+                               anchors={-1: (a_l, f_al, slope_l), +1: (a_r, sf_ar, slope_r)})
         return self._cdf_state
 
     def _build_tail_grid(self, r_from: float, side: int):
@@ -341,20 +349,38 @@ class StandardDensity:
         sf += tail_constant(self.alpha, beta, +1) / self.alpha * r_far ** (-self.alpha)
         return interpolate.PchipInterpolator(u, sf, extrapolate=True)
 
-    def _tail_mass(self, x, side: int):
+    def _tail_mass(self, x, side: int, slope: bool = False):
         """(P[X > x], err) at side = +1, (P[X <= x], err) at side = -1, beyond the anchors.
 
         The side's tail series of the upper mass at r = side * (x + tau), or
         without series (alpha = 1, beta != 0) the quadrature grid in r =
         side * x, closed by the leading term beyond 1e6 and charged 1e-6.
+        With ``slope``, the third entry is d log(mass)/d log r: -r f / mass
+        from the same series pass, or the grid's PCHIP derivative (-alpha
+        beyond 1e6).
         """
         if self.has_tail_series:
             series = self.right if side > 0 else self.left
-            return series.evaluate(side * (x + self.tau), ("sf",), (self.tol,))[:, 0]
+            r = side * (x + self.tau)
+            if not slope:
+                return series.evaluate(r, ("sf",), (self.tol,))[:, 0]
+            (mass, f), (err, _) = series.evaluate(r, ("sf", "pdf"), (self.tol, self.tol))
+            with np.errstate(divide="ignore", invalid="ignore"):
+                return mass, err, -r * f / mass
         r = side * x
         closure = tail_constant(self.alpha, side * self.beta, +1) / self.alpha * r ** (-self.alpha)
-        mass = np.where(r > 1e6, closure, self._tail_grids[side](np.log(np.minimum(r, 1e6))))
-        return np.clip(mass, 0.0, 1.0), np.full(r.shape, 1e-6)
+        grid, u = self._tail_grids[side], np.log(np.minimum(r, 1e6))
+        mass = np.clip(np.where(r > 1e6, closure, grid(u)), 0.0, 1.0)
+        if not slope:
+            return mass, np.full(r.shape, 1e-6)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            dlog = np.where(r > 1e6, -self.alpha, grid(u, 1) / mass)
+        return mass, np.full(r.shape, 1e-6), dlog
+
+    def _central_cdf(self, x):
+        """The cdf on [a_l, a_r]: the left anchor's mass plus the f spline's integral."""
+        st = self._build_cdf()
+        return st["f_al"] + (st["anti"](x) - st["anti_al"])
 
     def cdf_with_err(self, x):
         x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -365,7 +391,7 @@ class StandardDensity:
         lo = x < st["a_l"]
         hi = x > st["a_r"]
         if mid.any():
-            val[mid] = st["f_al"] + (st["anti"](x[mid]) - st["anti"](st["a_l"]))
+            val[mid] = self._central_cdf(x[mid])
         if lo.any():
             val[lo], err[lo] = self._tail_mass(x[lo], -1)
         if hi.any():
@@ -384,32 +410,81 @@ class StandardDensity:
         return v
 
     def ppf(self, p: float) -> float:
-        """Quantile by bracketing plus Brent refinement on the CDF."""
+        """Quantile: the root of cdf(x) = p in the piece of the cdf that holds it.
+
+        A central p (from the cdf at the anchor a_l to the cdf at a_r) lies
+        in one cell of the cdf tabulated at the central spline's knots, and
+        Brent's method runs in that cell only.  A p beyond an anchor is a
+        tail mass, found by ``_tail_ppf``.
+        """
         if not (0.0 < p < 1.0):
             raise ValueError("p must lie strictly between 0 and 1")
         st = self._build_cdf()
+        knots, knot_cdf = st["knots"], st["knot_cdf"]
+        if p < knot_cdf[0]:
+            return self._tail_ppf(p, -1)
+        if p > knot_cdf[-1]:
+            return self._tail_ppf(1.0 - p, +1)
+        # the running maximum keeps the cells in order if rounding breaks it:
+        # then knot_cdf[i - 1] < p <= knot_cdf[i] (or p = knot_cdf[0])
+        i = max(int(np.searchsorted(np.maximum.accumulate(knot_cdf), p)), 1)
+        return float(optimize.brentq(lambda x: float(self._central_cdf(x)) - p, knots[i - 1],
+                                     knots[i], xtol=1e-12, rtol=1e-15, maxiter=200))
 
-        def f(x):
-            return float(self.cdf_with_err(np.array([x]))[0][0] - p)
+    # Newton steps of a tail quantile before it gives up
+    _TAIL_STEPS = 60
 
-        lo, hi = st["a_l"], st["a_r"]
-        f_lo, f_hi = f(lo), f(hi)
-        width = max(hi - lo, 1.0)
-        while f_lo > 0.0:
-            hi, f_hi = lo, f_lo
-            lo -= width
-            width *= 2.0
-            f_lo = f(lo)
-            if width > 1e12:
-                return lo
-        while f_hi < 0.0:
-            lo, f_lo = hi, f_hi
-            hi += width
-            width *= 2.0
-            f_hi = f(hi)
-            if width > 1e12:
-                return hi
-        return float(optimize.brentq(f, lo, hi, xtol=1e-12, rtol=1e-15, maxiter=200))
+    def _tail_ppf(self, mass: float, side: int) -> float:
+        """x beyond the anchor on ``side`` whose tail mass is ``mass``.
+
+        Newton's method on g = log(tail mass / mass) against u = log r from
+        the anchor, where g is near linear (the tail is near a power of r);
+        each step takes the mass and dg/du from one ``_tail_mass`` pass.
+        The evaluated points bracket the root in u; a step that leaves the
+        bracket, or has no usable slope, bisects it (or, with no upper end
+        yet, moves one unit of u further than lo lies from the anchor), and
+        u stays at most 690.  Stops at |g| <= 1e-14, at a step within
+        rounding, or one Newton step earlier: when K = g_n / g_(n-1)^2
+        predicts K g_n^2 <= 1e-16, that step is taken unevaluated.  Raises
+        AccuracyNotReached otherwise, or when the mass at r = e^690 still
+        exceeds the target.
+        """
+        def gap(m):
+            return math.log(m) - math.log(mass) if m > 0.0 else -math.inf
+
+        x, m, slope = self._build_cdf()["anchors"][side]
+        shift = self.tau if self.has_tail_series else 0.0
+        u0 = u = math.log(side * (x + shift))
+        g = gap(m)
+        if g <= 0.0:
+            return float(x)  # the cdf steps over p at the anchor
+        lo, hi, g_prev = u, math.inf, None
+        for _ in range(self._TAIL_STEPS):
+            nxt = u - g / slope if slope < 0.0 else math.inf
+            newton = lo < nxt < hi
+            if not newton:
+                nxt = 0.5 * (lo + hi) if hi < math.inf else lo + 1.0 + (lo - u0)
+            if nxt > _LOG_R_MAX:
+                nxt, newton = _LOG_R_MAX, False
+            if abs(nxt - u) <= 4.0 * _EPS * abs(nxt):
+                return float(x)
+            if newton and g_prev is not None and abs(g) ** 3 <= 1e-16 * g_prev ** 2:
+                return float(side * math.exp(nxt) - shift)
+            u, g_prev = nxt, (g if newton else None)
+            x = side * math.exp(u) - shift
+            (m,), _, (slope,) = self._tail_mass(np.array([x]), side, slope=True)
+            g = gap(m)
+            if abs(g) <= 1e-14:
+                return float(x)
+            if g <= 0.0:
+                hi = u
+            elif u < _LOG_R_MAX:
+                lo = u
+            else:
+                break
+        raise AccuracyNotReached(
+            f"no tail quantile at mass {mass:g} for alpha={self.alpha}, beta={self.beta}",
+            worst_error=abs(m - mass))
 
 
 @lru_cache(maxsize=64)

@@ -12,9 +12,14 @@ beyond the sampled window, (ii) aliasing, i.e. folded-in density tails at
 period 2*pi/dt, and (iii) spline interpolation error.  Aliasing is removed
 explicitly by ``TailSeriesSide.fold_sum``: each of the first
 ``series._NEAR_FOLDS`` terms of the tabulated quantity's own tail series is
-summed over all folds in closed form, and the next term's fold sum bounds
-the rest, so heavy tails do not contaminate the central values.  Without
-tail series (alpha = 1) the folds are removed to leading order only.
+summed over all folds as a Hurwitz zeta (and its s-derivative, for a term
+with a log slope), and the next term's fold sum bounds the rest, so heavy
+tails do not contaminate the central values.  Without tail series
+(alpha = 1) the folds are removed to leading order only.  Both paths take
+their zeta sums from ``series.hurwitz_zeta``, one Euler-Maclaurin kernel
+whose bounds are charged to the fold bound; a lattice offset at or below
+zero (the shift tau beyond the period, near alpha = 1) gives NaN there, and
+the table then certifies nothing.
 
 The node spacing is set by the truncation and interpolation bounds alone;
 the grid size sets only the aliasing period.  So every table is inverted on
@@ -31,7 +36,7 @@ from scipy import integrate, interpolate, special
 
 from .chf import char_fn, dlog_char_fn
 from .params import StableParams
-from .series import ODD_QUANTITIES, TailSeriesSide, log_zeta, tail_constant
+from .series import ODD_QUANTITIES, TailSeriesSide, hurwitz_zeta, tail_constant
 
 _ORDER = {"pdf": 0, "dpdf": 1}
 
@@ -204,26 +209,24 @@ class FourierTable:
         if quantity == "dpdf":
             # folds are O(period^-3); bound without subtracting
             return 4.0 * (kr + kl) * special.zeta(3.0, 1.0) * period ** (-3.0)
-        q_r = 1.0 + xg / period
-        q_l = 1.0 - xg / period
-        z_r, z_l = special.zeta(2.0, q_r), special.zeta(2.0, q_l)
-        em_err = 0.0
+        two = np.array([[2.0]])
+        (z_r,), (ze_r,), (lz_r,), (lze_r,) = hurwitz_zeta(two, 1.0 + xg / period)
+        (z_l,), (ze_l,), (lz_l,), (lze_l,) = hurwitz_zeta(two, 1.0 - xg / period)
         if quantity == "pdf":
             corr = kr * z_r + kl * z_l
+            kernel_err = kr * ze_r + kl * ze_l
         elif quantity == "dbeta":
             corr = (z_r - z_l) / np.pi
+            kernel_err = (ze_r + ze_l) / np.pi
         else:
-            two = np.array([[2.0]])
-            (lz_r,), (e_r,) = log_zeta(two, q_r)
-            (lz_l,), (e_l,) = log_zeta(two, q_l)
             lead = 1.0 - np.euler_gamma - math.log(period)
             corr = kr * (lead * z_r - lz_r) + kl * (lead * z_l - lz_l)
-            em_err = float(np.max(kr * e_r + kl * e_l)) * period ** (-2.0)
+            kernel_err = kr * (abs(lead) * ze_r + lze_r) + kl * (abs(lead) * ze_l + lze_l)
         corr = corr * period ** (-2.0)
         fg -= corr
         # the alpha = 1 tail law carries slowly decaying log corrections
         rel_slack = 8.0 * math.log(period) / period
-        return float(np.max(np.abs(corr))) * rel_slack + em_err
+        return float(np.max(np.abs(corr)) * rel_slack + np.max(kernel_err) * period ** (-2.0))
 
     def __call__(self, x):
         return self._spline(x)

@@ -34,7 +34,9 @@ their signs, and each adds only its own factors and its own certificate.  A
 pass accepts a term cap, so dispatchers can run a cheap first pass and
 re-evaluate only the points that failed to certify.  The tail's
 ``fold_sum``, which removes aliasing folds from the Fourier tables, sums the
-same specs over a lattice in closed form.
+same specs over a lattice: each term's lattice sum is a Hurwitz zeta from
+``hurwitz_zeta``, which returns zeta and -d zeta/d s with their bounds from
+one direct sum and an Euler-Maclaurin tail.
 """
 
 from __future__ import annotations
@@ -51,8 +53,11 @@ _ROUNDOFF_SAFETY = 8.0
 _RATIO_CAP = 0.95
 # Tail-series terms that FFT aliasing removal sums over all folds.
 _NEAR_FOLDS = 4
-# Lattice terms ``log_zeta`` sums directly before its Euler-Maclaurin tail.
-_ZETA_DIRECT = 10
+# Lattice terms ``hurwitz_zeta`` sums directly before its Euler-Maclaurin
+# tail, and that tail's corrections B_2j / (2j)! for B2, B4, B6 and B8.
+_ZETA_DIRECT = 8
+_LATTICE = np.arange(_ZETA_DIRECT + 1.0)[:, None]
+_EM_CORRECTIONS = np.array([1.0 / 12.0, -1.0 / 720.0, 1.0 / 30240.0, -1.0 / 1209600.0])
 # Envelopes are floored at exp(-700): flooring only loosens a bound, and exp
 # of smaller arguments takes a subnormal path many times slower.
 _LOG_FLOOR = -700.0
@@ -162,40 +167,65 @@ def _contraction(logterm, log_slope_growth=None):
     return np.append(d, np.inf)
 
 
-def log_zeta(s, q):
-    """Z(s, q) = sum_{n >= 0} log(q + n) (q + n)^(-s), i.e. -d zeta(s, q)/ds.
+def hurwitz_zeta(s, q):
+    """zeta(s, q) = sum_{n >= 0} (q + n)^(-s) and Z(s, q) = -d zeta/d s, with bounds.
 
-    The first ``_ZETA_DIRECT`` terms are summed directly and the rest by
-    Euler-Maclaurin with the B2 and B4 corrections.  The remainder is at most
-    (1/720) * int_a^inf |h^(4)| with h(v) = log(v) v^(-s) and
-    a = q + _ZETA_DIRECT; writing h^(4) = v^(-s-4) (A log v + B) bounds that
-    integral in closed form.
-    ``s`` (each > 1) has shape (m, 1) and ``q`` shape (points,); returns
-    (value, bound) of shape (m, points).
+    Z sums log(q + n) (q + n)^(-s).  One direct sum over the first
+    ``_ZETA_DIRECT`` lattice terms serves both; the rest is Euler-Maclaurin
+    from a = q + _ZETA_DIRECT with the B2 to B8 corrections.  The summand's
+    n-th derivative is v^(-s-n) C_n for zeta and v^(-s-n) (C_n log v + D_n)
+    for Z, with C_0 = 1, D_0 = 0, C_{n+1} = -(s+n) C_n and
+    D_{n+1} = -(s+n) D_n + C_n.  The remainder is at most |B8| / 8! times
+    the integral of the 8th derivative's modulus over [a, inf), in closed
+    form; each bound adds the direct sum's rounding, which grows with
+    |s log v| through the powers.  Both remainders and zeta fall in q, so
+    each bound is taken at the least q and holds for every point.  ``s``
+    (each > 1) has shape (m, 1) and ``q`` shape (points,); returns (zeta,
+    zeta bound, Z, Z bound), the values of shape (m, points) and NaN where
+    q <= 0, the bounds of shape (m, 1) and NaN if any q <= 0.
     """
     q = np.asarray(q, dtype=float)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        logv = np.log(q[None, :] + np.arange(_ZETA_DIRECT)[:, None])
-        direct = np.sum(logv * np.exp(-s[:, :, None] * logv), axis=1)
-        a = q + _ZETA_DIRECT
-        la = np.log(a)
-        # h^(n)(v) = v^(-s-n) (A_n log v + B_n), A_0 = 1, B_0 = 0
-        coefs = [(1.0, 0.0)]
-        for n in range(4):
-            A, B = coefs[-1]
-            m = s + n
-            coefs.append((-m * A, -m * B + A))
-
-        def h(n):
-            A, B = coefs[n]
-            return a ** (-s - n) * (A * la + B)
-
-        integral = a ** (1.0 - s) * (la / (s - 1.0) + 1.0 / (s - 1.0) ** 2)
-        value = direct + integral + h(0) / 2.0 - h(1) / 12.0 + h(3) / 720.0
-        A4, B4 = coefs[4]
-        m = s + 3.0
-        bound = (np.abs(A4) * a ** -m * (la / m + 1.0 / m ** 2) + np.abs(B4) * a ** -m / m) / 720.0
-    return value, bound
+    ok = q > 0.0
+    if not ok.all():
+        q = np.where(ok, q, 1.0)
+    logv = np.log(q + _LATTICE)
+    w = np.exp(-s[:, :, None] * logv[:-1])
+    a, la = q + _ZETA_DIRECT, logv[-1]
+    # C_n = prod_{i<n} -(s+i) and D_n = -C_n sum_{i<n} 1/(s+i), n = 1 .. 2J
+    n_em = _EM_CORRECTIONS.size
+    step = -(s + np.arange(2 * n_em))
+    c = np.cumprod(step, axis=1)
+    d = c * np.cumsum(1.0 / step, axis=1)
+    # both tails over a^(-s) are coefficients times the powers (a, 1, a^-1,
+    # a^-3, ...): the integral, half the first term, and the corrections
+    # -B_2j/(2j)! h^(2j-1)(a) with h^(n)(a) = a^(-s-n) (C_n la + D_n)
+    coef = np.empty((2, s.shape[0], n_em + 2))
+    coef[:, :, 0] = 1.0 / (s[:, 0] - 1.0) ** np.array([[1.0], [2.0]])
+    coef[:, :, 1] = [[0.5], [0.0]]
+    coef[0, :, 2:], coef[1, :, 2:] = -_EM_CORRECTIONS * c[:, 0::2], -_EM_CORRECTIONS * d[:, 0::2]
+    powers = np.empty((n_em + 2, a.size))
+    powers[0], powers[1], powers[2] = a, 1.0, 1.0 / a
+    for j in range(3, n_em + 2):
+        powers[j] = powers[j - 1] * powers[2] ** 2
+    e, f = coef @ powers
+    pw = np.exp(-s * la)  # a^(-s)
+    zeta = w.sum(axis=1) + pw * e
+    z = np.einsum("mnp,np->mp", w, logv[:-1]) + pw * (la * e + f)
+    # at the least q: int_a^inf v^(-M-1) (C log v + D) dv = a^(-M) (C (la/M + 1/M^2) + D/M)
+    i = np.argmin(q)
+    M = s + 2.0 * n_em - 1.0
+    rem = abs(_EM_CORRECTIONS[-1]) * np.exp(-M * la[i])
+    cM, dM = np.abs(c[:, -1:]) / M, np.abs(d[:, -1:]) / M
+    # rounding: log v to a relative eps moves v^(-s) by eps |s log v|, and
+    # |Z| sums at most max |log v| times zeta's terms
+    maxlog = max(abs(float(logv[0, i])), float(np.max(la)))
+    rounding = _ROUNDOFF_SAFETY * _EPS * (_ZETA_DIRECT + s * maxlog) * zeta[:, i:i + 1]
+    zeta_err = rem * cM + rounding
+    z_err = rem * (cM * (la[i] + 1.0 / M) + dM) + maxlog * rounding
+    if not ok.all():
+        zeta, z = np.where(ok, zeta, np.nan), np.where(ok, z, np.nan)
+        zeta_err, z_err = np.full_like(zeta_err, np.nan), np.full_like(z_err, np.nan)
+    return zeta, zeta_err, z, z_err
 
 
 class _Expansion:
@@ -332,11 +362,12 @@ class TailSeriesSide(_Expansion):
         Used to remove aliasing folds from FFT inversions.  Each of the first
         ``_NEAR_FOLDS`` terms of the quantity's ``_spec``, summed over the
         lattice, is a Hurwitz zeta at s = alpha*k + off, plus
-        Z(s, q) = -d zeta/d s (``log_zeta``) where the term has a log r
-        slope.  A shape partial is taken at fixed x, where the lattice points
-        x + tau + j * period move with tau: that adds d tau/d q times the f'
-        folds.  Returns (value, error) where the error bounds the first
-        omitted term's lattice sum and the Euler-Maclaurin remainders.
+        Z(s, q) = -d zeta/d s where the term has a log r slope; both come
+        from ``hurwitz_zeta``.  A shape partial is taken at fixed x, where
+        the lattice points x + tau + j * period move with tau: that adds
+        d tau/d q times the f' folds.  Returns (value, error) where the error
+        bounds the first omitted term's lattice sum and the kernel's bounds
+        on zeta and Z; it is NaN where some q0 <= 0.
         """
         q0 = np.asarray(q0, dtype=float)
         n = min(_NEAR_FOLDS, self.kmax - 1) + 1  # the last term only bounds the rest
@@ -347,18 +378,17 @@ class TailSeriesSide(_Expansion):
             extra, off, sign, slope, _ = self._spec(q)
             s = self._k[:n, None] * self.alpha + off
             amag = np.exp(self._logcoef[:n, None] + extra[:n, None] - s * logp) / np.pi
-            zeta = special.zeta(s, q0)
+            zeta, zeta_err, lz, lz_err = hurwitz_zeta(s, q0)
             mag = amag * zeta
             terms = sign[:n, None] * mag
-            em_err = 0.0
+            err = amag * zeta_err
             if slope is not None:
-                lz, lz_err = log_zeta(s, q0)
                 logsum = logp * zeta + lz  # sum of log(r_j) (q0 + j)^(-s)
                 terms = terms + amag * slope[0][:n, None] * logsum
                 mag = mag + amag * slope[1][:n, None] * np.abs(logsum)
-                em_err = np.sum(amag * slope[1][:n, None] * lz_err, axis=0)
+                err = err + amag * slope[1][:n, None] * (abs(logp) * zeta_err + lz_err)
             value = value + weight * terms[:-1].sum(axis=0)
-            bound = bound + abs(weight) * (mag[-1] + em_err)
+            bound = bound + abs(weight) * (mag[-1] + err.sum(axis=0))
         return value, float(np.max(bound)) * 1.5
 
     @cached_property

@@ -492,6 +492,50 @@ class TestFoldSums:
                 want = brute + side.dtau.get(q, 0.0) * lattice["dpdf"]
                 assert_allclose(side.fold_sum(q0, period, q)[0], want, rtol=1e-8)
 
+    def test_zeta_kernel_within_its_bounds(self):
+        from scipy import special
+        from stablegarch.stable.series import hurwitz_zeta
+        s = np.linspace(1.2, 12.0, 25)[:, None]
+        oracle_rel = []
+        # one q per call: a bound holds for every point of its call
+        for q in np.geomspace(1e-3, 2.0, 40)[:, None]:
+            zeta, zeta_err, z, z_err = hurwitz_zeta(s, q)
+            assert np.all(np.abs(zeta - special.zeta(s, q)) <= zeta_err)
+            # Z = -d zeta/ds against a Richardson-extrapolated central
+            # difference of scipy's zeta; the oracle's own error is taken
+            # as its gap to the same rule at twice the step plus rounding
+            def central(h):
+                return (special.zeta(s - h, q) - special.zeta(s + h, q)) / (2.0 * h)
+
+            def richardson(h):
+                return (4.0 * central(h) - central(2.0 * h)) / 3.0
+
+            h = 1e-3
+            oracle = richardson(h)
+            oracle_err = np.abs(oracle - richardson(2.0 * h)) + 16.0 * np.finfo(float).eps * zeta / h
+            assert np.all(np.abs(z - oracle) <= z_err + oracle_err)
+            oracle_rel.append(oracle_err / np.abs(oracle))
+        assert np.median(oracle_rel) < 1e-9  # the oracle can tell
+
+    def test_zeta_kernel_is_nan_at_non_positive_q(self):
+        # pytest turns RuntimeWarnings into errors: none may be raised
+        from stablegarch.stable.series import hurwitz_zeta
+        zeta, zeta_err, z, z_err = hurwitz_zeta(np.array([[2.0], [3.5]]), np.array([-0.5, 0.0, 1.0]))
+        for value in (zeta, z):
+            assert np.all(np.isnan(value[:, :2])) and np.all(np.isfinite(value[:, 2]))
+        assert np.all(np.isnan(zeta_err)) and np.all(np.isnan(z_err))
+
+    def test_folds_beyond_the_period_certify_nothing(self):
+        # near alpha = 1 the shift tau (about 573 here) exceeds the fold
+        # period of a 1024-node grid, so a lattice offset q is negative
+        from stablegarch.stable.fourier import FourierTable
+        from stablegarch.stable.series import TailSeriesSide
+        alpha, beta = 0.999, 0.9
+        sides = (TailSeriesSide(alpha, beta, 64), TailSeriesSide(alpha, -beta, 64))
+        table = FourierTable(alpha, beta, (-10.0, 10.0), 1024, 1e-8, tail_sides=sides)
+        assert table.err == np.inf
+        assert np.all(table(np.linspace(-10.0, 10.0, 5)) == 0.0)
+
 
 class TestTailMass:
     """The cdf beyond its anchors, where only the tail mass serves it."""

@@ -5,7 +5,18 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import ks_distance
-from stablegarch.stable import StableParams, cdf, density, quantile, sample
+from stablegarch.errors import AccuracyNotReached
+from stablegarch.stable import (
+    DEFAULT_ACCURACY,
+    StableParams,
+    cdf,
+    density,
+    get_engine,
+    quantile,
+    sample,
+)
+from stablegarch.stable.engine import StandardDensity
+from stablegarch.stable.series import TailSeriesSide
 
 PSI_GRID = [StableParams(a, b) for a in (0.6, 1.0, 1.3, 1.7, 2.0)
             for b in (-0.9, 0.0, 0.9)]
@@ -64,6 +75,50 @@ class TestQuantile:
             quantile(0.0, StableParams(1.5, 0.0))
         with pytest.raises(ValueError):
             quantile(1.0, StableParams(1.5, 0.0))
+
+    @pytest.mark.parametrize("alpha, p", [(1.5, 1e-20), (1.2, 1e-30)])
+    def test_far_tail_round_trip(self, alpha, p):
+        # far beyond any bracket of |x| <= 1e12: x near -7e12 and -3e24
+        eng = StandardDensity(alpha, 0.0, DEFAULT_ACCURACY)
+        (got,), _ = eng.cdf_with_err(np.array([eng.ppf(p)]))
+        assert got == pytest.approx(p, rel=1e-12, abs=0.0)
+
+    def test_far_tail_without_series_round_trips_or_refuses(self):
+        # S(1, 0.5) has no tail series: beyond 1e6 its mass is the leading term
+        eng = get_engine(StableParams(1.0, 0.5), DEFAULT_ACCURACY)
+        try:
+            x = eng.ppf(1e-14)
+        except AccuracyNotReached:
+            return
+        (got,), _ = eng.cdf_with_err(np.array([x]))
+        assert got == pytest.approx(1e-14, rel=1e-12, abs=0.0)
+
+    def test_tail_and_central_quantile_passes(self, monkeypatch):
+        # a tail quantile is a few Newton steps of one series pass each; a
+        # central one is Brent's method in one knot cell of the central cdf
+        eng = StandardDensity(1.5, 0.0, DEFAULT_ACCURACY)
+        st = eng._build_cdf()
+        (at_l, at_r), _ = eng.cdf_with_err(np.array([st["a_l"], st["a_r"]]))
+        assert 0.01 < at_l < 0.3 < at_r  # 0.01 lies beyond the left anchor
+        tail, cdfs = [], []
+        evaluate, cdf_with_err = TailSeriesSide.evaluate, StandardDensity.cdf_with_err
+
+        def counting_evaluate(self, *args, **kwargs):
+            tail.append(1)
+            return evaluate(self, *args, **kwargs)
+
+        def counting_cdf(self, *args, **kwargs):
+            cdfs.append(1)
+            return cdf_with_err(self, *args, **kwargs)
+
+        monkeypatch.setattr(TailSeriesSide, "evaluate", counting_evaluate)
+        monkeypatch.setattr(StandardDensity, "cdf_with_err", counting_cdf)
+        eng.ppf(0.01)
+        assert len(tail) <= 6
+        tail.clear()
+        cdfs.clear()
+        eng.ppf(0.3)
+        assert tail == [] and len(cdfs) <= 8
 
 
 class TestSample:

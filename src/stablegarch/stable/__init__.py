@@ -71,7 +71,11 @@ def quantile(p, psi: StableParams, acc: DensityAccuracy = DEFAULT_ACCURACY):
 
     Each p is inverted on the piece of the certified cdf that holds it (see
     ``StandardDensity.ppf``): Brent's method in one knot cell of the central
-    spline, or Newton's method on the log tail mass beyond the anchors.
+    spline, or Newton's method on the log tail mass beyond the anchors.  The
+    engine keeps the levels it solved, so a repeated p is not solved again.
+    Raises AccuracyNotReached where ``cdf`` would: where the certified error
+    of the standardized cdf exceeds its bound ``cdf_tol``, max(256 abs_tol,
+    2e-5) (near alpha = 1 with beta != 0, for one).
     """
     pts, scalar = _as_points(p)
     eng = get_engine(psi, acc)

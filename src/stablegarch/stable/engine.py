@@ -30,6 +30,9 @@ from .series import ODD_QUANTITIES, CenterSeries, TailSeriesSide, skew_shift, ta
 
 _CHUNK = 16384
 _PROBE_RADII = np.geomspace(0.02, 800.0, 140)
+_LOG_PROBE_RADII = np.log(_PROBE_RADII)
+# the quantities whose tail onsets set the Fourier window and the cdf anchors
+_ONSET_KINDS = ("pdf", "sf")
 _PDF_FLOOR = 1e-300
 _EPS = np.finfo(float).eps
 # log r beyond which a tail quantile is not sought
@@ -37,6 +40,21 @@ _LOG_R_MAX = 690.0
 # the shape partials, whose tables span only the points sent to them
 _PARTIALS = ("dalpha", "dbeta")
 _QUANTITIES = ("pdf", "dpdf") + _PARTIALS  # f' before partials
+
+
+def _probe_indices(lo: int, hi: int, guess: int, spread: bool) -> np.ndarray:
+    """Probe-radius indices to evaluate inside the open bracket (lo, hi).
+
+    All of them if at most eight; else guess - 1 to guess + 2 moved inside
+    the bracket, and with ``spread`` four more evenly across it.
+    """
+    if hi - lo - 1 <= 8:
+        return np.arange(lo + 1, hi)
+    start = min(max(guess - 1, lo + 1), hi - 4)
+    near = np.arange(start, start + 4)
+    if not spread:
+        return near
+    return np.union1d(near, np.linspace(lo, hi, 6)[1:-1].astype(int))
 
 
 def _pick(raw, target):
@@ -71,39 +89,92 @@ class StandardDensity:
         self._tables: dict[str, FourierTable] = {}  # by quantity
         self._cdf_state = None
         self._onsets: dict[str, float] = {}
+        self._quantiles: dict[float, float] = {}  # solved p -> x, see ppf
+        # the certified cdf bound aggregates anchor closure, table error over
+        # the central window and the mass-balance mismatch, so it is looser
+        # than the pointwise density tolerance
+        self.cdf_tol = max(256.0 * self.tol, 2e-5)
 
     # -- probes -----------------------------------------------------------
 
     @property
     def x_keep(self) -> float:
-        """Halfwidth of the Fourier window; beyond it the series certify."""
+        """Halfwidth of the Fourier window; beyond it the series certify.
+
+        The window reaches one past the tail onset of the density and of the
+        tail mass (see ``_probe_onsets``), shifted by |tau|, within [6, 64].
+        """
         if not self.has_tail_series:
             return 64.0
         pads = [6.0]
-        for kind in ("pdf", "sf"):
+        for kind in _ONSET_KINDS:
             onset = self._onset(kind)
             if np.isfinite(onset):
                 pads.append(onset + abs(self.tau) + 1.0)
         return float(np.clip(max(pads), 6.0, 64.0))
 
     def _onset(self, kind: str) -> float:
-        if kind not in self._onsets:
-            self._onsets[kind] = self._probe_onset(kind)
+        if not self._onsets:
+            self._onsets = self._probe_onsets()
         return self._onsets[kind]
 
-    def _probe_onset(self, kind: str) -> float:
-        """Smallest radius from which both tail sides certify the tolerance."""
-        onset = 0.0
+    def _probe_onsets(self) -> dict[str, float]:
+        """{kind: smallest probe radius from which both tail sides certify it}.
+
+        For "pdf" and "sf", np.inf where a side certifies at no radius of
+        ``_PROBE_RADII``.  A side certifies a kind at a radius where
+        ``TailSeriesSide.evaluate`` reports err <= tol.  That holds from one
+        radius on (monotone in r on all 7,400 rows of alpha 0.3 to 1.98 by
+        beta -1 to 1, both sides, kinds and accuracies), so the onset is the
+        first radius that certifies and only the radii next to it need
+        evaluating.  Each pass sums the term budget of a pass over all the
+        radii, because a convergent pass charges roundoff by its budget: so a
+        radius certifies here as it would in that pass.  See
+        ``_side_onsets``.
+        """
+        onsets = dict.fromkeys(_ONSET_KINDS, 0.0)
         for side in (self.right, self.left):
-            err = side.evaluate(_PROBE_RADII, (kind,), (self.tol,))[1, 0]
-            ok = err <= self.tol
-            if not ok.any():
-                return np.inf
-            idx = len(ok) - 1
-            while idx > 0 and ok[idx - 1]:
-                idx -= 1
-            onset = max(onset, _PROBE_RADII[idx])
-        return onset
+            for kind, radius in self._side_onsets(side).items():
+                onsets[kind] = max(onsets[kind], radius)
+        return onsets
+
+    def _side_onsets(self, side: TailSeriesSide) -> dict[str, float]:
+        """{kind: first probe radius at which ``side`` certifies it, np.inf if none}.
+
+        Each kind keeps a bracket (last radius known to fail, first known to
+        certify) and a guess, the first radius past ``certifies_from`` (a
+        lower bound of the onset, exact on 7,388 of the 7,400 rows above and
+        one short on the rest).  Rounds evaluate, in one pass for the kinds
+        that share a term budget, the radii from one below each open kind's
+        guess to two above, moved inside its bracket, and from the second
+        round also four radii spread over the bracket; a bracket of at most
+        eight radii is evaluated whole.  A kind is done when its bracket
+        holds the step from fail to certify.
+        """
+        n, tol = _PROBE_RADII.size, self.tol
+        budgets = {kind: side.term_budget(kind, tol, _LOG_PROBE_RADII) for kind in _ONSET_KINDS}
+        first = {}
+        for kcap in dict.fromkeys(budgets.values()):
+            kinds = [kind for kind in _ONSET_KINDS if budgets[kind] == kcap]
+            bracket = {kind: [-1, n] for kind in kinds}
+            guess = {kind: int(np.searchsorted(_LOG_PROBE_RADII,
+                                               side.certifies_from(kind, tol, kcap)))
+                     for kind in kinds}
+            spread = False
+            while kinds:
+                idx = np.unique(np.concatenate(
+                    [_probe_indices(*bracket[kind], guess[kind], spread) for kind in kinds]))
+                err = side.evaluate(_PROBE_RADII[idx], kinds, (tol,) * len(kinds), kcap)[1]
+                for kind, ok in zip(kinds, err <= tol):
+                    if not ok.all():
+                        bracket[kind][0] = max(bracket[kind][0], int(idx[~ok].max()))
+                    if ok.any():
+                        bracket[kind][1] = min(bracket[kind][1], int(idx[ok].min()))
+                kinds = [kind for kind in kinds if bracket[kind][1] - bracket[kind][0] > 1]
+                spread = True
+            first.update((kind, _PROBE_RADII[hi] if hi < n else np.inf)
+                         for kind, (_, hi) in bracket.items())
+        return first
 
     # Series term cap of the cheap first pass.  Both thresholds of the
     # finishing order are measured (2-CPU machine): without this pass a
@@ -401,10 +472,7 @@ class StandardDensity:
 
     def cdf(self, x):
         v, e = self.cdf_with_err(x)
-        # the certified cdf bound aggregates anchor closure, table error over
-        # the central window and the mass-balance mismatch, so it is looser
-        # than the pointwise density tolerance
-        if float(np.max(e)) > max(256.0 * self.tol, 2e-5):
+        if float(np.max(e)) > self.cdf_tol:
             raise AccuracyNotReached("cdf accuracy not certified",
                                      worst_error=float(np.max(e)))
         return v
@@ -415,11 +483,30 @@ class StandardDensity:
         A central p (from the cdf at the anchor a_l to the cdf at a_r) lies
         in one cell of the cdf tabulated at the central spline's knots, and
         Brent's method runs in that cell only.  A p beyond an anchor is a
-        tail mass, found by ``_tail_ppf``.
+        tail mass, found by ``_tail_ppf``.  Raises AccuracyNotReached where
+        the cdf's certified error exceeds ``cdf_tol``, the bound ``cdf``
+        holds: there the root says nothing.  The engine keeps the first
+        ``_QUANTILES_KEPT`` levels it solves, so a repeated p costs a lookup
+        and returns the same float.
         """
         if not (0.0 < p < 1.0):
             raise ValueError("p must lie strictly between 0 and 1")
+        x = self._quantiles.get(p)
+        if x is None:
+            x = self._solve_ppf(p)
+            if len(self._quantiles) < self._QUANTILES_KEPT:
+                self._quantiles[p] = x
+        return x
+
+    # distinct quantile levels an engine keeps
+    _QUANTILES_KEPT = 32
+
+    def _solve_ppf(self, p: float) -> float:
         st = self._build_cdf()
+        if st["err"] > self.cdf_tol:
+            raise AccuracyNotReached(
+                f"no certified cdf to invert for alpha={self.alpha}, beta={self.beta}",
+                worst_error=float(st["err"]))
         knots, knot_cdf = st["knots"], st["knot_cdf"]
         if p < knot_cdf[0]:
             return self._tail_ppf(p, -1)

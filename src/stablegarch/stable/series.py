@@ -356,6 +356,31 @@ class TailSeriesSide(_Expansion):
                 nk = min(nk, max(int(np.argmax(done)) + 2, 8))
         return nk if logr.size else 0
 
+    def term_budget(self, quantity: str, tol: float, logr) -> int:
+        """Terms a pass with no cap sums for ``quantity`` over the radii e^logr."""
+        return self._budget(self._spec(quantity), tol, None, np.asarray(logr, dtype=float))
+
+    def certifies_from(self, quantity: str, tol: float, kcap: int) -> float:
+        """A log radius below which no pass of ``kcap`` terms certifies ``tol``.
+
+        Read from the envelopes of a quantity with no log slope ("pdf",
+        "dpdf", "sf"), without summing.  ``_certified_sum`` charges at least
+        _ASYM_SAFETY times one envelope (the least, or the first that
+        certifies), so some envelope must be at most tol/_ASYM_SAFETY.  A
+        convergent pass (alpha <= 1) also charges _ROUNDOFF_SAFETY * eps *
+        max(kcap, 8) times its largest envelope, so every envelope must be at
+        most tol over that.  Each envelope falls in r, so each condition is a
+        least log r.
+        """
+        extra, off, _, _, _ = self._spec(quantity)
+        logc = self._logcoef[:kcap] + extra[:kcap] - np.log(self._norm)
+        power = self.alpha * self._k[:kcap] + off
+        bound = float(np.min((logc - np.log(tol / _ASYM_SAFETY)) / power))
+        if self.alpha <= 1.0:
+            roundoff = np.log(tol / (_ROUNDOFF_SAFETY * _EPS * max(kcap, 8)))
+            bound = max(bound, float(np.max((logc - roundoff) / power)))
+        return bound
+
     def fold_sum(self, q0, period, quantity: str = "pdf"):
         """Sum of the quantity's series over the lattice r_j = (q0 + j) * period, j >= 0.
 

@@ -2,13 +2,14 @@
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import optimize, stats
 
 from stablegarch.data import ReturnSeries
 from stablegarch.estimate import FitResult, ModelParams
 from stablegarch.garch import GarchParams, simulate
 from stablegarch.risk import backtest, innovation_quantile, var_forecast, var_series
 from stablegarch.stable import StableParams, quantile
+from stablegarch.stable.engine import StandardDensity
 
 THETA0 = GarchParams(0.01, a=(0.02,), b=(0.7,))
 
@@ -127,3 +128,33 @@ class TestBacktest:
             rg = backtest(fit_g, out, p=0.01)
             wins += abs(rs.hit_frequency - 0.01) < abs(rg.hit_frequency - 0.01)
         assert wins >= 5
+
+
+class TestQuantileReuse:
+    def test_one_solve_per_level(self, monkeypatch):
+        # a VaR desk asset: a forecast at 0.01, then backtests at 0.01 and
+        # 0.05; an engine of its own, so no earlier test solved these levels
+        theta = GarchParams(0.01, a=(0.03,), b=(0.6,))
+        fit = make_fit(theta=theta, alpha=1.617, beta=0.213)
+        eps, _ = simulate(theta, StableParams(1.617, 0.213), n=400, seed=17)
+        history, outsample = eps.slice(0, 200), eps.slice(200, 400)
+        solves = []
+        tail_ppf, brentq = StandardDensity._tail_ppf, optimize.brentq
+
+        def counting_tail(self, *args):
+            solves.append("tail")
+            return tail_ppf(self, *args)
+
+        def counting_brentq(*args, **kwargs):
+            solves.append("central")
+            return brentq(*args, **kwargs)
+
+        monkeypatch.setattr(StandardDensity, "_tail_ppf", counting_tail)
+        monkeypatch.setattr(optimize, "brentq", counting_brentq)
+        fc = var_forecast(fit, history, 0.01)
+        backtest(fit, outsample, 0.01)
+        backtest(fit, outsample, 0.05)
+        assert len(solves) == 2
+        # the repeat returns the very float the forecast used
+        assert fc.var_value == fc.sigma * innovation_quantile(fit, 0.01)
+        assert len(solves) == 2

@@ -555,5 +555,54 @@ class TestTailMass:
         assert np.all(np.abs(got - want) <= err + 2e-7)
 
 
+class TestTailOnset:
+    """Tail onsets from the few probe radii that decide them."""
+
+    @staticmethod
+    def _full_scan(eng, kind):
+        # every probe radius in one pass per side: the onset is where the
+        # trailing run of certified radii starts
+        from stablegarch.stable.engine import _PROBE_RADII
+        onset = 0.0
+        for side in (eng.right, eng.left):
+            ok = side.evaluate(_PROBE_RADII, (kind,), (eng.tol,))[1, 0] <= eng.tol
+            if not ok.any():
+                return np.inf
+            idx = len(ok) - 1
+            while idx > 0 and ok[idx - 1]:
+                idx -= 1
+            onset = max(onset, _PROBE_RADII[idx])
+        return onset
+
+    # alpha < 1 laws whose onsets move when a pass sums only its own radii's
+    # term budget, |beta| = 1, and laws of the VaR desk's range
+    @pytest.mark.parametrize("alpha, beta", [
+        (0.6, 0.4), (0.54, 0.8), (0.54, -0.8), (0.6, 1.0), (0.6, -1.0), (0.3, 0.7),
+        (0.9, -1.0), (1.5, 1.0), (1.5, -1.0), (1.2, -0.5), (1.5, 0.2), (1.73, 0.45),
+        (1.95, -0.3)])
+    @pytest.mark.parametrize("acc", [DensityAccuracy(), FIT_ACCURACY], ids=["default", "fit"])
+    def test_onsets_equal_full_scan(self, alpha, beta, acc):
+        from stablegarch.stable.engine import StandardDensity
+        eng = StandardDensity(alpha, beta, acc)
+        for kind in ("pdf", "sf"):
+            assert eng._onset(kind) == self._full_scan(eng, kind)
+
+    def test_cold_engine_evaluates_few_radii(self, monkeypatch):
+        # a full scan passes 4 x 140 radii to the tail series
+        from stablegarch.stable.engine import StandardDensity
+        from stablegarch.stable.series import TailSeriesSide
+        passed, evaluate = [], TailSeriesSide.evaluate
+
+        def counting(self, z, quantities, *args, **kwargs):
+            passed.append(np.size(z) * len(quantities))
+            return evaluate(self, z, quantities, *args, **kwargs)
+
+        eng = StandardDensity(1.5, 0.2, DensityAccuracy())
+        monkeypatch.setattr(TailSeriesSide, "evaluate", counting)
+        eng._onset("pdf")
+        eng._onset("sf")
+        assert 0 < sum(passed) <= 56
+
+
 def _base(psi):
     return dict(alpha=psi.alpha, beta=psi.beta, mu=psi.mu, gamma=psi.gamma)

@@ -93,6 +93,18 @@ class TestQuantile:
         (got,), _ = eng.cdf_with_err(np.array([x]))
         assert got == pytest.approx(1e-14, rel=1e-12, abs=0.0)
 
+    @pytest.mark.parametrize("alpha, beta", [(0.999, -0.5), (0.999, 0.3), (1.001, 0.5)])
+    def test_refuses_uncertified_cdf(self, alpha, beta):
+        # near alpha = 1 the shift tau puts the central window far outside
+        # the f table, and the cdf's certified error exceeds what cdf accepts
+        psi = StableParams(alpha, beta)
+        eng = get_engine(psi, DEFAULT_ACCURACY)
+        assert eng._build_cdf()["err"] > eng.cdf_tol
+        for p in (0.01, 0.5, 0.99):
+            with pytest.raises(AccuracyNotReached):
+                quantile(p, psi)
+        assert eng._quantiles == {}
+
     def test_tail_and_central_quantile_passes(self, monkeypatch):
         # a tail quantile is a few Newton steps of one series pass each; a
         # central one is Brent's method in one knot cell of the central cdf

@@ -76,15 +76,56 @@ def variance_derivatives(eps: ReturnSeries, theta: GarchParams):
     return sig2, _lag_filter(theta, np.column_stack([np.ones(n)] + lagged))
 
 
+def _garch11_variances(omega: float, a, b, start: float, eta: list) -> list:
+    """sigma2_0..sigma2_{T-1} of a GARCH(1, 1) or ARCH(1) path, from presample ``start``.
+
+    The recursion carries one squared return and one variance: sigma2_t is
+    formed from the step-(t-1) values before it is stored.  ARCH(1) runs
+    with b = 0.  A non-finite variance propagates to the end of the path.
+    """
+    (a1,), (b1,) = a, (b or (0.0,))
+    out = []
+    e2 = v = start
+    for z in eta:
+        v = omega + a1 * e2 + b1 * v
+        out.append(v)
+        e = math.sqrt(v) * z
+        e2 = e * e
+    return out
+
+
+def _lag_variances(omega: float, a, b, start: float, eta: list) -> list:
+    """sigma2_0..sigma2_{T-1} of a GARCH(p, q) path: the same recursion over lag lists."""
+    # lags as Python floats, most recent first
+    e2 = [start] * len(a)
+    s2 = [start] * len(b)
+    out = []
+    for z in eta:
+        var = omega
+        for ai, x in zip(a, e2):
+            var += ai * x
+        for bj, x in zip(b, s2):
+            var += bj * x
+        out.append(var)
+        e = math.sqrt(var) * z
+        e2.insert(0, e * e)
+        e2.pop()
+        s2.insert(0, var)
+        s2.pop()
+    return out
+
+
 def simulate(theta: GarchParams, psi: StableParams, n: int, burn_in: int = 500,
              seed=0, innovations: np.ndarray | None = None
              ) -> tuple[ReturnSeries, VolatilityPath]:
     """Simulate the model eps_t = sigma_t * eta_t with the GARCH(p, q) recursion.
 
-    Innovations are stable draws from psi unless an explicit array of length
-    n + burn_in is injected (used for summed-innovation experiments).  The
-    first burn_in steps are discarded.  Raises ExplosionError once the
-    variance overflows to a non-finite value.
+    Innovations are stable draws from psi unless an explicit array of at
+    least n + burn_in finite values is injected (used for summed-innovation
+    experiments); a non-finite one raises ValueError.  The first burn_in
+    steps are discarded.  The whole variance path is computed first; if any
+    of it is non-finite, ExplosionError reports the first such step ``t``,
+    counted from the first burn-in step, and its value ``sigma2``.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -97,27 +138,17 @@ def simulate(theta: GarchParams, psi: StableParams, n: int, burn_in: int = 500,
         eta = np.asarray(innovations, dtype=float)
         if eta.size < total:
             raise ValueError(f"need {total} innovations, got {eta.size}")
+        eta = eta[:total]
+        bad = np.flatnonzero(~np.isfinite(eta))
+        if bad.size:
+            raise ValueError(f"innovation {bad[0]} is {eta[bad[0]]}, not finite")
     omega, a, b = theta.omega, theta.a, theta.b
     start = omega / max(1.0 - sum(a) - sum(b), 0.05)
-    # lags as Python floats, most recent first
-    e2 = [start] * len(a)
-    s2 = [start] * len(b)
-    eps_out = np.empty(total)
-    sig2_out = np.empty(total)
-    for t, z in enumerate(eta[:total].tolist()):
-        var = omega
-        for ai, x in zip(a, e2):
-            var += ai * x
-        for bj, x in zip(b, s2):
-            var += bj * x
-        if not math.isfinite(var):
-            raise ExplosionError(f"sigma^2 overflowed to {var} at step {t}", t=t, sigma2=var)
-        e = math.sqrt(var) * z
-        eps_out[t] = e
-        sig2_out[t] = var
-        e2.insert(0, e * e)
-        e2.pop()
-        s2.insert(0, var)
-        s2.pop()
-    return (ReturnSeries(eps_out[burn_in:]),
-            VolatilityPath(sig2_out[burn_in:]))
+    variances = _garch11_variances if len(a) == 1 and len(b) <= 1 else _lag_variances
+    sig2 = np.array(variances(omega, a, b, start, eta.tolist()))
+    bad = np.flatnonzero(~np.isfinite(sig2))
+    if bad.size:
+        t, var = int(bad[0]), float(sig2[bad[0]])
+        raise ExplosionError(f"sigma^2 overflowed to {var} at step {t}", t=t, sigma2=var)
+    sig2 = sig2[burn_in:]
+    return ReturnSeries(np.sqrt(sig2) * eta[burn_in:]), VolatilityPath(sig2)

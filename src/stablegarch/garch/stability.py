@@ -108,7 +108,9 @@ def lyapunov_exponent(theta: GarchParams, psi: StableParams, horizon: int = 4000
         raise ValueError("need at least 2 replications")
     eta2 = _squared_draws(psi, horizon, replications, seed)
     if len(theta.a) == len(theta.b) == 1:
-        per_rep = np.log(theta.b[0] + theta.a[0] * eta2).mean(axis=1)
+        x = theta.a[0] * eta2  # one buffer for a eta^2, b + a eta^2 and its log
+        x += theta.b[0]
+        per_rep = np.log(x, out=x).mean(axis=1)
     else:
         c0, c1 = _companion_split(theta)
         prod = np.broadcast_to(np.eye(c0.shape[0]), (replications,) + c0.shape).copy()

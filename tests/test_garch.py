@@ -16,8 +16,9 @@ from stablegarch.garch import (
     stationarity_frontier,
     volatility_path,
 )
-from stablegarch.garch.recursion import variance_derivatives
+from stablegarch.garch.recursion import _garch11_variances, _lag_variances, variance_derivatives
 from stablegarch.stable import StableParams
+from stablegarch.stable import sample as stable_sample
 
 THETA0 = GarchParams(0.01, a=(0.02,), b=(0.7,))
 
@@ -140,8 +141,45 @@ class TestSimulate:
 
     def test_explosion_raises(self):
         theta = GarchParams(0.01, a=(0.9,), b=(0.9,))
-        with pytest.raises(ExplosionError):
-            simulate(theta, StableParams(1.2, 0.0), n=5000, seed=1)
+        psi = StableParams(1.2, 0.0)
+        with pytest.raises(ExplosionError) as info:
+            simulate(theta, psi, n=5000, burn_in=500, seed=1)
+        exc = info.value
+        assert exc.sigma2 == np.inf
+        # t counts from the first burn-in step: on the same draws, a path of
+        # t steps with no burn-in is finite and one more step overflows
+        eta = stable_sample(psi, 5500, 1)
+        _, path = simulate(theta, psi, n=exc.t, burn_in=0, innovations=eta)
+        assert np.isfinite(path.sigma2).all()
+        with pytest.raises(ExplosionError) as again:
+            simulate(theta, psi, n=exc.t + 1, burn_in=0, innovations=eta)
+        assert (again.value.t, again.value.sigma2) == (exc.t, exc.sigma2)
+
+    @pytest.mark.parametrize("theta, alpha", [
+        (GarchParams(0.01, a=(0.06,), b=(0.9,)), 1.6),
+        (GarchParams(0.01, a=(0.9,), b=(0.9,)), 1.2),  # overflows
+        (GarchParams(0.02, a=(0.3,)), 1.6),
+        (GarchParams(0.02, a=(5.0,)), 1.2),  # overflows
+    ])
+    def test_two_float_loop_matches_lag_lists(self, theta, alpha):
+        # bit for bit from step 0, up to and including the first non-finite
+        # variance; past it ARCH(1)'s padded 0 * inf makes the two differ
+        eta = stable_sample(StableParams(alpha, 0.0), 3000, 4).tolist()
+        args = (theta.omega, theta.a, theta.b, 0.37, eta)
+        fast, ref = np.array(_garch11_variances(*args)), np.array(_lag_variances(*args))
+        stop = np.flatnonzero(~np.isfinite(ref))
+        end = stop[0] + 1 if stop.size else ref.size
+        assert np.flatnonzero(~np.isfinite(fast[:end])).tolist() == stop[:1].tolist()
+        assert fast[:end].tobytes() == ref[:end].tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_innovation_is_a_value_error(self, bad):
+        eta = np.ones(121)
+        eta[120] = bad  # beyond n + burn_in: unused
+        simulate(THETA0, StableParams(1.6, 0.0), n=20, burn_in=100, innovations=eta)
+        eta[41] = bad
+        with pytest.raises(ValueError, match="innovation 41 is"):
+            simulate(THETA0, StableParams(1.6, 0.0), n=20, burn_in=100, innovations=eta)
 
     def test_stationary_heavy_tail_model_simulates(self):
         # gamma = E log(b + a eta^2) = -0.127 here, yet one alpha = 1.2 draw

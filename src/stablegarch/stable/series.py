@@ -32,7 +32,10 @@ One evaluator, ``_Expansion.evaluate``, serves both expansions: the
 quantities asked for together share log|y|, the powers of the argument and
 their signs, and each adds only its own factors and its own certificate.  A
 pass accepts a term cap, so dispatchers can run a cheap first pass and
-re-evaluate only the points that failed to certify.  The tail's
+re-evaluate only the points that failed to certify, and each expansion
+states, from its envelopes alone, the radius beyond which (tail,
+``certifies_from``) or inside which (centre, ``certifies_within``) a pass
+of a given cap can certify a tolerance at all.  The tail's
 ``fold_sum``, which removes aliasing folds from the Fourier tables, sums the
 same specs over a lattice: each term's lattice sum is a Hurwitz zeta from
 ``hurwitz_zeta``, which returns zeta and -d zeta/d s with their bounds from
@@ -61,6 +64,9 @@ _EM_CORRECTIONS = np.array([1.0 / 12.0, -1.0 / 720.0, 1.0 / 30240.0, -1.0 / 1209
 # Envelopes are floored at exp(-700): flooring only loosens a bound, and exp
 # of smaller arguments takes a subnormal path many times slower.
 _LOG_FLOOR = -700.0
+# Margin, in log radius, by which a reach bound is widened so that rounding
+# in the envelopes cannot certify a point the bound leaves out.
+_REACH_SLACK = 1e-9
 # Quantities odd under the parity f(x, alpha, beta) = f(-x, alpha, -beta):
 # the slope and the beta partial flip sign between the two tail sides.
 ODD_QUANTITIES = ("dpdf", "dbeta")
@@ -77,6 +83,12 @@ def shift_partials(alpha: float, beta: float) -> dict:
     """d tau/d alpha and d tau/d beta of tau = beta tan(alpha pi/2), by quantity."""
     return {"dalpha": beta * (np.pi / 2.0) / np.cos(np.pi * alpha / 2.0) ** 2,
             "dbeta": np.tan(np.pi * alpha / 2.0)}
+
+
+def log_radius(z):
+    """log|z|, with -745 (below log of the least subnormal) at z = 0."""
+    az = np.abs(z)
+    return np.where(az > 0.0, np.log(np.where(az > 0.0, az, 1.0)), -745.0)
 
 
 def _certified_sum(env, terms, tol, ratio=None):
@@ -244,23 +256,27 @@ class _Expansion:
         self.dtau = shift_partials(alpha, beta)
         self._k = np.arange(k0, kmax + 1, dtype=float)
         self._specs = {}
+        self._reach = {}  # log radii by (quantity, tol, kcap), see certifies_from/within
 
-    def evaluate(self, z, quantities, tols, kcap=None, need=None):
+    def evaluate(self, z, quantities, tols, kcap=None, need=None, budgets=None):
         """(values, errors), each of shape (len(quantities), points), at z.
 
         The quantities share log|z|, the powers of |z| (held for one offset
         at a time) and the signs of odd powers at z < 0, and each is
         certified to its entry of ``tols``.  Without ``kcap`` each term
         budget is cut to what the slowest of the quantity's ``need`` points
-        (a boolean row each, default all) can use; a quantity with none is
-        skipped.
+        (a boolean row each, default all) can use, or taken from
+        ``budgets``; a quantity with no point is skipped.
         """
         z = np.asarray(z, dtype=float)
-        az = np.abs(z)
-        logz = np.where(az > 0.0, np.log(np.where(az > 0.0, az, 1.0)), -745.0)
+        logz = log_radius(z)
         specs = [self._spec(q) for q in quantities]
         rows = need if need is not None else [slice(None)] * len(quantities)
-        nks = [self._budget(sp, tol, kcap, logz[row]) for sp, tol, row in zip(specs, tols, rows)]
+        if budgets is None:
+            nks = [self._budget(sp, tol, kcap, logz[row])
+                   for sp, tol, row in zip(specs, tols, rows)]
+        else:
+            nks = [nk if logz[row].size else 0 for nk, row in zip(budgets, rows)]
         out = np.zeros((2, len(quantities), z.size))
         out[1] = np.inf
         neg = (z < 0.0)[None, :] if (z < 0.0).any() else None
@@ -360,26 +376,30 @@ class TailSeriesSide(_Expansion):
         """Terms a pass with no cap sums for ``quantity`` over the radii e^logr."""
         return self._budget(self._spec(quantity), tol, None, np.asarray(logr, dtype=float))
 
-    def certifies_from(self, quantity: str, tol: float, kcap: int) -> float:
-        """A log radius below which no pass of ``kcap`` terms certifies ``tol``.
+    def certifies_from(self, quantity: str, tol: float, kcap: int | None) -> float:
+        """A log radius below which no pass of ``kcap`` terms certifies ``tol``, cached.
 
-        Read from the envelopes of a quantity with no log slope ("pdf",
-        "dpdf", "sf"), without summing.  ``_certified_sum`` charges at least
+        Read from the envelopes, without summing; a log slope only raises an
+        envelope, so it is left out.  ``_certified_sum`` charges at least
         _ASYM_SAFETY times one envelope (the least, or the first that
         certifies), so some envelope must be at most tol/_ASYM_SAFETY.  A
         convergent pass (alpha <= 1) also charges _ROUNDOFF_SAFETY * eps *
-        max(kcap, 8) times its largest envelope, so every envelope must be at
-        most tol over that.  Each envelope falls in r, so each condition is a
-        least log r.
+        max(terms, 8) times its largest envelope, so every envelope must be at
+        most tol over that; a pass with no cap (``kcap`` None) sums a budget
+        that can be shorter than kmax, so there that condition is left out.
+        Each envelope falls in r, so each condition is a least log r.
         """
-        extra, off, _, _, _ = self._spec(quantity)
-        logc = self._logcoef[:kcap] + extra[:kcap] - np.log(self._norm)
-        power = self.alpha * self._k[:kcap] + off
-        bound = float(np.min((logc - np.log(tol / _ASYM_SAFETY)) / power))
-        if self.alpha <= 1.0:
-            roundoff = np.log(tol / (_ROUNDOFF_SAFETY * _EPS * max(kcap, 8)))
-            bound = max(bound, float(np.max((logc - roundoff) / power)))
-        return bound
+        key = (quantity, tol, kcap)
+        if key not in self._reach:
+            extra, off, _, _, _ = self._spec(quantity)
+            logc = self._logcoef[:kcap] + extra[:kcap] - np.log(self._norm)
+            power = self.alpha * self._k[:kcap] + off
+            bound = float(np.min((logc - np.log(tol / _ASYM_SAFETY)) / power))
+            if self.alpha <= 1.0 and kcap is not None:
+                roundoff = np.log(tol / (_ROUNDOFF_SAFETY * _EPS * max(logc.size, 8)))
+                bound = max(bound, float(np.max((logc - roundoff) / power)))
+            self._reach[key] = bound - _REACH_SLACK
+        return self._reach[key]
 
     def fold_sum(self, q0, period, quantity: str = "pdf"):
         """Sum of the quantity's series over the lattice r_j = (q0 + j) * period, j >= 0.
@@ -491,6 +511,35 @@ class CenterSeries(_Expansion):
             if done.any():
                 nk = min(nk, max(int(np.argmax(done)) + 2, 8))
         return nk if logay.size else 0
+
+    def certifies_within(self, quantity: str, tol: float, kcap: int) -> float:
+        """A log radius beyond which no pass of ``kcap`` terms certifies ``tol``, cached.
+
+        The counterpart of ``TailSeriesSide.certifies_from``, read from the
+        envelopes of the convergent pass.  ``_certified_sum`` certifies from
+        a term before the cap whose envelope is at most tol/_ASYM_SAFETY and
+        whose ratio bound contracts, and it charges _ROUNDOFF_SAFETY * eps *
+        max(terms, 8) times the largest envelope, so every envelope must be
+        at most tol over that.  An envelope with a positive power of |y|
+        grows in |y| and the ratio bound contracts only below a radius, so
+        each condition is a greatest log |y|; an envelope with no positive
+        power holds or fails everywhere.
+        """
+        key = (quantity, tol, kcap)
+        if key not in self._reach:
+            extra, off, _, _, ratio = self._spec(quantity)
+            nk = min(kcap, self.kmax + 1)
+            logc = self._logcoef[:nk] + extra[:nk] - np.log(self._norm)
+            power = self._k[:nk] + off
+
+            def within(limit):  # per term: the greatest log|y| with env_k <= limit
+                everywhere = np.where(logc <= np.log(limit), np.inf, -np.inf)
+                return np.divide(np.log(limit) - logc, power, out=everywhere, where=power > 0.0)
+
+            first = np.minimum(within(tol / _ASYM_SAFETY), np.log(_RATIO_CAP) - ratio[:nk])
+            roundoff = within(tol / (_ROUNDOFF_SAFETY * _EPS * max(nk, 8)))
+            self._reach[key] = min(float(first[:-1].max()), float(roundoff.min())) + _REACH_SLACK
+        return self._reach[key]
 
     @cached_property
     def _shape_coefs(self):

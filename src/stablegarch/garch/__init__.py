@@ -5,7 +5,6 @@ from .recursion import simulate, volatility_path
 from .stability import (
     FrontierPoint,
     LyapunovEstimate,
-    companion_matrix,
     lyapunov_exponent,
     matrix_norm_l1,
     stationarity_frontier,
@@ -14,6 +13,6 @@ from .stability import (
 __all__ = [
     "GarchOrder", "GarchParams", "VolatilityPath",
     "volatility_path", "simulate",
-    "companion_matrix", "lyapunov_exponent", "stationarity_frontier",
+    "lyapunov_exponent", "stationarity_frontier",
     "LyapunovEstimate", "FrontierPoint", "matrix_norm_l1",
 ]

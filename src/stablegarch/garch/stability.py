@@ -29,19 +29,14 @@ class FrontierPoint(NamedTuple):
     stderr: float
 
 
-def companion_matrix(theta: GarchParams, eta: float) -> np.ndarray:
-    """Companion matrix A(eta) of the squared-process vector recursion.
-
-    The state stacks (eps2_t..eps2_{t-q+1}, sigma2_t..sigma2_{t-p+1}); the
-    top row carries a_i*eta^2, b_j*eta^2, the row below the squared-return
-    block carries a_i, b_j, and shifted identities fill the lag blocks.
-    """
-    c0, c1 = _companion_split(theta)
-    return c0 + eta ** 2 * c1
-
-
 def _companion_split(theta: GarchParams):
-    """A(eta) = C0 + eta^2 * C1 for vectorized products."""
+    """(C0, C1) with companion matrix A(eta) = C0 + eta^2 * C1, for vectorized products.
+
+    A(eta) is the matrix of the squared-process vector recursion.  The state
+    stacks (eps2_t..eps2_{t-q+1}, sigma2_t..sigma2_{t-p+1}); the top row
+    carries a_i*eta^2, b_j*eta^2, the row below the squared-return block
+    carries a_i, b_j, and shifted identities fill the lag blocks.
+    """
     p, q = len(theta.b), len(theta.a)
     d = p + q
     c0 = np.zeros((d, d))

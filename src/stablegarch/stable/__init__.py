@@ -11,8 +11,8 @@ certifies.  The engine's finishing order is documented in ``engine``.
 The same strategies give the shape partials d f/d alpha and d f/d beta at
 fixed x: the series term by term, the tables and quadrature by inverting phi
 times d(log phi).  ``log_density_terms`` turns them into the score of log f
-in the shape parameters with one engine call for all four; the likelihood,
-the i.i.d. stable fit and ``log_density_grad`` all call it.
+in the shape parameters with one engine call for all four; the likelihood
+and the i.i.d. stable fit both call it.
 """
 
 from __future__ import annotations
@@ -26,15 +26,19 @@ from .sample import sample
 
 __all__ = [
     "StableParams", "DensityAccuracy", "DEFAULT_ACCURACY", "FIT_ACCURACY",
-    "char_fn", "density", "density_dx", "log_density_terms", "log_density_grad",
-    "cdf", "quantile",
+    "char_fn", "density", "log_density_terms", "cdf", "quantile",
     "sample", "get_engine", "StandardDensity",
 ]
 
 
 def _as_points(x):
+    """(points as a 1-d array, whether x was a scalar); a NaN point is a ValueError."""
     arr = np.asarray(x, dtype=float)
-    return np.atleast_1d(arr), arr.ndim == 0
+    pts = np.atleast_1d(arr)
+    nan = np.flatnonzero(np.isnan(pts))
+    if nan.size:
+        raise ValueError(f"point {int(nan[0])} is NaN")
+    return pts, arr.ndim == 0
 
 
 def density(x, psi: StableParams, acc: DensityAccuracy = DEFAULT_ACCURACY):
@@ -47,14 +51,6 @@ def density(x, psi: StableParams, acc: DensityAccuracy = DEFAULT_ACCURACY):
     pts, scalar = _as_points(x)
     eng = get_engine(psi, acc)
     vals = eng.pdf((pts - psi.mu) / psi.gamma) / psi.gamma
-    return float(vals[0]) if scalar else vals
-
-
-def density_dx(x, psi: StableParams, acc: DensityAccuracy = DEFAULT_ACCURACY):
-    """Partial derivative of the stable density with respect to x."""
-    pts, scalar = _as_points(x)
-    eng = get_engine(psi, acc)
-    vals = eng.dpdf((pts - psi.mu) / psi.gamma) / psi.gamma ** 2
     return float(vals[0]) if scalar else vals
 
 
@@ -97,18 +93,3 @@ def log_density_terms(x: np.ndarray, alpha: float, beta: float,
     f, slope, d_alpha, d_beta = eng.evaluate(x, ("pdf", "dpdf", "dalpha", "dbeta"))[:, 0]
     f = np.maximum(f, 1e-300)
     return np.log(f), slope / f, np.column_stack([d_alpha, d_beta]) / f[:, None]
-
-
-def log_density_grad(x, psi: StableParams, acc: DensityAccuracy = DEFAULT_ACCURACY):
-    """Gradient of log f at x: components (alpha, beta, mu, x).
-
-    The shape components come from ``log_density_terms`` at the standardized
-    point z = (x - mu)/gamma; the mu and x components are -(f'/f)/gamma and
-    (f'/f)/gamma.  Returns shape (4,) for scalar x, else (n, 4).
-    """
-    pts, scalar = _as_points(x)
-    _, slope, d_shape = log_density_terms((pts - psi.mu) / psi.gamma,
-                                          psi.alpha, psi.beta, acc)
-    d_x = slope / psi.gamma
-    out = np.column_stack([d_shape, -d_x, d_x])
-    return out[0] if scalar else out

@@ -37,6 +37,8 @@ _PROBE_RADII = np.geomspace(0.02, 800.0, 140)
 _LOG_PROBE_RADII = np.log(_PROBE_RADII)
 # the quantities whose tail onsets set the Fourier window and the cdf anchors
 _ONSET_KINDS = ("pdf", "sf")
+# probe radii a tail onset's first pass evaluates, from its proven bound up
+_SCAN_FIRST = 2
 _PDF_FLOOR = 1e-300
 _EPS = np.finfo(float).eps
 # log r beyond which a tail quantile is not sought
@@ -44,21 +46,6 @@ _LOG_R_MAX = 690.0
 # the shape partials, whose tables span only the points sent to them
 _PARTIALS = ("dalpha", "dbeta")
 _QUANTITIES = ("pdf", "dpdf") + _PARTIALS  # f' before partials
-
-
-def _probe_indices(lo: int, hi: int, guess: int, spread: bool) -> np.ndarray:
-    """Probe-radius indices to evaluate inside the open bracket (lo, hi).
-
-    All of them if at most eight; else guess - 1 to guess + 2 moved inside
-    the bracket, and with ``spread`` four more evenly across it.
-    """
-    if hi - lo - 1 <= 8:
-        return np.arange(lo + 1, hi)
-    start = min(max(guess - 1, lo + 1), hi - 4)
-    near = np.arange(start, start + 4)
-    if not spread:
-        return near
-    return np.union1d(near, np.linspace(lo, hi, 6)[1:-1].astype(int))
 
 
 def _pick(raw, target):
@@ -130,10 +117,10 @@ class StandardDensity:
         ``TailSeriesSide.evaluate`` reports err <= tol.  That holds from one
         radius on (monotone in r on all 7,400 rows of alpha 0.3 to 1.98 by
         beta -1 to 1, both sides, kinds and accuracies), so the onset is the
-        first radius that certifies and only the radii next to it need
-        evaluating.  Each pass sums the term budget of a pass over all the
-        radii, because a convergent pass charges roundoff by its budget: so a
-        radius certifies here as it would in that pass.  See
+        first radius that certifies, and the scan for it starts at the proven
+        bound below which none can.  Each pass sums the term budget of a pass
+        over all the radii, because a convergent pass charges roundoff by its
+        budget: so a radius certifies here as it would in that pass.  See
         ``_side_onsets``.
         """
         onsets = dict.fromkeys(_ONSET_KINDS, 0.0)
@@ -145,39 +132,31 @@ class StandardDensity:
     def _side_onsets(self, side: TailSeriesSide) -> dict[str, float]:
         """{kind: first probe radius at which ``side`` certifies it, np.inf if none}.
 
-        Each kind keeps a bracket (last radius known to fail, first known to
-        certify) and a guess, the first radius past ``certifies_from`` (a
-        lower bound of the onset, exact on 7,388 of the 7,400 rows above and
-        one short on the rest).  Rounds evaluate, in one pass for the kinds
-        that share a term budget, the radii from one below each open kind's
-        guess to two above, moved inside its bracket, and from the second
-        round also four radii spread over the bracket; a bracket of at most
-        eight radii is evaluated whole.  A kind is done when its bracket
-        holds the step from fail to certify.
+        No probe radius below ``certifies_from`` certifies, so each kind scans
+        up from the first radius at or past it (the onset on 7,388 of the
+        7,400 rows above, and the next radius on the rest).  For the kinds
+        that share a term budget, one pass evaluates the first
+        ``_SCAN_FIRST`` radii of each kind's scan, and a kind that none of
+        them certifies takes every radius past them in a second pass.
         """
         n, tol = _PROBE_RADII.size, self.tol
         budgets = {kind: side.term_budget(kind, tol, _LOG_PROBE_RADII) for kind in _ONSET_KINDS}
-        first = {}
+        first = dict.fromkeys(_ONSET_KINDS, np.inf)
         for kcap in dict.fromkeys(budgets.values()):
-            kinds = [kind for kind in _ONSET_KINDS if budgets[kind] == kcap]
-            bracket = {kind: [-1, n] for kind in kinds}
-            guess = {kind: int(np.searchsorted(_LOG_PROBE_RADII,
+            start = {kind: int(np.searchsorted(_LOG_PROBE_RADII,
                                                side.certifies_from(kind, tol, kcap)))
-                     for kind in kinds}
-            spread = False
-            while kinds:
-                idx = np.unique(np.concatenate(
-                    [_probe_indices(*bracket[kind], guess[kind], spread) for kind in kinds]))
-                err = side.evaluate(_PROBE_RADII[idx], kinds, (tol,) * len(kinds), kcap)[1]
-                for kind, ok in zip(kinds, err <= tol):
-                    if not ok.all():
-                        bracket[kind][0] = max(bracket[kind][0], int(idx[~ok].max()))
-                    if ok.any():
-                        bracket[kind][1] = min(bracket[kind][1], int(idx[ok].min()))
-                kinds = [kind for kind in kinds if bracket[kind][1] - bracket[kind][0] > 1]
-                spread = True
-            first.update((kind, _PROBE_RADII[hi] if hi < n else np.inf)
-                         for kind, (_, hi) in bracket.items())
+                     for kind in _ONSET_KINDS if budgets[kind] == kcap}
+            for lo, hi in ((0, _SCAN_FIRST), (_SCAN_FIRST, n)):
+                scans = {kind: np.arange(s + lo, min(s + hi, n))
+                         for kind, s in start.items() if first[kind] == np.inf}
+                if not scans:
+                    break
+                idx = np.unique(np.concatenate(list(scans.values())))
+                err = side.evaluate(_PROBE_RADII[idx], list(scans), (tol,) * len(scans), kcap)[1]
+                for (kind, scan), row in zip(scans.items(), err):
+                    ok = scan[row[np.searchsorted(idx, scan)] <= tol]
+                    if ok.size:
+                        first[kind] = _PROBE_RADII[ok[0]]
         return first
 
     # Series term cap of the cheap first pass.  Both thresholds of the
@@ -379,11 +358,6 @@ class StandardDensity:
         """Derivative values and certified absolute error bounds, vectorized."""
         return tuple(self.evaluate(x, ("dpdf",))[0])
 
-    def dpdf(self, x):
-        v, e = self.dpdf_with_err(x)
-        self._check(e)
-        return v
-
     def logpdf(self, x):
         """log f with a floor guarding underflow in extreme tails."""
         v, _ = self.pdf_with_err(x)
@@ -479,7 +453,7 @@ class StandardDensity:
     def cdf_with_err(self, x):
         x = np.atleast_1d(np.asarray(x, dtype=float))
         st = self._build_cdf()
-        val = np.empty_like(x)
+        val = np.full_like(x, np.nan)  # a NaN point is in no piece
         err = np.full_like(x, st["err"])
         mid = (x >= st["a_l"]) & (x <= st["a_r"])
         lo = x < st["a_l"]

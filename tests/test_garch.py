@@ -10,13 +10,13 @@ from stablegarch.errors import ExplosionError
 from stablegarch.garch import (
     GarchOrder,
     GarchParams,
-    companion_matrix,
     lyapunov_exponent,
     simulate,
     stationarity_frontier,
     volatility_path,
 )
 from stablegarch.garch.recursion import _garch11_variances, _lag_variances, variance_derivatives
+from stablegarch.garch.stability import _companion_split
 from stablegarch.stable import StableParams
 from stablegarch.stable import sample as stable_sample
 
@@ -211,15 +211,20 @@ class TestSimulate:
         assert path.sigma2[-1] == pytest.approx(0.01 / (1 - 0.72), rel=1e-6)
 
 
+def _companion(theta, eta):
+    c0, c1 = _companion_split(theta)
+    return c0 + eta ** 2 * c1
+
+
 class TestCompanion:
     def test_garch11_layout(self):
         theta = GarchParams(0.3, a=(0.02,), b=(0.7,))
-        A = companion_matrix(theta, eta=2.0)
+        A = _companion(theta, eta=2.0)
         assert_allclose(A, [[0.02 * 4, 0.7 * 4], [0.02, 0.7]])
 
     def test_eta_zero(self):
         theta = GarchParams(0.3, a=(0.1, 0.05), b=(0.6,))
-        A = companion_matrix(theta, eta=0.0)
+        A = _companion(theta, eta=0.0)
         assert_allclose(A[0], 0.0)
         assert_allclose(A[2], [0.1, 0.05, 0.6])
         assert A[1, 0] == 1.0
@@ -227,7 +232,7 @@ class TestCompanion:
     def test_expected_matrix_spectral_radius(self):
         # E[A] for Eeta^2 = 2 at theta = (., 0.02, 0.7)
         theta = GarchParams(1.0, a=(0.02,), b=(0.7,))
-        EA = companion_matrix(theta, np.sqrt(2.0))
+        EA = _companion(theta, np.sqrt(2.0))
         EA[1] = [0.02, 0.7]
         rho = max(abs(np.linalg.eigvals(EA)))
         assert rho == pytest.approx(0.74, abs=1e-12)

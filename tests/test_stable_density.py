@@ -7,14 +7,14 @@ from numpy.testing import assert_allclose
 from conftest import quad_cdf_oracle, quad_density_oracle, quad_shape_derivative_oracle
 from stablegarch.errors import AccuracyNotReached
 from stablegarch.stable import (
+    DEFAULT_ACCURACY,
     FIT_ACCURACY,
     DensityAccuracy,
     StableParams,
     char_fn,
     density,
-    density_dx,
     get_engine,
-    log_density_grad,
+    log_density_terms,
     quantile,
 )
 
@@ -175,8 +175,8 @@ class TestDensityProperties:
         with pytest.raises(AccuracyNotReached):
             density(0.7, StableParams(1.5, 0.2), acc)
         # the aliasing folds overflow on this grid: the table certifies nothing
-        with pytest.raises(AccuracyNotReached):
-            density_dx(0.7, StableParams(1.5, 0.2), acc)
+        (_,), (err,) = get_engine(StableParams(1.5, 0.2), acc).dpdf_with_err(0.7)
+        assert err > acc.abs_tol
         with pytest.raises(AccuracyNotReached):
             density(np.linspace(-3.0, 3.0, 20), StableParams(1.5, 0.2), acc)
         with pytest.raises(AccuracyNotReached):
@@ -197,6 +197,13 @@ class TestDensityProperties:
             got = density(x, StableParams(1.0, 0.9))
             assert got == pytest.approx(quad_density_oracle(x, 1.0, 0.9), abs=1e-7)
         assert calls == []
+
+    def test_nan_point_named(self):
+        psi = StableParams(1.6, 0.2)
+        with pytest.raises(ValueError, match="point 0 is NaN"):
+            density(np.nan, psi)
+        with pytest.raises(ValueError, match="point 2 is NaN"):
+            density([0.5, -1.0, np.nan, np.nan], psi)
 
 
 class TestTableLadder:
@@ -244,13 +251,20 @@ class TestTableLadder:
             assert quad_cdf_oracle(x, alpha, beta) == pytest.approx(p, abs=err + 1e-9)
 
 
+def _slope(x, psi, acc=DEFAULT_ACCURACY):
+    """f'(x) of a unit-scale law centred at 0, asserted certified by the engine."""
+    (val,), (err,) = get_engine(psi, acc).dpdf_with_err(x)
+    assert err <= acc.abs_tol
+    return val
+
+
 class TestDensityDx:
     def test_symmetric_zero_slope_at_center(self):
-        assert density_dx(0.0, CAUCHY) == pytest.approx(0.0, abs=1e-9)
+        assert _slope(0.0, CAUCHY) == pytest.approx(0.0, abs=1e-9)
 
     def test_cauchy_closed_form(self):
         want = -2.0 / (np.pi * 4.0)
-        assert density_dx(1.0, CAUCHY) == pytest.approx(want, abs=1e-9)
+        assert _slope(1.0, CAUCHY) == pytest.approx(want, abs=1e-9)
 
     def test_matches_finite_difference(self):
         # h = 1e-5 needs a density far tighter than the FD target, otherwise
@@ -260,7 +274,7 @@ class TestDensityDx:
         h = 1e-5
         for x in [-4.0, 0.6, 5.0]:
             fd = (density(x + h, psi, acc) - density(x - h, psi, acc)) / (2.0 * h)
-            got = density_dx(x, psi, acc)
+            got = _slope(x, psi, acc)
             assert got == pytest.approx(fd, rel=1e-4, abs=1e-9)
 
     def test_fd_consistency_where_density_positive(self):
@@ -272,13 +286,25 @@ class TestDensityDx:
                 if f <= 1e-12:
                     continue
                 fd = (density(x + h, psi) - density(x - h, psi)) / (2.0 * h)
-                assert density_dx(x, psi) == pytest.approx(fd, rel=1e-4, abs=1e-9)
+                assert _slope(x, psi) == pytest.approx(fd, rel=1e-4, abs=1e-9)
+
+
+def _log_grad(x, psi):
+    """d log f/d(alpha, beta, mu, x) at the points x, shape (n, 4).
+
+    The shape components are ``log_density_terms`` at z = (x - mu)/gamma;
+    the mu and x components are -(f'/f)/gamma and (f'/f)/gamma.
+    """
+    z = (np.atleast_1d(np.asarray(x, dtype=float)) - psi.mu) / psi.gamma
+    _, slope, d_shape = log_density_terms(z, psi.alpha, psi.beta, DEFAULT_ACCURACY)
+    d_x = slope / psi.gamma
+    return np.column_stack([d_shape, -d_x, d_x])
 
 
 class TestLogDensityGrad:
     def test_mu_component_zero_at_symmetric_center(self):
-        g = log_density_grad(0.0, CAUCHY)
-        assert g[2] == pytest.approx(0.0, abs=1e-6)
+        g = _log_grad(0.0, CAUCHY)
+        assert g[0, 2] == pytest.approx(0.0, abs=1e-6)
 
     def test_beta_component_matches_fd(self):
         psi = StableParams(1.5, 0.0)
@@ -286,22 +312,14 @@ class TestLogDensityGrad:
         x = 0.0
         fd = (density(x, StableParams(1.5, h)) - density(x, StableParams(1.5, -h))) / (2 * h)
         fd_log = fd / density(x, psi)
-        got = log_density_grad(x, psi)[1]
+        got = _log_grad(x, psi)[0, 1]
         assert got == pytest.approx(fd_log, rel=1e-4, abs=1e-4)
 
     def test_tail_slope_law(self):
         # x * dlogf/dx -> -(alpha + 1) in the tails
         psi = StableParams(1.5, 0.0)
-        g = log_density_grad(100.0, psi)
-        assert g[3] * 100.0 == pytest.approx(-2.5, rel=0.05)
-
-    def test_matches_log_density_terms(self):
-        from stablegarch.stable import DEFAULT_ACCURACY, log_density_terms
-        psi = StableParams(1.45, -0.3, 0.2, 1.7)
-        x = np.array([-6.0, -0.8, 0.2, 1.9, 11.0])
-        want = log_density_terms((x - psi.mu) / psi.gamma, psi.alpha, psi.beta,
-                                 DEFAULT_ACCURACY)[2]
-        np.testing.assert_array_equal(log_density_grad(x, psi)[:, :2], want)
+        g = _log_grad(100.0, psi)
+        assert g[0, 3] * 100.0 == pytest.approx(-2.5, rel=0.05)
 
     @pytest.mark.parametrize("alpha, beta", [(2.0, 0.0), (1.5, 1.0), (1.5, -1.0),
                                              (1.99995, 0.3)])
@@ -312,7 +330,7 @@ class TestLogDensityGrad:
         h = 1e-3
         xs = np.array([-1.0, 0.0, 0.5, 1.5])
         psi = StableParams(alpha, beta)
-        grads = log_density_grad(xs, psi)
+        grads = _log_grad(xs, psi)
 
         def log_f(**shift):
             return np.log(density(xs, StableParams(**{**_base(psi), **shift}), acc))
@@ -334,7 +352,7 @@ class TestLogDensityGrad:
         for alpha, beta in [(1.3, 0.2), (1.7, -0.5), (0.9, 0.4), (1.6, 0.0), (1.1, 0.8)]:
             psi = StableParams(alpha, beta, 0.1)
             xs = np.array([-8.0, -2.5, -0.7, 0.0, 0.4, 1.1, 3.0, 6.0, 12.0, 25.0])
-            grads = log_density_grad(xs, psi)
+            grads = _log_grad(xs, psi)
             f = density(xs, psi)
             for comp, (name, lo, hi) in enumerate(
                     [("alpha", 0.05, 2.0), ("beta", -1.0, 1.0), ("mu", -9e9, 9e9)]):
@@ -575,11 +593,14 @@ class TestTailOnset:
         return onset
 
     # alpha < 1 laws whose onsets move when a pass sums only its own radii's
-    # term budget, |beta| = 1, and laws of the VaR desk's range
-    @pytest.mark.parametrize("alpha, beta", [
-        (0.6, 0.4), (0.54, 0.8), (0.54, -0.8), (0.6, 1.0), (0.6, -1.0), (0.3, 0.7),
-        (0.9, -1.0), (1.5, 1.0), (1.5, -1.0), (1.2, -0.5), (1.5, 0.2), (1.73, 0.45),
-        (1.95, -0.3)])
+    # term budget, |beta| = 1, laws of the VaR desk's range, and S(0.78, 1),
+    # whose sf onset at FIT_ACCURACY is the second radius past its bound on
+    # both sides
+    _LAWS = [(0.6, 0.4), (0.54, 0.8), (0.54, -0.8), (0.6, 1.0), (0.6, -1.0), (0.3, 0.7),
+             (0.9, -1.0), (1.5, 1.0), (1.5, -1.0), (1.2, -0.5), (1.5, 0.2), (1.73, 0.45),
+             (1.95, -0.3), (0.78, 1.0)]
+
+    @pytest.mark.parametrize("alpha, beta", _LAWS)
     @pytest.mark.parametrize("acc", [DensityAccuracy(), FIT_ACCURACY], ids=["default", "fit"])
     def test_onsets_equal_full_scan(self, alpha, beta, acc):
         from stablegarch.stable.engine import StandardDensity
@@ -587,8 +608,18 @@ class TestTailOnset:
         for kind in ("pdf", "sf"):
             assert eng._onset(kind) == self._full_scan(eng, kind)
 
+    @pytest.mark.parametrize("alpha, beta", _LAWS)
+    @pytest.mark.parametrize("acc", [DensityAccuracy(), FIT_ACCURACY], ids=["default", "fit"])
+    def test_onsets_equal_full_scan_without_bound(self, alpha, beta, acc, monkeypatch):
+        # with no bound each scan starts at the first radius, and a kind its
+        # first two radii do not certify takes the rest in the second pass
+        from stablegarch.stable.series import TailSeriesSide
+        monkeypatch.setattr(TailSeriesSide, "certifies_from", lambda *args: -np.inf)
+        self.test_onsets_equal_full_scan(alpha, beta, acc)
+
     def test_cold_engine_evaluates_few_radii(self, monkeypatch):
-        # a full scan passes 4 x 140 radii to the tail series
+        # a full scan passes 4 x 140 radii to the tail series; the scans from
+        # the proven bounds pass two radii per kind and side here
         from stablegarch.stable.engine import StandardDensity
         from stablegarch.stable.series import TailSeriesSide
         passed, evaluate = [], TailSeriesSide.evaluate
@@ -601,7 +632,7 @@ class TestTailOnset:
         monkeypatch.setattr(TailSeriesSide, "evaluate", counting)
         eng._onset("pdf")
         eng._onset("sf")
-        assert 0 < sum(passed) <= 56
+        assert 0 < sum(passed) <= 16
 
 
 

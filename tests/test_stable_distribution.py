@@ -51,6 +51,18 @@ class TestCdf:
         assert_allclose(cdf(xs, psi),
                         cdf((xs - 1.5) / 2.0, psi.standardized()), atol=1e-9)
 
+    def test_nan_point(self):
+        # the public cdf names the NaN; the engine returns NaN there, not
+        # whatever its output buffer held
+        psi = StableParams(1.6, 0.2)
+        with pytest.raises(ValueError, match="point 0 is NaN"):
+            cdf([np.nan, 0.5], psi)
+        eng = StandardDensity(1.6, 0.2, DEFAULT_ACCURACY)
+        want = eng.cdf(np.array([0.5]))
+        for _ in range(3):
+            got, _ = eng.cdf_with_err(np.array([np.nan, 0.5]))
+            assert np.isnan(got[0]) and got[1] == want[0]
+
 
 class TestQuantile:
     def test_symmetric_median(self):

@@ -252,7 +252,9 @@ def cmd_frontier(output_path, alpha_list, b_grid, horizon, replications, seed):
 
 @main.command("var")
 @click.option("--fit", "fit_paths", multiple=True, required=True,
-              type=click.Path(exists=True), help="Fit JSON (repeatable).")
+              type=click.Path(exists=True),
+              help="Fit JSON (repeatable; the k-th fit of a method writes "
+                   "columns named <method>_<k>).")
 @click.option("--outsample", "outsample_path", required=True,
               type=click.Path(exists=True))
 @click.option("--p", "p_list", default="0.01,0.05", show_default=True)
@@ -274,6 +276,7 @@ def cmd_var(fit_paths, outsample_path, p_list, report_path, series_path, column)
     reports = []
     series_cols = {}
     warnings = []
+    fits_of = {}
     for path in fit_paths:
         try:
             fit = FitResult.from_json(path)
@@ -282,13 +285,15 @@ def cmd_var(fit_paths, outsample_path, p_list, report_path, series_path, column)
         if outsample.dates and fit.last_date and outsample.dates[0] <= fit.last_date:
             warnings.append(f"{path}: outsample starts at {outsample.dates[0]}, "
                             f"inside the fit window ending {fit.last_date}")
+        # the k-th fit of a method writes its columns as <method>_<k>, k >= 2
+        fits_of[fit.method] = k = fits_of.get(fit.method, 0) + 1
+        tag = fit.method if k == 1 else f"{fit.method}_{k}"
         for p in ps:
             vv, sig, hits = var_series(fit, outsample, p)
             reports.append(BacktestReport.from_hits(p, hits, fit.method).to_dict())
-            series_cols[f"var_{fit.method}_p{p:g}"] = vv
-            series_cols[f"hit_{fit.method}_p{p:g}"] = hits.astype(float)
-            if f"sigma_{fit.method}" not in series_cols:
-                series_cols[f"sigma_{fit.method}"] = sig
+            series_cols[f"var_{tag}_p{p:g}"] = vv
+            series_cols[f"hit_{tag}_p{p:g}"] = hits.astype(float)
+            series_cols.setdefault(f"sigma_{tag}", sig)
     write_returns_csv(series_path, outsample, extra=series_cols)
     doc = {"reports": reports, "warnings": warnings}
     with open(report_path, "w", encoding="utf-8") as fh:

@@ -48,7 +48,6 @@ class GcltSpec:
 class GcltConstants(NamedTuple):
     beta: float
     a: float
-    m_rule: str  # "centered" (subtract the mean) or "uncentered"
 
 
 def gclt_constants(spec: GcltSpec) -> GcltConstants:
@@ -65,8 +64,7 @@ def gclt_constants(spec: GcltSpec) -> GcltConstants:
         m_alpha = special.gamma(2.0 - al) / (al * (al - 1.0))
     beta = (spec.K1 - spec.K2) / (spec.K1 + spec.K2)
     a = (-al * m_alpha * (spec.K1 + spec.K2) * math.cos(al * math.pi / 2.0)) ** (1.0 / al)
-    return GcltConstants(beta=beta, a=float(a),
-                         m_rule="centered" if al > 1.0 else "uncentered")
+    return GcltConstants(beta=beta, a=float(a))
 
 
 def gclt_limit_params(spec: GcltSpec) -> StableParams:
@@ -187,7 +185,10 @@ def calibrate_jK(alpha: float, K, samples: int = 1000, reps: int = 100,
     """
     if reps < 10:
         raise ValueError("reps must be at least 10")
-    key = f"alpha={alpha!r},K={K!r},samples={samples},reps={reps},seed={seed!r}"
+    # an integral seed is keyed as a plain int: numpy 2 prints np.int64(7)
+    # where numpy 1.x prints 7, and the sidecar must hit under both
+    seed_key = int(seed) if isinstance(seed, (int, np.integer)) else seed
+    key = f"alpha={alpha!r},K={K!r},samples={samples},reps={reps},seed={seed_key!r}"
     cache = {}
     if cache_path is not None and os.path.exists(cache_path):
         with open(cache_path, encoding="utf-8") as fh:

@@ -18,10 +18,9 @@ l_t together with its score row d(l_t)/d(tau):
 * mu: f'/f.
 
 ``likelihood_and_score`` (the optimizer's objective) and ``score_full`` are
-column means of these rows; ``outer_product_information`` averages their
-outer products.  ``neg_log_likelihood`` is the value-only mean of l_t: it
-needs no variance derivatives and no shape partials, and score tests
-difference it as their oracle.
+column means of these rows.  ``neg_log_likelihood`` is the value-only mean
+of l_t: it needs no variance derivatives and no shape partials, and score
+tests difference it as their oracle.
 """
 
 from __future__ import annotations

@@ -6,7 +6,6 @@ from .stability import (
     FrontierPoint,
     LyapunovEstimate,
     lyapunov_exponent,
-    matrix_norm_l1,
     stationarity_frontier,
 )
 
@@ -14,5 +13,5 @@ __all__ = [
     "GarchOrder", "GarchParams", "VolatilityPath",
     "volatility_path", "simulate",
     "lyapunov_exponent", "stationarity_frontier",
-    "LyapunovEstimate", "FrontierPoint", "matrix_norm_l1",
+    "LyapunovEstimate", "FrontierPoint",
 ]

@@ -52,7 +52,7 @@ def _companion_split(theta: GarchParams):
     return c0, c1
 
 
-def matrix_norm_l1(m: np.ndarray) -> np.ndarray:
+def _matrix_norm_l1(m: np.ndarray) -> np.ndarray:
     """Sum of absolute entries, over the trailing two axes."""
     return np.abs(m).sum(axis=(-2, -1))
 
@@ -113,10 +113,10 @@ def lyapunov_exponent(theta: GarchParams, psi: StableParams, horizon: int = 4000
         for t in range(horizon):
             prod = c0 @ prod + eta2[:, t, None, None] * (c1 @ prod)
             if (t + 1) % _RENORM_EVERY == 0:
-                norm = matrix_norm_l1(prod)
+                norm = _matrix_norm_l1(prod)
                 acc += np.log(norm)
                 prod /= norm[:, None, None]
-        per_rep = (acc + np.log(matrix_norm_l1(prod))) / horizon
+        per_rep = (acc + np.log(_matrix_norm_l1(prod))) / horizon
     return LyapunovEstimate(float(per_rep.mean()),
                             float(per_rep.std(ddof=1) / np.sqrt(replications)))
 

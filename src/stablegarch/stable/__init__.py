@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from .chf import char_fn
-from .engine import StandardDensity, get_engine
+from .engine import StandardDensity, _as_points, get_engine
 from .params import DEFAULT_ACCURACY, FIT_ACCURACY, DensityAccuracy, StableParams
 from .sample import sample
 
@@ -29,16 +29,6 @@ __all__ = [
     "char_fn", "density", "log_density_terms", "cdf", "quantile",
     "sample", "get_engine", "StandardDensity",
 ]
-
-
-def _as_points(x):
-    """(points as a 1-d array, whether x was a scalar); a NaN point is a ValueError."""
-    arr = np.asarray(x, dtype=float)
-    pts = np.atleast_1d(arr)
-    nan = np.flatnonzero(np.isnan(pts))
-    if nan.size:
-        raise ValueError(f"point {int(nan[0])} is NaN")
-    return pts, arr.ndim == 0
 
 
 def density(x, psi: StableParams, acc: DensityAccuracy = DEFAULT_ACCURACY):

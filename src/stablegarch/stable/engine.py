@@ -48,6 +48,16 @@ _PARTIALS = ("dalpha", "dbeta")
 _QUANTITIES = ("pdf", "dpdf") + _PARTIALS  # f' before partials
 
 
+def _as_points(x):
+    """(points as a 1-d array, whether x was a scalar); a NaN point is a ValueError."""
+    arr = np.asarray(x, dtype=float)
+    pts = np.atleast_1d(arr)
+    nan = np.flatnonzero(np.isnan(pts))
+    if nan.size:
+        raise ValueError(f"point {int(nan[0])} is NaN")
+    return pts, arr.ndim == 0
+
+
 def _pick(raw, target):
     """(value, err): the tail's where it meets ``target``, else the better of tail and centre."""
     take = (raw[1] > target) & (raw[3] < raw[1])
@@ -325,12 +335,12 @@ class StandardDensity:
 
         Any of "pdf", "dpdf", "dalpha" and "dbeta"; returns an array of shape
         (len(quantities), 2, points).  At alpha = 2 and |beta| = 1 the shape
-        partials are one-sided.
+        partials are one-sided.  A NaN point is a ValueError.
         """
         unknown = set(quantities).difference(_QUANTITIES)
         if unknown:
             raise ValueError(f"unknown quantities {sorted(unknown)}; use one of {_QUANTITIES}")
-        x = np.atleast_1d(np.asarray(x, dtype=float))
+        x = _as_points(x)[0]
         out = np.empty((len(quantities), 2, x.size))
         # at beta = 0 evaluate on |x| so symmetry holds exactly (the Fourier
         # grid is not symmetric about zero) and flip the odd quantities

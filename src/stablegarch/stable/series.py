@@ -135,36 +135,6 @@ def _certified_sum(env, terms, tol, ratio=None):
     return value, remainder + roundoff
 
 
-def _asymptotic_stop(logmag, logz, slope=None):
-    """Terms an asymptotic pass needs: through every point's least envelope.
-
-    Column n of ``logmag`` is log env_k = c_k - (alpha k + off) log r_n,
-    before the floor and the cap; a log slope multiplies env_k by
-    1 + m_k |log r_n|, ``slope`` = m_k.  ``_certified_sum`` sums each point
-    up to the first minimum of its envelope.  The step from term k to k + 1
-    changes log env by c_{k+1} - c_k - alpha log r plus the slope's change,
-    which also falls with r while m_k < 1 does not grow in k; so no point's
-    minimum lies past the last near-minimum of the farthest point.  Near is
-    within 1e-9, far more than rounding moves an envelope.  The floor and the
-    cap keep the envelopes' order without a slope.  With one, the floor can
-    hold a point's minimum, so the stop also passes the farthest point's last
-    term on the floor and searches only after it; a batch whose nearest
-    point has its least envelope near the cap is summed in full.
-    """
-    nk = logmag.shape[0]
-    far = logmag[:, np.argmax(logz)]
-    start = 0
-    if slope is not None:
-        nearest = logmag[:, np.argmin(logz)] + np.log1p(slope * abs(logz.min()))
-        if np.any(np.diff(slope) > 0.0) or slope.max() >= 1.0 or nearest.min() >= 699.0:
-            return nk
-        below = np.flatnonzero(far < _LOG_FLOOR)
-        start = int(below[-1]) + 1 if below.size else 0
-        far = far[start:] + np.log1p(slope[start:] * abs(logz.max()))
-    near = np.flatnonzero(far <= far.min() + 1e-9) if far.size else far
-    return start + int(near[-1]) + 1 if near.size else nk
-
-
 def _contraction(logterm, log_slope_growth=None):
     """Per-term log ratio bound for convergent series: suffix max of the diffs.
 
@@ -291,10 +261,6 @@ class _Expansion:
                 last, logpow = off, np.multiply.outer(kp, logz)
                 odd = None if neg is None else np.where(neg & (kp % 2 == 1)[:, None], -1.0, 1.0)
             logmag = (self._logcoef[:nk] + extra[:nk])[:, None] + logpow[:nk]
-            # a capped first pass is short already: cutting it cost more than it saved
-            if ratio is None and kcap is None:
-                nk = _asymptotic_stop(logmag, logz, None if slope is None else slope[1][:nk])
-                logmag = logmag[:nk]
             env = np.exp(np.clip(logmag, _LOG_FLOOR, 700.0, out=logmag), out=logmag)
             env /= self._norm
             terms = env * sign[:nk, None]

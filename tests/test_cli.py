@@ -229,6 +229,30 @@ class TestVarCommand:
             assert d["hits"] == sum(column) > 0
             assert d["total"] == len(rows) - 1
 
+    def test_each_fit_keeps_its_columns(self, runner, tmp_path):
+        # two fits of one method: the second writes its own columns, so
+        # each report's hits are the sum of that fit's hit column
+        outs, fits = tmp_path / "o.csv", []
+        invoke(runner, ["simulate", "--output", str(outs), "--n", "700", "--seed", "4"])
+        for seed in ("3", "5"):
+            data, fit_json = tmp_path / f"r{seed}.csv", tmp_path / f"f{seed}.json"
+            invoke(runner, ["simulate", "--output", str(data), "--n", "900", "--seed", seed])
+            invoke(runner, ["fit", "--input", str(data), "--output", str(fit_json),
+                            "--method", "gaussian"])
+            fits += ["--fit", str(fit_json)]
+        rep, var_csv = tmp_path / "report.json", tmp_path / "var.csv"
+        r = invoke(runner, ["var", *fits, "--outsample", str(outs), "--p", "0.05",
+                            "--report", str(rep), "--series-output", str(var_csv)])
+        assert r.exit_code == 0, r.output
+        with open(var_csv, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        reports = json.loads(rep.read_text())["reports"]
+        assert [d["method"] for d in reports] == ["gaussian", "gaussian"]
+        for d, tag in zip(reports, ("gaussian", "gaussian_2")):
+            assert d["hits"] == sum(float(row[f"hit_{tag}_p0.05"]) for row in rows)
+        assert reports[0]["hits"] != reports[1]["hits"]
+        assert any(row["sigma_gaussian"] != row["sigma_gaussian_2"] for row in rows)
+
     def test_missing_fit_file_usage_error(self, runner, tmp_path):
         outs = tmp_path / "o.csv"
         write_returns_csv(outs, ReturnSeries(np.array([0.1, -0.2])))

@@ -33,12 +33,10 @@ class TestGcltConstants:
         want = (-0.6 * (-special.gamma(0.4) / 0.6) * 2.0
                 * np.cos(0.3 * np.pi)) ** (1 / 0.6)
         assert c.a == pytest.approx(want, rel=1e-12)
-        assert c.m_rule == "uncentered"
         c2 = gclt_constants(GcltSpec(1.5, 1.0, 1.0))
         want2 = (-1.5 * (special.gamma(0.5) / (1.5 * 0.5)) * 2.0
                  * np.cos(0.75 * np.pi)) ** (1 / 1.5)
         assert c2.a == pytest.approx(want2, rel=1e-12)
-        assert c2.m_rule == "centered"
 
     def test_alpha_one_rejected(self):
         with pytest.raises(ValueError):

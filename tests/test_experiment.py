@@ -1,6 +1,8 @@
 """Simulation-study runner tests (desk scale)."""
 
+import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -22,10 +24,19 @@ class TestConfig:
 
 class TestRun:
     @pytest.fixture(scope="class")
-    def tiny_result(self):
+    def tiny_result(self, tmp_path_factory):
         cfg = ExperimentConfig(k_list=(math.inf,), n=400, reps=3, seed=5,
-                               calibration_reps=10, calibration_samples=200)
+                               calibration_reps=10, calibration_samples=200,
+                               cache_path=str(tmp_path_factory.mktemp("jk") / "jk.json"))
         return run_experiment(cfg)
+
+    def test_cache_keys_read_alike_under_every_numpy(self, tiny_result):
+        # the calibration seed is a numpy integer, which numpy 2 prints as
+        # np.int64(...) and numpy 1.x as a bare number
+        with open(tiny_result.config.cache_path, encoding="utf-8") as fh:
+            keys = list(json.load(fh))
+        assert len(keys) == 1 and "np." not in keys[0]
+        assert re.fullmatch(r".*,seed=\d+", keys[0])
 
     def test_reference_only_gives_unit_ratios(self, tiny_result):
         np.testing.assert_allclose(tiny_result.q_rmse[math.inf], 1.0)

@@ -204,6 +204,11 @@ class TestDensityProperties:
             density(np.nan, psi)
         with pytest.raises(ValueError, match="point 2 is NaN"):
             density([0.5, -1.0, np.nan, np.nan], psi)
+        # the engine itself, which the likelihood's kernel calls directly
+        with pytest.raises(ValueError, match="point 0 is NaN"):
+            log_density_terms(np.array([np.nan, 0.5]), 1.6, 0.2)
+        with pytest.raises(ValueError, match="point 1 is NaN"):
+            get_engine(psi, DEFAULT_ACCURACY).pdf([0.5, np.nan])
 
 
 class TestTableLadder:
@@ -476,22 +481,6 @@ class TestFusedPass:
         assert len(per_piece) == 3 and max(per_piece.values()) <= 2
         assert len(passes) > 3  # the full budget ran too
 
-    @pytest.mark.parametrize("alpha, beta", [(1.1, 0.8), (1.6, 0.0), (1.7, 0.3), (1.95, -0.5)])
-    def test_asymptotic_stop_changes_no_bit(self, alpha, beta, monkeypatch):
-        # terms past every point's optimal truncation are never summed: the
-        # cut pass equals the pass over the full term budget bit for bit
-        from stablegarch.stable import series
-        # points near the tail onset, where the cut is deep, and a batch
-        # reaching far enough for its envelopes to sit on the floor
-        batches = [np.geomspace(2.0, 8.0, 30), np.geomspace(0.5, 1e6, 60)]
-        quantities = ("pdf", "dpdf", "sf", "dalpha", "dbeta")
-        side = series.TailSeriesSide(alpha, beta, 260)
-        passes = [(r, (tol,) * 5) for r in batches for tol in (1e-6, 1e-10)]
-        cut = [side.evaluate(r, quantities, tols) for r, tols in passes]
-        monkeypatch.setattr(series, "_asymptotic_stop", lambda logmag, *args: len(logmag))
-        full = [side.evaluate(r, quantities, tols) for r, tols in passes]
-        for c, f in zip(cut, full):
-            assert np.array_equal(c.view(np.int64), f.view(np.int64))
 
 class TestFoldSums:
     """Aliasing folds are the tail series' own sums over the fold lattice."""

@@ -14,6 +14,7 @@ from .data import read_returns_csv, write_returns_csv
 from .domain_attraction import SummedInnovationSpec, summed_innovations
 from .errors import ExplosionError, NonFiniteLikelihood, NotConverged, StableGarchError
 from .estimate import FitResult, fit_gaussian_qmle, fit_stable_mle
+from .estimate.fit import _PSI_START_GRID
 from .experiment import ExperimentConfig, run_experiment
 from .garch.params import GarchOrder, GarchParams
 from .garch.recursion import simulate as garch_simulate
@@ -101,7 +102,8 @@ def main():
 @click.option("--p", "p_order", type=int, default=1, show_default=True)
 @click.option("--q", "q_order", type=int, default=1, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--n-starts", type=int, default=5, show_default=True)
+@click.option("--n-starts", type=click.IntRange(1, len(_PSI_START_GRID)), default=5,
+              show_default=True)
 def cmd_fit(input_path, output_path, config_path, method, column, date_column,
             p_order, q_order, seed, n_starts):
     """Estimate a GARCH model from a CSV of returns; writes a JSON fit."""

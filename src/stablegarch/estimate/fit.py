@@ -32,12 +32,17 @@ def fit_stable_mle(eps: ReturnSeries, bounds: BoundsConfig | None = None,
     Runs a small multi-start: the GARCH block is warm-started from a Gaussian
     QML fit rescaled to unit stable scale, combined with a grid of stable
     shape starts (the seed only jitters that grid, the data path is fully
-    deterministic).  Returns the best converged local minimum; raises
-    NotConverged carrying the best attempt if none meets the gradient
-    criterion, NonFiniteLikelihood if the objective is non-finite everywhere.
+    deterministic).  ``n_starts`` counts ``start`` too: 1 to the grid's length,
+    plus one with ``start``, else ValueError.  Returns the best converged
+    local minimum; raises NotConverged carrying the best attempt if none meets
+    the gradient criterion, NonFiniteLikelihood if the objective is
+    non-finite everywhere.
     """
     if start is not None:
         order = start.order
+    max_starts = len(_PSI_START_GRID) + (start is not None)
+    if not 1 <= n_starts <= max_starts:
+        raise ValueError(f"n_starts must be in 1..{max_starts}, got {n_starts}")
     if bounds is None:
         bounds = BoundsConfig.default(order)
     n_free = int(bounds.free.sum())
@@ -136,7 +141,7 @@ def _build_starts(eps, bounds, order, start, n_starts, seed):
     iqr_data = float(np.subtract(*np.percentile(resid, [75, 25])))
     med = float(np.median(resid))
     rng = np.random.default_rng(seed)
-    grid = _PSI_START_GRID[: max(n_starts - len(starts), 0)]
+    grid = _PSI_START_GRID[: n_starts - len(starts)]
     for a0, b0 in grid:
         a_j = float(np.clip(a0 + rng.uniform(-0.02, 0.02),
                             bounds.lower[order.dim] + 0.01,

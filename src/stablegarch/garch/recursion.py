@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.linalg import lapack
 
 from ..data import ReturnSeries
 from ..errors import ExplosionError
@@ -19,11 +20,11 @@ def _presample_value(eps2: np.ndarray) -> float:
 
 
 def _lag_filter(theta: GarchParams, force: np.ndarray) -> np.ndarray:
-    """Solve y_t = force_t + sum_j b_j y_{t-j} down each column, from rest."""
-    from scipy import signal
-
+    """Solve y_t = force_t + sum_j b_j y_{t-j} down each column, from rest,
+    as a unit lower-triangular band system with -b_j on subdiagonal j."""
     ar = np.concatenate([[1.0], -np.asarray(theta.b, dtype=float)])
-    return signal.lfilter([1.0], ar, force, axis=0)
+    band = np.repeat(ar[:, None], force.shape[0], axis=1)
+    return lapack.dtbtrs(band, force, uplo="L", diag="U")[0]
 
 
 def _presample_response(e2: np.ndarray, theta: GarchParams):
@@ -34,7 +35,7 @@ def _presample_response(e2: np.ndarray, theta: GarchParams):
     variances enter B's forcing, so the filter starts from rest.
     """
     n = e2.size
-    force = np.zeros((n + 1, 2))
+    force = np.zeros((n + 1, 2), order="F")
     force[:, 0] = theta.omega
     for i, ai in enumerate(theta.a, start=1):
         force[:, 0] += ai * np.concatenate([np.zeros(i), e2])[:n + 1]

@@ -1,10 +1,11 @@
 """Value-at-Risk forecasting and out-of-sample hit-frequency backtesting.
 
 The VaR of eps_t is sigma_t times the p-quantile of the fitted innovation
-law (stable quantiles certified at ``DEFAULT_ACCURACY``), with sigma_t the
-GARCH forecast from the returns before t only.  The first return has none
-before it: its row of ``var_series`` (and of the CLI's var CSV) is NaN, and
-a backtest of n returns has ``total`` = n - 1.
+law (stable quantiles certified at ``DEFAULT_ACCURACY``, normal ones by
+``scipy.special.ndtri``), with sigma_t the GARCH forecast from the returns
+before t only.  The first return has none before it: its row of
+``var_series`` (and of the CLI's var CSV) is NaN, and a backtest of n
+returns has ``total`` = n - 1.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .data import ReturnSeries
 from .estimate.params import FitResult
@@ -58,9 +59,9 @@ class BacktestReport:
 
 
 def innovation_quantile(fit: FitResult, p: float) -> float:
-    """p-quantile of the fitted innovation law (stable, or unit-variance normal)."""
+    """p-quantile of the fitted innovation law (stable, or unit-variance normal by ndtri)."""
     if fit.method == "gaussian":
-        return float(stats.norm.ppf(p))
+        return float(special.ndtri(p))
     return float(quantile(p, fit.tau_hat.psi))
 
 

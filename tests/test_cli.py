@@ -124,6 +124,12 @@ class TestFitCommand:
         FitResult.from_json(first).to_json(second)
         assert second.read_text() == first.read_text()
 
+    @pytest.mark.parametrize("value", ["0", "-2", "6"])
+    def test_n_starts_outside_its_range_is_a_usage_error(self, runner, sim_csv, value):
+        r = invoke(runner, ["fit", "--input", str(sim_csv), "--n-starts", value])
+        assert r.exit_code == 2
+        assert f"'--n-starts': {value} is not in the range 1<=x<=5" in r.output
+
     def test_gaussian_dispatch(self, runner, sim_csv, tmp_path):
         out = tmp_path / "g.json"
         r = invoke(runner, ["fit", "--input", str(sim_csv), "--output", str(out),

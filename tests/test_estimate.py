@@ -220,6 +220,14 @@ class TestFitStable:
         assert fit.message.endswith("; J_n not positive definite; standard errors are NaN")
         assert np.isnan(fit.std_errors).all()
 
+    @pytest.mark.parametrize("start, n_starts", [(None, 0), (None, -2), (None, 6),
+                                                 (TAU0, 0), (TAU0, -2), (TAU0, 7)])
+    def test_n_starts_outside_its_range_is_a_value_error(self, start, n_starts):
+        # a given start is one more start than the shape grid's five
+        top = 5 if start is None else 6
+        with pytest.raises(ValueError, match=rf"n_starts must be in 1\.\.{top}, got {n_starts}"):
+            fit_stable_mle(_sim(600, 7), start=start, n_starts=n_starts)
+
     def test_rejects_short_series(self):
         with pytest.raises(ValueError):
             fit_stable_mle(_sim(120, 5))

@@ -15,7 +15,12 @@ from stablegarch.garch import (
     stationarity_frontier,
     volatility_path,
 )
-from stablegarch.garch.recursion import _garch11_variances, _lag_variances, variance_derivatives
+from stablegarch.garch.recursion import (
+    _garch11_variances,
+    _lag_filter,
+    _lag_variances,
+    variance_derivatives,
+)
 from stablegarch.garch.stability import _companion_split
 from stablegarch.stable import StableParams
 from stablegarch.stable import sample as stable_sample
@@ -92,6 +97,41 @@ class TestVolatilityPath:
         path = volatility_path(eps, theta)
         rel = np.abs(path.sigma2[300:] - truth.sigma2[300:]) / truth.sigma2[300:]
         assert rel.max() < 1e-6
+
+
+class TestLagFilter:
+    ORDERS = [(0, 1), (1, 1), (1, 2), (2, 1), (2, 2), (3, 1)]
+
+    @staticmethod
+    def _theta(p, q):
+        return GarchParams(0.02, a=(0.06, 0.04)[:q], b=(0.4, 0.25, 0.15)[:p])
+
+    @pytest.mark.parametrize("p, q", ORDERS)
+    def test_matches_a_float_recursion_from_rest(self, p, q):
+        # Cauchy-scaled forcing spans many orders of magnitude; every step
+        # from the first is compared
+        rng = np.random.default_rng(10 * p + q)
+        theta = self._theta(p, q)
+        force = np.column_stack([np.ones(1000), 0.01 * rng.standard_cauchy((1000, 2)) ** 2])
+        want = np.zeros((p + 1000, 3))
+        for t in range(1000):
+            want[p + t] = force[t] + sum(bj * want[p + t - j]
+                                         for j, bj in enumerate(theta.b, start=1))
+        assert_allclose(_lag_filter(theta, force), want[p:], rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("p, q", ORDERS)
+    def test_volatility_path_matches_a_float_recursion(self, p, q):
+        rng = np.random.default_rng(100 + 10 * p + q)
+        eps = ReturnSeries(0.1 * rng.standard_cauchy(1000))
+        theta = self._theta(p, q)
+        e2 = eps.values ** 2
+        pre = float(np.mean(e2))
+        lagged_e2, sig2 = [pre] * q + e2.tolist(), [pre] * p
+        for t in range(1000):
+            sig2.append(theta.omega
+                        + sum(ai * lagged_e2[q + t - i] for i, ai in enumerate(theta.a, start=1))
+                        + sum(bj * sig2[p + t - j] for j, bj in enumerate(theta.b, start=1)))
+        assert_allclose(volatility_path(eps, theta).sigma2, sig2[p:], rtol=1e-13, atol=0)
 
 
 class TestVarianceDerivatives:

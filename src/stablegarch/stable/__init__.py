@@ -3,14 +3,15 @@
 Evaluation strategy follows the structure of the stable family itself: two
 series expansions (a tail expansion in inverse powers and a Taylor expansion
 around the skewness shift point) cover most of the line with certified
-truncation bounds; an FFT inversion of the characteristic function with
-explicit aliasing removal covers the remaining central window; adaptive
-quadrature of the inversion integral serves only the points no table
+truncation bounds; the trapezoid rule of the Fourier inversion, with
+explicit aliasing removal, covers the remaining points: summed at them when
+they are few, else through an FFT table of the central window; adaptive
+quadrature of the inversion integral serves only the points neither
 certifies.  The engine's finishing order is documented in ``engine``.
 
 The same strategies give the shape partials d f/d alpha and d f/d beta at
-fixed x: the series term by term, the tables and quadrature by inverting phi
-times d(log phi).  ``log_density_terms`` turns them into the score of log f
+fixed x: the series term by term, the Fourier rules and quadrature by
+inverting phi times d(log phi).  ``log_density_terms`` turns them into the score of log f
 in the shape parameters with one engine call for all four; the likelihood
 and the i.i.d. stable fit both call it.
 """

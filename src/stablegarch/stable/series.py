@@ -36,7 +36,7 @@ re-evaluate only the points that failed to certify, and each expansion
 states, from its envelopes alone, the radius beyond which (tail,
 ``certifies_from``) or inside which (centre, ``certifies_within``) a pass
 of a given cap can certify a tolerance at all.  The tail's
-``fold_sum``, which removes aliasing folds from the Fourier tables, sums the
+``fold_sum``, which removes aliasing folds from the Fourier rules, sums the
 same specs over a lattice: each term's lattice sum is a Hurwitz zeta from
 ``hurwitz_zeta``, which returns zeta and -d zeta/d s with their bounds from
 one direct sum and an Euler-Maclaurin tail.
@@ -370,11 +370,12 @@ class TailSeriesSide(_Expansion):
     def fold_sum(self, q0, period, quantity: str = "pdf"):
         """Sum of the quantity's series over the lattice r_j = (q0 + j) * period, j >= 0.
 
-        Used to remove aliasing folds from FFT inversions.  Each of the first
-        ``_NEAR_FOLDS`` terms of the quantity's ``_spec``, summed over the
-        lattice, is a Hurwitz zeta at s = alpha*k + off, plus
+        Used to remove aliasing folds from Fourier inversions.  Each of the
+        first ``_NEAR_FOLDS`` terms of the quantity's ``_spec``, summed over
+        the lattice, is a Hurwitz zeta at s = alpha*k + off, plus
         Z(s, q) = -d zeta/d s where the term has a log r slope; both come
-        from ``hurwitz_zeta``.  A shape partial is taken at fixed x, where
+        from one ``hurwitz_zeta`` call, the rows of s of the quantity and of
+        its shift term stacked.  A shape partial is taken at fixed x, where
         the lattice points x + tau + j * period move with tau: that adds
         d tau/d q times the f' folds.  Returns (value, error) where the error
         bounds the first omitted term's lattice sum and the kernel's bounds
@@ -384,12 +385,13 @@ class TailSeriesSide(_Expansion):
         n = min(_NEAR_FOLDS, self.kmax - 1) + 1  # the last term only bounds the rest
         logp = np.log(period)
         parts = [(quantity, 1.0)] + ([("dpdf", self.dtau[quantity])] if quantity in self.dtau else [])
+        ss = [self._k[:n, None] * self.alpha + self._spec(q)[1] for q, _ in parts]
+        kernel = hurwitz_zeta(np.vstack(ss), q0)
         value = bound = 0.0
-        for q, weight in parts:
-            extra, off, sign, slope, _ = self._spec(q)
-            s = self._k[:n, None] * self.alpha + off
+        for i, ((q, weight), s) in enumerate(zip(parts, ss)):
+            extra, _, sign, slope, _ = self._spec(q)
             amag = np.exp(self._logcoef[:n, None] + extra[:n, None] - s * logp) / np.pi
-            zeta, zeta_err, lz, lz_err = hurwitz_zeta(s, q0)
+            zeta, zeta_err, lz, lz_err = (a[i * n:(i + 1) * n] for a in kernel)
             mag = amag * zeta
             terms = sign[:n, None] * mag
             err = amag * zeta_err

@@ -9,6 +9,12 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+# Absolute accuracy claimed for the inversion oracles below.  Each asks
+# QUADPACK for 1e-13 absolute or 1e-11 relative on a real and an imaginary
+# part of values below 10 in modulus, and cuts the integral where the rest
+# is below about 1e-12; 1e-10 leaves a tenfold margin.
+ORACLE_ATOL = 1e-10
+
 
 def stable_chf(t, alpha, beta, mu=0.0, gamma=1.0):
     """Characteristic function, written independently of the package."""

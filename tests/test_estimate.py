@@ -97,6 +97,24 @@ class TestNegLogLikelihood:
         assert f == pytest.approx(neg_log_likelihood(eps, tau), abs=1e-12)
         assert_allclose(g, score_full(eps, tau), atol=1e-12)
 
+    def test_cold_study_evaluations_build_no_slope_or_partial_table(self, monkeypatch):
+        # the study model on a cold engine per call: the few points of each
+        # quantity between the series' reaches take Fourier point sums, and
+        # no table of f', d f/d alpha or d f/d beta is built
+        from stablegarch.stable import engine
+        built, summed = [], []
+        table, sums = engine.FourierTable, engine.point_sums
+        monkeypatch.setattr(engine, "FourierTable", lambda *a, **k: built.append(
+            k.get("quantity", "pdf")) or table(*a, **k))
+        monkeypatch.setattr(engine, "point_sums", lambda *a, **k: summed.append(a[3])
+                            or sums(*a, **k))
+        eps, _ = simulate(THETA0, StableParams(1.6, 0.1), n=1000, burn_in=400, seed=5)
+        for alpha in np.linspace(1.5, 1.7, 60):
+            engine._engine.cache_clear()
+            likelihood_and_score(eps, ModelParams(THETA0, float(alpha), 0.1, 0.0))
+        assert not {"dpdf", "dalpha", "dbeta"} & set(built)
+        assert {"dalpha", "dbeta"} <= set(summed)
+
 
 class TestScoreTheta:
     def test_matches_fd_at_degenerate_dynamics(self):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import quad_cdf_oracle, quad_density_oracle, quad_shape_derivative_oracle
+from conftest import (ORACLE_ATOL, quad_cdf_oracle, quad_density_oracle,
+                      quad_shape_derivative_oracle)
 from stablegarch.errors import AccuracyNotReached
 from stablegarch.stable import (
     DEFAULT_ACCURACY,
@@ -403,18 +404,37 @@ class TestShapePartials:
         (0.9, 0.4, [-2.8, -2.6, -2.5, -2.3], DensityAccuracy()),
         (1.0, 0.5, [-0.6, -0.2, 0.0, 0.3], FIT_ACCURACY),
     ])
-    def test_table_points(self, alpha, beta, xs, acc, monkeypatch):
+    def test_gap_points_take_point_sums(self, alpha, beta, xs, acc, monkeypatch):
         # centre points no series certifies: near the shift point -tau = -2.53
         # of S(0.9, 0.4), and anywhere at alpha = 1, beta != 0 (no series);
-        # there the folds are removed to leading order only, which certifies
-        # the fitting tolerance
+        # so few points take Fourier point sums, which certify with no table
+        # and no quadrature (there the folds are removed to leading order)
         from stablegarch.stable import engine
         calls = []
         monkeypatch.setattr(engine, "quad_pdf_point",
                             lambda *a, **k: calls.append(a) or (0.0, np.inf))
         eng = self._check(alpha, beta, np.array(xs), acc)
+        assert eng._tables == {}
+        assert calls == []
+
+    def test_many_gap_points_build_table(self, monkeypatch):
+        # more points than go to point sums, near the same shift point: the
+        # partial tables are built and certify them all
+        from stablegarch.stable import engine
+        from stablegarch.stable.engine import StandardDensity
+        calls = []
+        monkeypatch.setattr(engine, "quad_pdf_point",
+                            lambda *a, **k: calls.append(a) or (0.0, np.inf))
+        xs = np.linspace(-2.8, -2.3, StandardDensity._POINT_SUMS + 1)
+        eng = StandardDensity(0.9, 0.4, DensityAccuracy())
+        got = eng.evaluate(xs, ("dalpha", "dbeta"))
         assert {"dalpha", "dbeta"} <= set(eng._tables)
         assert calls == []
+        assert np.all(got[:, 1] <= eng.tol)
+        for row, wrt in zip(got, ("alpha", "beta")):
+            for i in (0, 100, 256):
+                want = quad_shape_derivative_oracle(xs[i], 0.9, 0.4, wrt)
+                assert abs(row[0, i] - want) <= 2.0 * eng.tol
 
     def test_unknown_quantity_named(self):
         eng = get_engine(StableParams(1.6, 0.0), FIT_ACCURACY)
@@ -684,6 +704,31 @@ class TestSeriesReach:
             if centre is not None:
                 y = np.exp(centre.certifies_within(q, tol, 40)) * np.concatenate([above, -above])
                 assert np.all(centre.evaluate(y, (q,), (tol,), 40)[1, 0] > tol)
+
+
+_SUM_LAWS = [(a, b) for a in (0.6, 0.8, 1.0, 1.3, 1.6, 1.85, 1.95) for b in (0.0, 0.3, -0.7)]
+_SUM_LAWS += [(1.0, 0.5)]  # leading-order folds only
+
+
+class TestPointSums:
+    """Fourier point sums against the independent quadrature oracles."""
+
+    @pytest.mark.parametrize("alpha, beta", _SUM_LAWS)
+    def test_within_certificate_of_oracle(self, alpha, beta):
+        from stablegarch.stable.engine import StandardDensity
+        from stablegarch.stable.fourier import point_sums
+        xs = np.array([-8.0, -5.5, -3.0, -1.2, -0.4, 0.0, 0.7, 2.0, 4.0, 6.5, 8.0])
+        want = {"pdf": [quad_density_oracle(x, alpha, beta, 0) for x in xs],
+                "dpdf": [quad_density_oracle(x, alpha, beta, 1) for x in xs],
+                "dalpha": [quad_shape_derivative_oracle(x, alpha, beta, "alpha") for x in xs],
+                "dbeta": [quad_shape_derivative_oracle(x, alpha, beta, "beta") for x in xs]}
+        for acc in (FIT_ACCURACY, DensityAccuracy()):
+            sides = StandardDensity(alpha, beta, acc)._sides
+            for q, oracle in want.items():
+                val, err = point_sums(xs, alpha, beta, q, acc.fft_grid_size, acc.abs_tol, sides)
+                assert np.all(err <= acc.abs_tol), (q, acc.abs_tol, err)
+                assert np.all(np.abs(val - oracle) <= err + ORACLE_ATOL), (q, acc.abs_tol)
+
 
 def _base(psi):
     return dict(alpha=psi.alpha, beta=psi.beta, mu=psi.mu, gamma=psi.gamma)

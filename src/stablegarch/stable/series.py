@@ -28,22 +28,31 @@ brings.
 
 Each series term is stated once, as a quantity's ``_spec``: a log factor and
 a sign per term, a power offset, and (tail partial in alpha) a log|y| slope.
-One evaluator, ``_Expansion.evaluate``, serves both expansions: the
-quantities asked for together share log|y|, the powers of the argument and
-their signs, and each adds only its own factors and its own certificate.  A
-pass accepts a term cap, so dispatchers can run a cheap first pass and
-re-evaluate only the points that failed to certify, and each expansion
-states, from its envelopes alone, the radius beyond which (tail,
-``certifies_from``) or inside which (centre, ``certifies_within``) a pass
-of a given cap can certify a tolerance at all.  The tail's
-``fold_sum``, which removes aliasing folds from the Fourier rules, sums the
-same specs over a lattice: each term's lattice sum is a Hurwitz zeta from
-``hurwitz_zeta``, which returns zeta and -d zeta/d s with their bounds from
-one direct sum and an Euler-Maclaurin tail.
+One evaluator, ``_Expansion.evaluate``, serves both expansions.  A pass
+builds one power matrix, exp(log coefficient_k + step * k * log|z|) over
+the norm for its terms and points (``_power_matrix``), and every quantity
+asked for reads its terms off it: a weight row (sign times factors)
+contracted column by column, with the centre's odd powers signed at y < 0
+and its f' term k read off row k - 1, the tail's offset a power of r per
+point, and the alpha partial's log r slope a second row times log r.  A
+convergent certificate starts at the first term whose envelope is small
+enough and whose ratio bound contracts; for each term that holds on one
+side of one radius (``_cut``), so the first such term of every point is
+one search on the running maximum of those radii.  A pass accepts a term
+cap, so dispatchers can run a cheap first pass and re-evaluate only the
+points that failed to certify.  From the same radii each expansion states
+the radius beyond which (tail, ``certifies_from``) or inside which
+(centre, ``certifies_within``) a pass of a given cap can certify a
+tolerance at all.  The tail's ``fold_sum``, which removes aliasing folds
+from the Fourier rules, sums the same specs over a lattice: each term's
+lattice sum is a Hurwitz zeta from ``hurwitz_zeta``, which returns zeta
+and -d zeta/d s with their bounds from one direct sum and an
+Euler-Maclaurin tail.
 """
 
 from __future__ import annotations
 
+import math
 from functools import cached_property
 
 import numpy as np
@@ -61,9 +70,14 @@ _NEAR_FOLDS = 4
 _ZETA_DIRECT = 8
 _LATTICE = np.arange(_ZETA_DIRECT + 1.0)[:, None]
 _EM_CORRECTIONS = np.array([1.0 / 12.0, -1.0 / 720.0, 1.0 / 30240.0, -1.0 / 1209600.0])
-# Envelopes are floored at exp(-700): flooring only loosens a bound, and exp
-# of smaller arguments takes a subnormal path many times slower.
-_LOG_FLOOR = -700.0
+# Power matrix entries are clipped to exp(+-600): flooring only loosens a
+# bound, and a weight down to e^-100 times an entry stays out of the
+# subnormal range, where arithmetic takes a path many times slower.
+_LOG_FLOOR = -600.0
+# A power matrix column whose largest term is below exp(_LOG_LIFT) is held
+# relative to it, so the floor costs it no term within exp(_LOG_FLOOR -
+# _LOG_LIFT) of its largest, and far tail masses keep their digits.
+_LOG_LIFT = -300.0
 # Margin, in log radius, by which a reach bound is widened so that rounding
 # in the envelopes cannot certify a point the bound leaves out.
 _REACH_SLACK = 1e-9
@@ -91,48 +105,72 @@ def log_radius(z):
     return np.where(az > 0.0, np.log(np.where(az > 0.0, az, 1.0)), -745.0)
 
 
-def _certified_sum(env, terms, tol, ratio=None):
+def _contract(row, powers):
+    """sum_k row_k * powers[k, n] for each column n, accumulated term by term.
+
+    einsum runs the columns as its inner loop, so every column takes the
+    same operations in the same order whatever columns share the call, and
+    a point's value does not depend on the batch it is evaluated in.  A lone
+    column would be reduced in another order, so it is accumulated here.
+    No BLAS product is used: gemv rounds a column by its neighbours.
+    """
+    if powers.shape[1] == 1:
+        return np.cumsum(row * powers[:, 0])[-1:]
+    return np.einsum("k,kn->n", row, powers)
+
+
+def _certified_sum(signed, rows, env, logz, kstop=None, convergent=None):
     """Truncated sum of a series with a certified error, per column.
 
-    ``terms`` and their envelopes ``env`` have shape (k, points).  Without
-    ``ratio`` the series is asymptotic: it is summed up to its minimal
-    envelope (optimal truncation), and _ASYM_SAFETY times that envelope is
-    charged.  With ``ratio`` = (a_k, b_n), where a_k + b_n bounds
-    log(env_{j+1}/env_j) for every j >= k in column n, it converges: it
-    certifies from the first term below tol/_ASYM_SAFETY whose ratio
-    contracts, every given term is summed, and the rest is bounded
-    geometrically from the last one; a column with no such term before the
-    cap certifies nothing.  Summing past the point where the tolerance is
-    met costs nothing (the terms are computed anyway), keeps the value from
-    jumping when the parameters move that point, and leaves f' an error well
-    below the tolerance: the shape partials' shift term tau_q * f' carries
-    |tau_q| times that error, and with stops at the first certifying term
-    it rarely certified (the i.i.d. Cauchy fit of the test suite, alpha
-    near 1, took 379 s against 23 s on a 2-CPU machine).  Returns
-    (value, remainder + roundoff); ``env`` and ``terms`` are overwritten.
+    Term k of column n is row_k * signed[k, n], plus slope_k * signed[k, n]
+    * logz_n where ``rows`` = (row, slope) has a second entry, and ``env``
+    (k, points) holds the terms' envelopes.  An asymptotic series is summed
+    up to term ``kstop`` (its least envelope: optimal truncation), and
+    _ASYM_SAFETY times that envelope is charged.  A convergent series,
+    ``convergent`` = (found, q, nterms), sums every given term and bounds
+    the rest geometrically from the last one by the ratio bound q < 1 of
+    the first term below tol/_ASYM_SAFETY whose ratio contracts; a column
+    where no term before the cap is such (``found`` False) certifies
+    nothing.  Summing past the point where the tolerance is met costs
+    nothing, keeps the value from jumping when the parameters move that
+    point, and leaves f' an error well below the tolerance: the shape
+    partials' shift term tau_q * f' carries |tau_q| times that error, and
+    with stops at the first certifying term it rarely certified (the i.i.d.
+    Cauchy fit of the test suite, alpha near 1, took 379 s against 23 s on
+    a 2-CPU machine).  Roundoff is charged on the largest envelope summed,
+    times the number of terms (at least 8; ``nterms`` when convergent).
+    Returns (value, remainder + roundoff); ``env`` is overwritten.
     """
-    nk = env.shape[0]
-    if ratio is None:
-        kstop = np.argmin(env, axis=0)
-        summed = np.arange(nk)[:, None] <= kstop[None, :]
-        remainder = _ASYM_SAFETY * env[kstop, np.arange(env.shape[1])]
-        terms = np.multiply(terms, summed, out=terms)
-        maxenv = np.multiply(env, summed, out=env).max(axis=0)
+    if kstop is not None:  # running sums, read at the cut: term by term as in _contract
+        cut = kstop, np.arange(env.shape[1])
+        remainder = _ASYM_SAFETY * env[cut]
+        maxenv = np.maximum.accumulate(env, axis=0, out=env)[cut]
+        value = np.cumsum(rows[0][:, None] * signed, axis=0)[cut]
+        if len(rows) > 1:
+            value += logz * np.cumsum(rows[1][:, None] * signed, axis=0)[cut]
+        nterms = kstop + 1
     else:
-        log_k, log_n = ratio
-        contracts = log_n[None, :] < (np.log(_RATIO_CAP) - log_k)[:, None]
-        ok = (env <= tol / _ASYM_SAFETY) & contracts
-        ok[-1, :] = False  # cannot certify at the term cap
-        k0 = np.argmax(ok, axis=0)
-        found = ok[k0, np.arange(env.shape[1])]
-        q = np.exp(np.clip(log_k[k0] + log_n, _LOG_FLOOR, np.log(_RATIO_CAP)))
-        kstop = nk - 1
+        found, q, nterms = convergent
         remainder = np.where(found, env[-1] * q / (1.0 - q) + env[-1], np.inf)
         maxenv = env.max(axis=0)
-    # row by row whatever the batch size: np.sum pairs a lone column's terms
-    value = terms.sum(axis=0) if terms.shape[1] > 1 else np.cumsum(terms, axis=0)[-1]
-    roundoff = _ROUNDOFF_SAFETY * _EPS * maxenv * np.maximum(kstop + 1, 8)
+        value = _contract(rows[0], signed)
+        if len(rows) > 1:
+            value += logz * _contract(rows[1], signed)
+    roundoff = _ROUNDOFF_SAFETY * _EPS * maxenv * np.maximum(nterms, 8)
     return value, remainder + roundoff
+
+
+def _env_reach(logc, power, limit):
+    """Per term, the greatest v with logc + power * v <= log(limit).
+
+    An envelope with no positive power of e^v holds the limit everywhere
+    (+inf) or nowhere (-inf).
+    """
+    loglimit = math.log(limit)
+    if power[0] > 0.0:  # the powers grow with k: all positive
+        return (loglimit - logc) / power
+    everywhere = np.where(logc <= loglimit, np.inf, -np.inf)
+    return np.divide(loglimit - logc, power, out=everywhere, where=power > 0.0)
 
 
 def _contraction(logterm, log_slope_growth=None):
@@ -214,76 +252,208 @@ class _Expansion:
     """A series in powers of |z|, several quantities evaluated in one pass.
 
     A subclass states its mathematics: ``_logcoef`` (log |coefficient| of
-    term k), ``_exponent`` (the power of |z| in a quantity's term k), its
-    step ``_step`` in k, the norm ``_norm``, ``_spec`` and ``_budget``.
+    term k), ``_degree`` (the power of e^v in a quantity's term k, where
+    v = sign(step) * log|z|), its step ``_step`` in k, ``_spec``,
+    ``_layout`` and ``_budget``; the norm divides every term.
     """
 
-    def __init__(self, alpha: float, beta: float, kmax: int, k0: int):
+    def __init__(self, alpha: float, beta: float, kmax: int, k0: int, norm: float):
         self.alpha = alpha
         self.beta = beta
         self.kmax = kmax
         self.tau = skew_shift(alpha, beta)
         self.dtau = shift_partials(alpha, beta)
         self._k = np.arange(k0, kmax + 1, dtype=float)
+        self._norm = norm
+        self._lognorm = math.log(norm)
+        self._floor = math.exp(_LOG_FLOOR) / norm  # a floored power matrix entry
         self._specs = {}
+        self._cuts = {}  # running maxima of per-term radii by (quantity, tol), see _cut
         self._reach = {}  # log radii by (quantity, tol, kcap), see certifies_from/within
+
+    def _power_matrix(self, v, rows):
+        """(matrix, lift): exp(logcoef_k + |step| * k * v - lift) / norm for the first ``rows`` terms.
+
+        That is exp(logcoef_k + step * k * log|z|) / norm at v = sign(step)
+        * log|z|, times e^-lift per column: the one matrix of a pass, which
+        every quantity reads off with its weights (``_weights``); at the
+        centre the density's terms are its entries times their signs.  The
+        coefficient stays inside the exponential (the bare powers overflow)
+        and the exponent is clipped to +-600, so that a weight down to e^-100
+        times an entry stays out of the subnormal range, where arithmetic is
+        many times slower; flooring only loosens an envelope.  ``lift``
+        (None where no column needs one) raises a column whose largest
+        exponent is below _LOG_LIFT to it.
+        """
+        # the k = 0 entry is the bare coefficient even at z = 0 (0 * log 0 = 0)
+        logpow = np.multiply.outer(self._degree(self._k[:rows], 0.0), v)
+        logpow += self._logcoef[:rows, None]
+        lift = None
+        if (logpow[0] < _LOG_LIFT).any():  # else no column's largest is below it
+            lift = np.minimum(logpow.max(axis=0) - _LOG_LIFT, 0.0)
+            logpow -= lift
+        np.maximum(logpow, _LOG_FLOOR, out=logpow)
+        np.minimum(logpow, -_LOG_FLOOR, out=logpow)
+        powers = np.exp(logpow, out=logpow)
+        powers /= self._norm
+        return powers, lift
+
+    def _weights(self, spec, shift, m):
+        """(value rows, envelope rows) of a quantity's terms on the first ``m`` matrix rows.
+
+        Term k of the quantity reads row k - ``shift`` of the power matrix,
+        times its value rows' entry: the first carries the sign, the second
+        (with a log|z| slope) the slope factor.  The envelope rows are the
+        magnitudes, the second to be taken times |log|z||.
+        """
+        extra, _, sign, slope, _ = spec
+        terms = slice(shift, m + shift)
+        log_mag = extra[terms]
+        if shift:  # the coefficient of term k over that of the row it reads
+            log_mag = log_mag + (self._logcoef[terms] - self._logcoef[:m])
+        mag = np.exp(log_mag)
+        value, env = [sign[terms] * mag], [mag]
+        if slope is not None:
+            value.append(slope[0][terms] * mag)
+            env.append(slope[1][terms] * mag)
+        return value, env
+
+    def _cut(self, quantity: str, tol: float):
+        """Running maximum over terms of the greatest v = sign(step) * log|z| at which each can start a certificate.
+
+        Term k's envelope is at most tol/_ASYM_SAFETY from the
+        ``_env_reach`` of its log coefficient and its power of e^v on; a
+        convergent series (with a ratio bound) needs its ratio bound to
+        contract as well, below the smaller of the two radii.  Entry k is
+        the greatest radius of terms 0 to k: the first certifying term of a
+        point is one search on it, and the reach bounds read it off.  Cached
+        for a convergent series, the one that searches it.
+        """
+        running = self._cuts.get((quantity, tol))
+        if running is None:
+            extra, off, _, _, ratio = self._spec(quantity)
+            logc = self._logcoef + extra - self._lognorm
+            radii = _env_reach(logc, self._degree(self._k, off), tol / _ASYM_SAFETY)
+            if ratio is not None:
+                radii = np.minimum(radii, (np.log(_RATIO_CAP) - ratio) / abs(self._step))
+            running = np.maximum.accumulate(radii)
+            if ratio is not None:  # an asymptotic series searches none: its reach is cached
+                self._cuts[quantity, tol] = running
+        return running
+
+    def _log_reach(self, quantity: str, tol: float, kcap: int | None) -> float:
+        """The greatest v = sign(step) * log|z| at which a pass of ``kcap`` terms certifies ``tol``.
+
+        ``_certified_sum`` charges at least _ASYM_SAFETY times one envelope
+        (the least, or the first that certifies), so some term must be
+        within its ``_cut`` radius; a convergent pass cannot certify at the
+        cap, and it also charges _ROUNDOFF_SAFETY * eps * max(terms, 8) times
+        its largest envelope, so every envelope must be at most tol over
+        that.  A pass with no cap (``kcap`` None) sums a budget that can be
+        shorter than kmax, so there that condition is left out.
+        """
+        extra, off, _, _, ratio = self._spec(quantity)
+        nk = self._k[:kcap].size
+        convergent = ratio is not None
+        reach = float(self._cut(quantity, tol)[nk - 1 - convergent])
+        if convergent and kcap is not None:
+            logc = self._logcoef[:nk] + extra[:nk] - self._lognorm
+            limit = tol / (_ROUNDOFF_SAFETY * _EPS * max(nk, 8))
+            every = _env_reach(logc, self._degree(self._k[:nk], off), limit)
+            reach = min(reach, float(np.min(every)))
+        return reach
 
     def evaluate(self, z, quantities, tols, kcap=None, need=None, budgets=None):
         """(values, errors), each of shape (len(quantities), points), at z.
 
-        The quantities share log|z|, the powers of |z| (held for one offset
-        at a time) and the signs of odd powers at z < 0, and each is
-        certified to its entry of ``tols``.  Without ``kcap`` each term
+        The quantities share log|z| and one power matrix (``_power_matrix``),
+        which each reads off with its own weights (see ``_sum``), and each
+        is certified to its entry of ``tols``.  Without ``kcap`` each term
         budget is cut to what the slowest of the quantity's ``need`` points
         (a boolean row each, default all) can use, or taken from
         ``budgets``; a quantity with no point is skipped.
         """
         z = np.asarray(z, dtype=float)
         logz = log_radius(z)
-        specs = [self._spec(q) for q in quantities]
         rows = need if need is not None else [slice(None)] * len(quantities)
         if budgets is None:
-            nks = [self._budget(sp, tol, kcap, logz[row])
-                   for sp, tol, row in zip(specs, tols, rows)]
+            nks = [self._budget(self._spec(q), tol, kcap, logz[row])
+                   for q, tol, row in zip(quantities, tols, rows)]
         else:
             nks = [nk if logz[row].size else 0 for nk, row in zip(budgets, rows)]
         out = np.zeros((2, len(quantities), z.size))
         out[1] = np.inf
-        neg = (z < 0.0)[None, :] if (z < 0.0).any() else None
-        last = None
-        for i in sorted(range(len(quantities)), key=lambda j: specs[j][1]):
-            (extra, off, sign, slope, ratio), tol, nk = specs[i], tols[i], nks[i]
-            if not nk:
-                continue
-            if off != last:
-                kp = self._exponent(self._k[:max(nks)], off)
-                # kp = 0 keeps the bare coefficient even at z = 0 (0 * log 0 = 0)
-                last, logpow = off, np.multiply.outer(kp, logz)
-                odd = None if neg is None else np.where(neg & (kp % 2 == 1)[:, None], -1.0, 1.0)
-            logmag = (self._logcoef[:nk] + extra[:nk])[:, None] + logpow[:nk]
-            env = np.exp(np.clip(logmag, _LOG_FLOOR, 700.0, out=logmag), out=logmag)
-            env /= self._norm
-            terms = env * sign[:nk, None]
-            if slope is not None:
-                terms += env * slope[0][:nk, None] * logz
-                env *= 1.0 + slope[1][:nk, None] * np.abs(logz)
-            if odd is not None:
-                terms *= odd[:nk]
-            value, err = _certified_sum(
-                env, terms, tol, None if ratio is None else (ratio[:nk], self._step * logz))
-            bad = ~np.isfinite(value)
-            out[:, i] = np.where(bad, 0.0, value), np.where(bad, np.inf, err)
+        shifts = [self._layout(self._spec(q)[1])[0] for q in quantities]
+        used = [nk - shift for nk, shift in zip(nks, shifts) if nk]
+        if used:
+            v = np.sign(self._step) * logz
+            powers, lift = self._power_matrix(v, max(used))
+            signed = powers
+            if self._parity and (z < 0.0).any():  # y^k for odd k at y < 0
+                signed = powers.copy()
+                signed[1::2] *= np.where(z < 0.0, -1.0, 1.0)
+            env = np.empty_like(powers)
+            for i, (q, tol, nk) in enumerate(zip(quantities, tols, nks)):
+                if nk:
+                    out[0, i], out[1, i] = self._sum(q, tol, nk, powers, signed, lift, logz, v, env)
         return out
+
+    def _sum(self, quantity, tol, nk, powers, signed, lift, logz, v, env):
+        """(value, err) of a quantity's first ``nk`` terms read off a pass's power matrix.
+
+        Its weight rows (``_weights``) give the values, contracted column by
+        column with ``signed`` (the matrix with the signs of the powers of
+        y < 0), and the envelopes, in one weighted pass over ``powers`` into
+        ``env``, and are scaled by |z|^power and the matrix's ``lift`` per
+        point.  An asymptotic series stops at its least envelope, one whose
+        power is floored counting as zero (it is a bound, not a value).  A
+        convergent series certifies from the first term within its ``_cut``
+        radius: one search per point, except for a log r slope, which moves
+        each envelope, so those are tested one by one.  A value that is not
+        finite certifies nothing.
+        """
+        spec = self._spec(quantity)
+        ratio = spec[4]
+        shift, power = self._layout(spec[1])
+        m = nk - shift
+        value_rows, env_rows = self._weights(spec, shift, m)
+        powers, env = powers[:m], np.einsum("k,kn->kn", env_rows[0], powers[:m], out=env[:m])
+        if len(env_rows) > 1:
+            env += np.abs(logz) * np.einsum("k,kn->kn", env_rows[1], powers)
+        logscale = power * logz if power else None
+        if lift is not None:
+            logscale = lift if logscale is None else logscale + lift
+        scale = 1.0 if logscale is None else np.exp(np.minimum(logscale, -_LOG_FLOOR))
+        kstop = convergent = None
+        if ratio is None:
+            kstop = np.argmin(np.where(powers > self._floor, env, 0.0), axis=0)
+        else:
+            if len(env_rows) > 1:
+                contracts = (np.log(_RATIO_CAP) - ratio[:nk - 1]) / abs(self._step)
+                ok = (env[:-1] * scale <= tol / _ASYM_SAFETY) & (v <= contracts[:, None])
+                first = np.where(ok.any(axis=0), ok.argmax(axis=0), nk - 1)
+            else:
+                first = np.searchsorted(self._cut(quantity, tol)[:nk - 1], v)
+            q = np.exp(np.clip(ratio[first] + self._step * logz, _LOG_FLOOR, np.log(_RATIO_CAP)))
+            convergent = first < nk - 1, q, nk
+        value, err = _certified_sum(signed[:m], value_rows, env, logz, kstop, convergent)
+        if logscale is not None:  # an overflow is a term too large to certify anything
+            with np.errstate(over="ignore"):
+                value, err = value * scale, err * scale
+        if not np.isfinite(value).all():
+            bad = ~np.isfinite(value)
+            value, err = np.where(bad, 0.0, value), np.where(bad, np.inf, err)
+        return value, err
 
 
 class TailSeriesSide(_Expansion):
     """Tail expansion for one side, in r = y > 0: term k carries r**(-(alpha*k + off))."""
 
     def __init__(self, alpha: float, beta: float, kmax: int):
-        super().__init__(alpha, beta, kmax, 1)
+        super().__init__(alpha, beta, kmax, 1, np.pi)
         k, tau = self._k, self.tau
-        self._norm = np.pi
         self._step = -alpha
+        self._parity = False  # the side is evaluated at r > 0
         # log of |k-th coefficient| without the r-power, and its sign pattern
         self._logcoef = (
             special.gammaln(k * alpha + 1.0)
@@ -292,8 +462,13 @@ class TailSeriesSide(_Expansion):
         )
         self._sink = np.sin(k * (np.arctan(tau) + alpha * np.pi / 2.0)) * (-1.0) ** (k + 1)
 
-    def _exponent(self, k, off):
-        return -(self.alpha * k + off)
+    def _degree(self, k, off):
+        """The power of 1/r in term k."""
+        return self.alpha * k + off
+
+    def _layout(self, off):
+        """Term k reads row k of the power matrix, times r^(-off)."""
+        return 0, -off
 
     def _spec(self, quantity: str):
         """(extra, off, sign, slope, ratio) of one quantity's terms, cached.
@@ -329,8 +504,7 @@ class TailSeriesSide(_Expansion):
         if kcap is None and logr.size:
             # slice the term budget to what the slowest point can ever use
             worst = float(logr.min())
-            probe = (self._logcoef[:nk] - (self.alpha * self._k[:nk] + off) * worst
-                     + extra[:nk])
+            probe = self._logcoef[:nk] - self._degree(self._k[:nk], off) * worst + extra[:nk]
             if slope is not None:
                 probe = probe + np.log1p(slope[1][:nk] * abs(worst))
             done = probe <= np.log(tol / (_ASYM_SAFETY * 10.0) * np.pi + 1e-300)
@@ -345,26 +519,13 @@ class TailSeriesSide(_Expansion):
     def certifies_from(self, quantity: str, tol: float, kcap: int | None) -> float:
         """A log radius below which no pass of ``kcap`` terms certifies ``tol``, cached.
 
-        Read from the envelopes, without summing; a log slope only raises an
-        envelope, so it is left out.  ``_certified_sum`` charges at least
-        _ASYM_SAFETY times one envelope (the least, or the first that
-        certifies), so some envelope must be at most tol/_ASYM_SAFETY.  A
-        convergent pass (alpha <= 1) also charges _ROUNDOFF_SAFETY * eps *
-        max(terms, 8) times its largest envelope, so every envelope must be at
-        most tol over that; a pass with no cap (``kcap`` None) sums a budget
-        that can be shorter than kmax, so there that condition is left out.
-        Each envelope falls in r, so each condition is a least log r.
+        Read off the per-term radii of ``_cut``, without summing (see
+        ``_log_reach``); a log slope only raises an envelope, so it is left
+        out.  Each envelope falls in r, so each condition is a least log r.
         """
         key = (quantity, tol, kcap)
         if key not in self._reach:
-            extra, off, _, _, _ = self._spec(quantity)
-            logc = self._logcoef[:kcap] + extra[:kcap] - np.log(self._norm)
-            power = self.alpha * self._k[:kcap] + off
-            bound = float(np.min((logc - np.log(tol / _ASYM_SAFETY)) / power))
-            if self.alpha <= 1.0 and kcap is not None:
-                roundoff = np.log(tol / (_ROUNDOFF_SAFETY * _EPS * max(logc.size, 8)))
-                bound = max(bound, float(np.max((logc - roundoff) / power)))
-            self._reach[key] = bound - _REACH_SLACK
+            self._reach[key] = -self._log_reach(quantity, tol, kcap) - _REACH_SLACK
         return self._reach[key]
 
     def fold_sum(self, q0, period, quantity: str = "pdf"):
@@ -437,10 +598,10 @@ class CenterSeries(_Expansion):
     def __init__(self, alpha: float, beta: float, kmax: int):
         if not (alpha > 1.0 or (alpha == 1.0 and beta == 0.0)):
             raise ValueError("center series requires alpha > 1 (or alpha = 1, beta = 0)")
-        super().__init__(alpha, beta, kmax, 0)
+        super().__init__(alpha, beta, kmax, 0, alpha * np.pi)
         k, tau = self._k, self.tau
-        self._norm = alpha * np.pi
         self._step = 1.0
+        self._parity = True  # y^k changes sign with y for odd k
         self._logcoef = (
             special.gammaln((k + 1.0) / alpha)
             - special.gammaln(k + 1.0)
@@ -448,8 +609,13 @@ class CenterSeries(_Expansion):
         )
         self._cosk = np.cos((k + 1.0) / alpha * np.arctan(tau) - k * np.pi / 2.0)
 
-    def _exponent(self, k, off):
+    def _degree(self, k, off):
+        """The power of |y| in term k."""
         return k + off
+
+    def _layout(self, off):
+        """Term k reads row k + off of the power matrix: y^(k + off) for off <= 0."""
+        return int(-off), 0.0
 
     def _spec(self, quantity: str):
         """(extra, off, trig, None, ratio) of one quantity's terms, cached.
@@ -483,30 +649,15 @@ class CenterSeries(_Expansion):
     def certifies_within(self, quantity: str, tol: float, kcap: int) -> float:
         """A log radius beyond which no pass of ``kcap`` terms certifies ``tol``, cached.
 
-        The counterpart of ``TailSeriesSide.certifies_from``, read from the
-        envelopes of the convergent pass.  ``_certified_sum`` certifies from
-        a term before the cap whose envelope is at most tol/_ASYM_SAFETY and
-        whose ratio bound contracts, and it charges _ROUNDOFF_SAFETY * eps *
-        max(terms, 8) times the largest envelope, so every envelope must be
-        at most tol over that.  An envelope with a positive power of |y|
-        grows in |y| and the ratio bound contracts only below a radius, so
-        each condition is a greatest log |y|; an envelope with no positive
-        power holds or fails everywhere.
+        The counterpart of ``TailSeriesSide.certifies_from``, read off the
+        per-term radii of ``_cut`` (see ``_log_reach``).  An envelope with a
+        positive power of |y| grows in |y| and the ratio bound contracts
+        only below a radius, so each condition is a greatest log |y|; an
+        envelope with no positive power holds or fails everywhere.
         """
         key = (quantity, tol, kcap)
         if key not in self._reach:
-            extra, off, _, _, ratio = self._spec(quantity)
-            nk = min(kcap, self.kmax + 1)
-            logc = self._logcoef[:nk] + extra[:nk] - np.log(self._norm)
-            power = self._k[:nk] + off
-
-            def within(limit):  # per term: the greatest log|y| with env_k <= limit
-                everywhere = np.where(logc <= np.log(limit), np.inf, -np.inf)
-                return np.divide(np.log(limit) - logc, power, out=everywhere, where=power > 0.0)
-
-            first = np.minimum(within(tol / _ASYM_SAFETY), np.log(_RATIO_CAP) - ratio[:nk])
-            roundoff = within(tol / (_ROUNDOFF_SAFETY * _EPS * max(nk, 8)))
-            self._reach[key] = min(float(first[:-1].max()), float(roundoff.min())) + _REACH_SLACK
+            self._reach[key] = self._log_reach(quantity, tol, kcap) + _REACH_SLACK
         return self._reach[key]
 
     @cached_property

@@ -482,15 +482,22 @@ class TestFusedPass:
 
     def test_one_pass_per_piece_and_stage(self, monkeypatch):
         # stage 1 and the full budget: at most two passes of each series
-        # piece for all four quantities of a likelihood evaluation
+        # piece for all four quantities of a likelihood evaluation, each on
+        # one power matrix that all four quantities read
         from stablegarch.stable import engine, log_density_terms, sample
-        from stablegarch.stable.series import CenterSeries, TailSeriesSide
-        passes = []
+        from stablegarch.stable.series import CenterSeries, TailSeriesSide, _Expansion
+        passes, matrices = [], []
         for cls in (CenterSeries, TailSeriesSide):
             def counting(self, arg, quantities, *args, _evaluate=cls.evaluate, **kwargs):
                 passes.append((id(self), tuple(quantities)))
                 return _evaluate(self, arg, quantities, *args, **kwargs)
             monkeypatch.setattr(cls, "evaluate", counting)
+
+        def counting_matrix(self, *args, _matrix=_Expansion._power_matrix):
+            matrices.append(id(self))
+            return _matrix(self, *args)
+
+        monkeypatch.setattr(_Expansion, "_power_matrix", counting_matrix)
         engine._engine.cache_clear()
         x = sample(StableParams(1.7, 0.3), 1000, np.random.default_rng(3))
         log_density_terms(x, 1.7, 0.3)
@@ -500,6 +507,7 @@ class TestFusedPass:
             assert quantities == ("pdf", "dpdf", "dalpha", "dbeta")
         assert len(per_piece) == 3 and max(per_piece.values()) <= 2
         assert len(passes) > 3  # the full budget ran too
+        assert [piece for piece, _ in passes] == matrices
 
 
 class TestFoldSums:
@@ -704,6 +712,90 @@ class TestSeriesReach:
             if centre is not None:
                 y = np.exp(centre.certifies_within(q, tol, 40)) * np.concatenate([above, -above])
                 assert np.all(centre.evaluate(y, (q,), (tol,), 40)[1, 0] > tol)
+
+
+_SERIES_SUM_LAWS = [(a, b) for a in (0.6, 0.9, 1.3, 1.6, 1.95) for b in (0.0, 0.3, -0.7)]
+
+
+class TestSeriesSums:
+    """Series sums off the power matrix against the terms computed one by one."""
+
+    @staticmethod
+    def _reference(series, z, quantity, tol, kcap):
+        """(fsum of the terms to the cut, err, roundoff part) per point, term by term.
+
+        Each term is the exponential of its own log coefficient, factors and
+        power, times its sign, with no floor; the cut and the certificate
+        follow ``_certified_sum``: the least envelope, a floored power
+        entry counting as zero (asymptotic), or the first term below
+        tol/_ASYM_SAFETY whose ratio contracts and the geometric rest from
+        the last (convergent).
+        """
+        import math
+
+        from stablegarch.stable import series as S
+        extra, off, sign, slope, ratio = series._spec(quantity)
+        logz = S.log_radius(z)
+        nk = series._budget(series._spec(quantity), tol, kcap, logz)
+        k = series._k[:nk]
+        sign_v = np.sign(series._step)  # the power of |z| is sign_v times the degree
+        kp = sign_v * series._degree(k, off)
+        out = []
+        for zn, lz in zip(z, logz):
+            with np.errstate(over="ignore", invalid="ignore"):
+                env = np.exp(series._logcoef[:nk] + extra[:nk] + kp * lz) / series._norm
+                terms = env * sign[:nk]
+                if slope is not None:
+                    terms = terms + env * slope[0][:nk] * lz
+                    env = env * (1.0 + slope[1][:nk] * abs(lz))
+            if zn < 0.0:
+                terms = np.where(kp % 2 == 1, -terms, terms)
+            if ratio is None:
+                # the power matrix's exponents, a far column lifted by its
+                # largest (its first at the far radius here)
+                power_entry = series._logcoef[:nk] + series._degree(k, 0.0) * sign_v * lz
+                lift = min(power_entry.max() - S._LOG_LIFT, 0.0)
+                floored = power_entry - lift <= S._LOG_FLOOR
+                n = int(np.argmin(np.where(floored, 0.0, env))) + 1
+                remainder = S._ASYM_SAFETY * env[n - 1]
+            else:
+                ok = (env <= tol / S._ASYM_SAFETY) & (ratio[:nk] + series._step * lz
+                                                      < np.log(S._RATIO_CAP))
+                ok[-1] = False
+                n, remainder = nk, np.inf
+                if ok.any():
+                    q = np.exp(np.clip(ratio[np.argmax(ok)] + series._step * lz,
+                                       S._LOG_FLOOR, np.log(S._RATIO_CAP)))
+                    remainder = env[-1] * q / (1.0 - q) + env[-1]
+            roundoff = S._ROUNDOFF_SAFETY * S._EPS * env[:n].max() * max(n, 8)
+            out.append((math.fsum(terms[:n]), remainder + roundoff, roundoff))
+        return np.array(out).T
+
+    @pytest.mark.parametrize("alpha, beta", _SERIES_SUM_LAWS)
+    def test_matches_term_by_term(self, alpha, beta):
+        from stablegarch.stable.series import CenterSeries, TailSeriesSide
+        r = np.append(np.geomspace(0.3, 400.0, 37), 1e250)  # and a mass near e^-345 or below
+        pieces = [(TailSeriesSide(alpha, b, acc.max_series_terms), r,
+                   ("pdf", "dpdf", "sf", "dalpha", "dbeta"), acc)
+                  for acc in (FIT_ACCURACY, DensityAccuracy()) for b in (beta, -beta)]
+        if alpha > 1.0:
+            y = np.concatenate([[0.0, 1e-300, -1e-300, -0.3, 0.05, 2.5],
+                                np.linspace(-9.0, 9.0, 31)])
+            pieces += [(CenterSeries(alpha, beta, acc.max_series_terms), y,
+                        ("pdf", "dpdf", "dalpha", "dbeta"), acc)
+                       for acc in (FIT_ACCURACY, DensityAccuracy())]
+        for series, z, quantities, acc in pieces:
+            tol = acc.abs_tol
+            for kcap in (40, None):
+                got = series.evaluate(z, quantities, (tol,) * len(quantities), kcap)
+                for (value, err), quantity in zip(got.transpose(1, 0, 2), quantities):
+                    want, want_err, roundoff = self._reference(series, z, quantity, tol, kcap)
+                    assert np.array_equal(err <= tol, want_err <= tol), quantity
+                    fin = np.isfinite(want_err)
+                    # below 1e-250 the power matrix's floor e^-600 sets the envelopes
+                    assert np.all(np.abs(err[fin] - want_err[fin])
+                                  <= 1e-13 * np.maximum(want_err[fin], 1e-250)), quantity
+                    assert np.all(np.abs(value[fin] - want[fin]) <= roundoff[fin]), quantity
 
 
 _SUM_LAWS = [(a, b) for a in (0.6, 0.8, 1.0, 1.3, 1.6, 1.85, 1.95) for b in (0.0, 0.3, -0.7)]

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-import math
+from itertools import zip_longest
 
 import numpy as np
 from scipy.linalg import lapack
@@ -19,11 +19,17 @@ def _presample_value(eps2: np.ndarray) -> float:
     return float(np.mean(eps2))
 
 
-def _lag_filter(theta: GarchParams, force: np.ndarray) -> np.ndarray:
-    """Solve y_t = force_t + sum_j b_j y_{t-j} down each column, from rest,
-    as a unit lower-triangular band system with -b_j on subdiagonal j."""
-    ar = np.concatenate([[1.0], -np.asarray(theta.b, dtype=float)])
-    band = np.repeat(ar[:, None], force.shape[0], axis=1)
+def _lag_filter(lags, force: np.ndarray) -> np.ndarray:
+    """Solve y_t = force_t + sum_k lags[k-1] y_{t-k} down each column, from rest,
+    as a unit lower-triangular band system with -lags[k-1] on subdiagonal k.
+
+    ``lags`` has shape (m,), one coefficient per lag, or (m, n) with
+    ``lags[k-1, j]`` the coefficient of y_j in the equation of row j + k.
+    """
+    lags = np.asarray(lags, dtype=float)
+    band = np.empty((lags.shape[0] + 1, force.shape[0]))
+    band[0] = 1.0
+    band[1:] = -(lags if lags.ndim == 2 else lags[:, None])
     return lapack.dtbtrs(band, force, uplo="L", diag="U")[0]
 
 
@@ -42,7 +48,7 @@ def _presample_response(e2: np.ndarray, theta: GarchParams):
         force[:i, 1] += ai
     for j, bj in enumerate(theta.b, start=1):
         force[:j, 1] += bj
-    resp = _lag_filter(theta, force)
+    resp = _lag_filter(theta.b, force)
     return resp[:, 0], resp[:, 1]
 
 
@@ -74,46 +80,7 @@ def variance_derivatives(eps: ReturnSeries, theta: GarchParams):
     lagged = [np.concatenate([np.full(k, pre), x])[:n]
               for x, n_lags in ((e2, len(theta.a)), (sig2, len(theta.b)))
               for k in range(1, n_lags + 1)]
-    return sig2, _lag_filter(theta, np.column_stack([np.ones(n)] + lagged))
-
-
-def _garch11_variances(omega: float, a, b, start: float, eta: list) -> list:
-    """sigma2_0..sigma2_{T-1} of a GARCH(1, 1) or ARCH(1) path, from presample ``start``.
-
-    The recursion carries one squared return and one variance: sigma2_t is
-    formed from the step-(t-1) values before it is stored.  ARCH(1) runs
-    with b = 0.  A non-finite variance propagates to the end of the path.
-    """
-    (a1,), (b1,) = a, (b or (0.0,))
-    out = []
-    e2 = v = start
-    for z in eta:
-        v = omega + a1 * e2 + b1 * v
-        out.append(v)
-        e = math.sqrt(v) * z
-        e2 = e * e
-    return out
-
-
-def _lag_variances(omega: float, a, b, start: float, eta: list) -> list:
-    """sigma2_0..sigma2_{T-1} of a GARCH(p, q) path: the same recursion over lag lists."""
-    # lags as Python floats, most recent first
-    e2 = [start] * len(a)
-    s2 = [start] * len(b)
-    out = []
-    for z in eta:
-        var = omega
-        for ai, x in zip(a, e2):
-            var += ai * x
-        for bj, x in zip(b, s2):
-            var += bj * x
-        out.append(var)
-        e = math.sqrt(var) * z
-        e2.insert(0, e * e)
-        e2.pop()
-        s2.insert(0, var)
-        s2.pop()
-    return out
+    return sig2, _lag_filter(theta.b, np.column_stack([np.ones(n)] + lagged))
 
 
 def simulate(theta: GarchParams, psi: StableParams, n: int, burn_in: int = 500,
@@ -124,9 +91,16 @@ def simulate(theta: GarchParams, psi: StableParams, n: int, burn_in: int = 500,
     Innovations are stable draws from psi unless an explicit array of at
     least n + burn_in finite values is injected (used for summed-innovation
     experiments); a non-finite one raises ValueError.  The first burn_in
-    steps are discarded.  The whole variance path is computed first; if any
-    of it is non-finite, ExplosionError reports the first such step ``t``,
-    counted from the first burn-in step, and its value ``sigma2``.
+    steps are discarded.  Every presample squared return and variance is
+    omega / (1 - sum(a) - sum(b)), the denominator floored at 0.05.
+
+    The whole variance path is one ``_lag_filter`` band solve, lag k's
+    coefficient in column j being a_k * eta_j**2 + b_k.  Forward
+    substitution makes it prefix-consistent: on the same innovations a path
+    of t steps is the first t steps of a longer one.  If any variance is
+    non-finite, ExplosionError reports the first such step ``t``, counted
+    from the first burn-in step, and its value ``sigma2``.  The last bits
+    of a path depend on the LAPACK build, as ``volatility_path``'s do.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -145,8 +119,18 @@ def simulate(theta: GarchParams, psi: StableParams, n: int, burn_in: int = 500,
             raise ValueError(f"innovation {bad[0]} is {eta[bad[0]]}, not finite")
     omega, a, b = theta.omega, theta.a, theta.b
     start = omega / max(1.0 - sum(a) - sum(b), 0.05)
-    variances = _garch11_variances if len(a) == 1 and len(b) <= 1 else _lag_variances
-    sig2 = np.array(variances(omega, a, b, start, eta.tolist()))
+    # sigma2_t = omega + sum_k (a_k eta_{t-k}**2 + b_k) sigma2_{t-k}; only
+    # the real a_k meet eta**2, so a padded zero never multiplies an inf
+    lags = np.zeros((max(len(a), len(b)), total))
+    with np.errstate(over="ignore", invalid="ignore"):
+        lags[:len(a)] = np.outer(a, eta * eta)
+    lags[:len(b)] += np.asarray(b)[:, None]
+    # lag k reaches the presample, where every eps**2 and sigma2 is start,
+    # from rows 0..k-1
+    force = np.full(total, omega)
+    for k, (ak, bk) in enumerate(zip_longest(a, b, fillvalue=0.0), start=1):
+        force[:k] += (ak + bk) * start
+    sig2 = _lag_filter(lags, force)
     bad = np.flatnonzero(~np.isfinite(sig2))
     if bad.size:
         t, var = int(bad[0]), float(sig2[bad[0]])

@@ -1,5 +1,7 @@
 """GARCH recursion, simulation and stationarity tests."""
 
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -15,12 +17,7 @@ from stablegarch.garch import (
     stationarity_frontier,
     volatility_path,
 )
-from stablegarch.garch.recursion import (
-    _garch11_variances,
-    _lag_filter,
-    _lag_variances,
-    variance_derivatives,
-)
+from stablegarch.garch.recursion import _lag_filter, variance_derivatives
 from stablegarch.garch.stability import _companion_split
 from stablegarch.stable import StableParams
 from stablegarch.stable import sample as stable_sample
@@ -106,18 +103,25 @@ class TestLagFilter:
     def _theta(p, q):
         return GarchParams(0.02, a=(0.06, 0.04)[:q], b=(0.4, 0.25, 0.15)[:p])
 
-    @pytest.mark.parametrize("p, q", ORDERS)
-    def test_matches_a_float_recursion_from_rest(self, p, q):
+    @pytest.mark.parametrize("p, q, columns", [
+        *(pytest.param(p, q, False, id=f"{p}-{q}") for p, q in ORDERS),
+        pytest.param(2, 2, True, id="2-2-columns"),  # one coefficient per lag and column
+    ])
+    def test_matches_a_float_recursion_from_rest(self, p, q, columns):
         # Cauchy-scaled forcing spans many orders of magnitude; every step
         # from the first is compared
         rng = np.random.default_rng(10 * p + q)
         theta = self._theta(p, q)
         force = np.column_stack([np.ones(1000), 0.01 * rng.standard_cauchy((1000, 2)) ** 2])
+        lags = np.array(theta.b)[:, None] * (rng.uniform(0.5, 1.5, (p, 1000)) if columns
+                                              else np.ones((p, 1000)))
         want = np.zeros((p + 1000, 3))
         for t in range(1000):
-            want[p + t] = force[t] + sum(bj * want[p + t - j]
-                                         for j, bj in enumerate(theta.b, start=1))
-        assert_allclose(_lag_filter(theta, force), want[p:], rtol=1e-13, atol=0)
+            # lags[j-1, s] weighs y_s in row s + j; rows before 0 are at rest
+            want[p + t] = force[t] + sum(lags[j - 1, t - j] * want[p + t - j]
+                                         for j in range(1, min(p, t) + 1))
+        got = _lag_filter(lags if columns else theta.b, force)
+        assert_allclose(got, want[p:], rtol=1e-13, atol=0)
 
     @pytest.mark.parametrize("p, q", ORDERS)
     def test_volatility_path_matches_a_float_recursion(self, p, q):
@@ -152,6 +156,25 @@ class TestVarianceDerivatives:
             diff = (volatility_path(eps, GarchParams.from_array(up, theta.order)).sigma2
                     - volatility_path(eps, GarchParams.from_array(dn, theta.order)).sigma2)
             assert_allclose(grads[:, k], diff / (2 * h), rtol=1e-6, atol=1e-9)
+
+
+def _float_variances(theta, eta):
+    """sigma2_0..sigma2_{T-1} of a simulated path, stepped over Python float lag lists."""
+    start = theta.omega / max(1.0 - sum(theta.a) - sum(theta.b), 0.05)
+    # lags most recent first; every presample eps**2 and sigma2 is start
+    e2, s2 = [start] * len(theta.a), [start] * len(theta.b)
+    out = []
+    for z in eta:
+        var = theta.omega
+        for ai, x in zip(theta.a, e2):
+            var += ai * x
+        for bj, x in zip(theta.b, s2):
+            var += bj * x
+        out.append(var)
+        e = math.sqrt(var) * z
+        e2 = [e * e] + e2[:-1]
+        s2 = [var] + s2[:-1]
+    return out
 
 
 class TestSimulate:
@@ -196,21 +219,25 @@ class TestSimulate:
         assert (again.value.t, again.value.sigma2) == (exc.t, exc.sigma2)
 
     @pytest.mark.parametrize("theta, alpha", [
-        (GarchParams(0.01, a=(0.06,), b=(0.9,)), 1.6),
-        (GarchParams(0.01, a=(0.9,), b=(0.9,)), 1.2),  # overflows
-        (GarchParams(0.02, a=(0.3,)), 1.6),
-        (GarchParams(0.02, a=(5.0,)), 1.2),  # overflows
+        *(pytest.param(TestLagFilter._theta(p, q), 1.6, id=f"{p}-{q}")
+          for p, q in TestLagFilter.ORDERS),
+        pytest.param(GarchParams(0.01, a=(0.9,), b=(0.9,)), 1.2, id="1-1-overflows"),
+        pytest.param(GarchParams(0.02, a=(5.0,)), 1.2, id="0-1-overflows"),
     ])
-    def test_two_float_loop_matches_lag_lists(self, theta, alpha):
-        # bit for bit from step 0, up to and including the first non-finite
-        # variance; past it ARCH(1)'s padded 0 * inf makes the two differ
-        eta = stable_sample(StableParams(alpha, 0.0), 3000, 4).tolist()
-        args = (theta.omega, theta.a, theta.b, 0.37, eta)
-        fast, ref = np.array(_garch11_variances(*args)), np.array(_lag_variances(*args))
+    def test_simulated_variances_match_a_float_recursion(self, theta, alpha):
+        # every step from the first, up to and including the first non-finite
+        # variance, which must fall on the same step with the same value
+        psi = StableParams(alpha, 0.0)
+        eta = stable_sample(psi, 3000, 4)
+        ref = np.array(_float_variances(theta, eta.tolist()))
         stop = np.flatnonzero(~np.isfinite(ref))
-        end = stop[0] + 1 if stop.size else ref.size
-        assert np.flatnonzero(~np.isfinite(fast[:end])).tolist() == stop[:1].tolist()
-        assert fast[:end].tobytes() == ref[:end].tobytes()
+        n = int(stop[0]) if stop.size else ref.size
+        _, path = simulate(theta, psi, n=n, burn_in=0, innovations=eta)
+        assert_allclose(path.sigma2, ref[:n], rtol=1e-13, atol=0)
+        if stop.size:
+            with pytest.raises(ExplosionError) as info:
+                simulate(theta, psi, n=ref.size, burn_in=0, innovations=eta)
+            assert (info.value.t, info.value.sigma2) == (n, ref[n])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_innovation_is_a_value_error(self, bad):

@@ -6,13 +6,15 @@ evaluates any set of four quantities at fixed x: the density ("pdf"), its
 slope ("dpdf") and the shape partials d f/d alpha ("dalpha") and d f/d beta
 ("dbeta").  Every strategy reports a certified absolute error; each point of
 each quantity is finished by the first step of one fixed order that
-certifies the requested tolerance (series passes shared by the quantities
-asked for together; Fourier point sums for a few points of a quantity with
-no table yet, else the Fourier table; then per-point adaptive quadrature for
-the points neither certifies; see ``_eval_signless``).  Each series step
-takes only the points within its reach: the radii, read from the series'
-own certificates, beyond which (tail) or inside which (centre) a pass of its
-term cap can certify the tolerance at all.
+certifies the requested tolerance: series passes shared by the quantities
+asked for together, the tail's two sides in one pass (the left side is the
+right's mirror, with the same envelopes and certificates); then one Fourier
+point-sum call for the few points left of every quantity with no table yet,
+else the Fourier table; then per-point adaptive quadrature for the points
+neither certifies (see ``_eval_signless``).  Each series step takes only the
+points within its reach: the radii, read from the series' own certificates,
+beyond which (tail) or inside which (centre) a pass of its term cap can
+certify the tolerance at all.
 
 Engines are cached per (alpha, beta, accuracy); all evaluations on them are
 read-only after construction apart from lazy table attachment (a
@@ -30,8 +32,8 @@ from scipy import integrate, interpolate, optimize
 from ..errors import AccuracyNotReached
 from .fourier import FourierTable, point_sums, quad_pdf_point
 from .params import DensityAccuracy, StableParams
-from .series import (ODD_QUANTITIES, CenterSeries, TailSeriesSide, log_radius, skew_shift,
-                     tail_constant)
+from .series import (ODD_QUANTITIES, PARTIALS, CenterSeries, TailSeriesSide, log_radius,
+                     skew_shift, tail_constant)
 
 _CHUNK = 16384
 _PROBE_RADII = np.geomspace(0.02, 800.0, 140)
@@ -44,11 +46,9 @@ _PDF_FLOOR = 1e-300
 _EPS = np.finfo(float).eps
 # log r beyond which a tail quantile is not sought
 _LOG_R_MAX = 690.0
-# the shape partials, whose tables span only the points sent to them
-_PARTIALS = ("dalpha", "dbeta")
 # |x| up to which points go to Fourier point sums, the partial tables' cap
 _SUM_REACH = 64.0
-_QUANTITIES = ("pdf", "dpdf") + _PARTIALS  # f' before partials
+_QUANTITIES = ("pdf", "dpdf") + PARTIALS  # f' before partials
 
 
 def _as_points(x):
@@ -80,7 +80,7 @@ class StandardDensity:
 
         self.has_tail_series = not (alpha == 1.0 and beta != 0.0)
         self.right = TailSeriesSide(alpha, beta, kmax) if self.has_tail_series else None
-        self.left = TailSeriesSide(alpha, -beta, kmax) if self.has_tail_series else None
+        self.left = self.right.mirror if self.has_tail_series else None
         # the tail sides whose series remove the Fourier rules' folds
         self._sides = (self.right, self.left) if self.has_tail_series else None
         self.center = None
@@ -135,21 +135,18 @@ class StandardDensity:
         first radius that certifies, and the scan for it starts at the proven
         bound below which none can.  Each pass sums the term budget of a pass
         over all the radii, because a convergent pass charges roundoff by its
-        budget: so a radius certifies here as it would in that pass.  See
-        ``_side_onsets``.
+        budget: so a radius certifies here as it would in that pass.  The
+        two sides' errors are the same (the left is the right's mirror, with
+        the same envelopes), so one side is scanned.  See ``_side_onsets``.
         """
-        onsets = dict.fromkeys(_ONSET_KINDS, 0.0)
-        for side in (self.right, self.left):
-            for kind, radius in self._side_onsets(side).items():
-                onsets[kind] = max(onsets[kind], radius)
-        return onsets
+        return self._side_onsets(self.right)
 
     def _side_onsets(self, side: TailSeriesSide) -> dict[str, float]:
         """{kind: first probe radius at which ``side`` certifies it, np.inf if none}.
 
         No probe radius below ``certifies_from`` certifies, so each kind scans
-        up from the first radius at or past it (the onset on 7,204 of the
-        7,208 rows with a tail series of 37 alphas by 25 betas on the ranges
+        up from the first radius at or past it (the onset on 3,602 of the
+        3,604 rows with a tail series of 37 alphas by 25 betas on the ranges
         above, and the next radius on the rest).  For the kinds
         that share a term budget, one pass evaluates the first
         ``_SCAN_FIRST`` radii of each kind's scan, and a kind that none of
@@ -209,7 +206,7 @@ class StandardDensity:
         its folds, at most ``acc.fft_grid_size`` nodes (see ``FourierTable``).
         """
         table = self._tables.get(quantity)
-        if quantity not in _PARTIALS:
+        if quantity not in PARTIALS:
             window = (-self.x_keep, self.x_keep)
         else:
             lo = max(float(np.min(points)) - 1.0, -64.0)
@@ -230,19 +227,20 @@ class StandardDensity:
     def _series_pass(self, y, quantities, kcap, need=None, target=None):
         """{quantity: rows (tail value, err, centre value, err)} at y = x + tau.
 
-        One pass per piece: the tail sides on the points some quantity
-        ``need``s (default all), the left in r = -y with beta mirrored (so
-        d/dx and d/d beta flip), the centre where a quantity's tail error
-        misses its ``target`` (default: everywhere).  Each piece takes only
-        the points within its reach for ``kcap`` terms: a tail side those at
-        or beyond ``TailSeriesSide.certifies_from``, and at stage 1 the
-        centre those inside ``CenterSeries.certifies_within``; no pass of
-        that cap certifies the tolerance elsewhere.  A tail pass with no cap
-        sums the term budget of every point it would take without its reach,
-        so each point it evaluates sums the same terms either way.  Partials
-        are the series' own at fixed y, to half the tolerance, and are gated
-        at the whole of it, which the engine accepts once the shift term is
-        added; d f/d beta has none at alpha = 1, a pole of
+        One pass per piece: the tail on the points some quantity ``need``s
+        (default all), both sides in one ``TailSeriesSide.evaluate`` (the
+        left as the right's mirror, at y < 0), the centre where a quantity's
+        tail error misses its ``target`` (default: everywhere).  Each piece
+        takes only the points within its reach for ``kcap`` terms: the tail
+        those at or beyond ``TailSeriesSide.certifies_from``, the same for
+        both sides, and at stage 1 the centre those inside
+        ``CenterSeries.certifies_within``; no pass of that cap certifies the
+        tolerance elsewhere.  A tail pass with no cap sums, on each side, the
+        term budget of every point of that side it would take without its
+        reach, so each point it evaluates sums the same terms either way.
+        Partials are the series' own at fixed y, to half the tolerance, and
+        are gated at the whole of it, which the engine accepts once the shift
+        term is added; d f/d beta has none at alpha = 1, a pole of
         tau = beta tan(alpha pi/2).
         """
         raw = np.zeros((len(quantities), 4, y.size))
@@ -250,22 +248,24 @@ class StandardDensity:
         need = np.ones(raw[:, 0].shape, bool) if need is None else need.copy()
         if "dbeta" in quantities and self.alpha == 1.0:
             need[quantities.index("dbeta")] = False
-        tols = [self.tol / 2.0 if q in _PARTIALS else self.tol for q in quantities]
+        tols = [self.tol / 2.0 if q in PARTIALS else self.tol for q in quantities]
         ay = np.abs(y)
         logy = log_radius(y)
         if self.has_tail_series:
+            tail = self.right
             fed = need & (ay >= (0.4 if self.alpha <= 1.0 else 1.2))
-            flip = np.array([-1.0 if q in ODD_QUANTITIES else 1.0 for q in quantities])[:, None]
-            for side, on in ((self.right, y > 0.0), (self.left, y <= 0.0)):
-                sent = fed & on
-                reach = [side.certifies_from(q, self.tol, kcap) for q in quantities]
-                gate = sent & (logy >= np.array(reach)[:, None])
-                m = gate.any(axis=0)
-                if m.any():
-                    budgets = None if kcap else [side.term_budget(q, tol, logy[row])
-                                                 for q, tol, row in zip(quantities, tols, sent)]
-                    v, e = side.evaluate(ay[m], quantities, tols, kcap, gate[:, m], budgets)
-                    raw[:, 0, m], raw[:, 1, m] = (v if side is self.right else flip * v), e
+            reach = [tail.certifies_from(q, self.tol, kcap) for q in quantities]
+            gate = fed & (logy >= np.array(reach)[:, None])
+            m = gate.any(axis=0)
+            if m.any():
+                budgets = None
+                if not kcap:
+                    left = y < 0.0
+                    budgets = [(tail.term_budget(q, tol, logy[row & ~left]),
+                                tail.term_budget(q, tol, logy[row & left]))
+                               for q, tol, row in zip(quantities, tols, fed)]
+                raw[:, 0, m], raw[:, 1, m] = tail.evaluate(y[m], quantities, tols, kcap,
+                                                           gate[:, m], budgets)
         if self.center is not None:
             gate = need & (ay <= 80.0) & (raw[:, 1] > (-np.inf if target is None else target))
             if kcap:
@@ -289,20 +289,23 @@ class StandardDensity:
         Each point of each quantity not yet certified goes, in turn, to: the
         series capped at ``_STAGE1`` terms; the Fourier table, if it is
         already built or more than 2048 points remain; the full series
-        budget; then, if the quantity has no table and at most
-        ``_POINT_SUMS`` points at |x| <= 64 remain, Fourier point sums at
-        those points (``point_sums``: a table's trapezoid rule and
-        certificate, less its interpolation term), and otherwise the table,
-        built on first need; quadrature, for the points these leave
-        uncertified.  A series stage is one pass per piece
-        for all quantities, and each piece takes only the points within its
-        reach (see ``_series_pass``).  A partial table already built is not
+        budget; then Fourier point sums (``point_sums``: a table's trapezoid
+        rule and certificate, less its interpolation term), one call for
+        every quantity that has no table and at most ``_POINT_SUMS`` points
+        at |x| <= 64 left, each at those points; then the table, built on
+        first need, for the points left at |x| > 64 or of a quantity with a
+        table or more points; quadrature, for the points these leave
+        uncertified.  A series stage is one pass per piece for all
+        quantities, and each piece takes only the points within its reach
+        (see ``_series_pass``).  A partial table already built is not
         consulted before the full series, so a point the series certify gets
         the series value whatever was evaluated before; for f and f' that
         holds only until their table is built.  A partial at fixed x adds the
         shift term tau_q * f'(x), which needs the finished f', so partials
-        finish last; their need of the full series and early table is judged
-        on f' after stage 1, whose error only shrinks later.
+        finish last: their need of the full series and early table is judged
+        on f' after stage 1, their need of point sums on f' after the full
+        series, and where f' moves after that, their series values are
+        taken again with the finished f' before any table.
         """
         wanted = set(quantities)
         if any(self._dtau.get(q, 0.0) for q in wanted):
@@ -317,22 +320,24 @@ class StandardDensity:
         target = self.tol - np.array([shift[q][1] for q in qs])
         full = self._series_pass(y, qs, None, need, target)
         for q in qs:
-            if q in _PARTIALS:  # again, with the finished f'
+            if q in PARTIALS:  # again, with f' after the full series
                 shift[q], state[q] = self._start(x, q, first[q], state, early)
+            self._take_series(full[q], state[q], shift[q])
+        # the points where f' moves after the full series
+        moved = np.flatnonzero(state["dpdf"][1] > self.tol) if "dpdf" in state else ()
+        summed = self._point_sums(x, qs, state)
+        for q in qs:
             val, err = state[q]
-            m = np.flatnonzero(err > self.tol)
-            v, e = _pick(full[q][:, m], self.tol - shift[q][1][m]) + shift[q][:, m]
-            better = e < err[m]
-            val[m[better]], err[m[better]] = v[better], e[better]
+            if q in PARTIALS and self._dtau.get(q, 0.0) and len(moved):
+                # f' is finished: the series values with its shift term, where they certify
+                fprime = {"dpdf": tuple(part[moved] for part in state["dpdf"])}
+                sh, again = self._start(x[moved], q, first[q][:, moved], fprime, {q: None})
+                self._take_series(full[q][:, moved], again, sh)
+                take = (again[1] <= self.tol) | (again[1] < err[moved])
+                val[moved[take]], err[moved[take]] = again[0][take], again[1][take]
             need = err > self.tol
-            near = need & (np.abs(x) <= _SUM_REACH)
-            if q not in self._tables and 0 < np.count_nonzero(near) <= self._POINT_SUMS:
-                m = np.flatnonzero(near)
-                v, e = point_sums(x[m], self.alpha, self.beta, q, self.acc.fft_grid_size,
-                                  self.tol, self._sides)
-                better = e < err[m]
-                val[m[better]], err[m[better]] = v[better], e[better]
-                need &= ~near
+            if q in summed:
+                need &= ~summed[q]
             if need.any():
                 self._apply_fft(x, val, err, self._fft_table(q, x[need]))
             for i in np.flatnonzero(err > self.tol):
@@ -341,13 +346,48 @@ class StandardDensity:
                     val[i], err[i] = v, e
         return state
 
+    def _take_series(self, raw, state, shift):
+        """Give the uncertified points of ``state`` the full series' value plus ``shift``.
+
+        A point takes it where its error is smaller.
+        """
+        val, err = state
+        m = np.flatnonzero(err > self.tol)
+        v, e = _pick(raw[:, m], self.tol - shift[1][m]) + shift[:, m]
+        better = e < err[m]
+        val[m[better]], err[m[better]] = v[better], e[better]
+
+    def _point_sums(self, x, qs, state):
+        """{quantity: its points} served by one ``point_sums`` call, at most, for all of ``qs``.
+
+        A quantity takes point sums at its uncertified points at |x| <= 64
+        when it has no table and 1 to ``_POINT_SUMS`` of them; the call sums
+        every such quantity at its own points, and each takes the values
+        where they are better.
+        """
+        reach = np.abs(x) <= _SUM_REACH
+        summed = {}
+        for q in qs:
+            near = (state[q][1] > self.tol) & reach
+            if q not in self._tables and 0 < np.count_nonzero(near) <= self._POINT_SUMS:
+                summed[q] = near
+        if summed:
+            sums = point_sums([x[near] for near in summed.values()], self.alpha, self.beta,
+                              tuple(summed), self.acc.fft_grid_size, self.tol, self._sides)
+            for (q, near), (v, e) in zip(summed.items(), sums):
+                val, err = state[q]
+                m = np.flatnonzero(near)
+                better = e < err[m]
+                val[m[better]], err[m[better]] = v[better], e[better]
+        return summed
+
     def _start(self, x, q, raw, state, early):
         """Shift term tau_q * f' and (value, err) after stage 1 and early table (kept)."""
         dtau = self._dtau.get(q, 0.0)
         shift = np.array([[dtau], [abs(dtau)]]) * state["dpdf"] if dtau else np.zeros((2, x.size))
         val, err = _pick(raw, self.tol - shift[1]) + shift
         if q not in early:
-            table = None if q in _PARTIALS else self._tables.get(q)
+            table = None if q in PARTIALS else self._tables.get(q)
             need = err > self.tol
             if need.any() and (table is not None or int(need.sum()) > 2048):
                 table = table or self._fft_table(q, x[need])

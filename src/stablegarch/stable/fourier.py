@@ -1,8 +1,9 @@
 """Fourier inversion of the stable characteristic function.
 
 Provides a gridded FFT inversion with spline interpolation for the central
-region, the same trapezoid rule summed at a few points (``point_sums``), and
-a per-point adaptive-quadrature fallback.  All report certified absolute
+region, the same trapezoid rule summed at a few points (``point_sums``, for
+several quantities in one call, each at its own points), and a per-point
+adaptive-quadrature fallback.  All report certified absolute
 error bounds.  All invert the transform of one quantity: the density
 ("pdf"), its x-derivative ("dpdf"), or a shape partial at fixed x ("dalpha",
 "dbeta"), whose transform is phi times d(log phi) from
@@ -28,18 +29,24 @@ the grid size sets only the aliasing period.  So every table is inverted on
 the smallest FFT that reaches its window and whose fold bound certifies,
 doubling up to the accuracy's ``fft_grid_size``; point sums climb the same
 ladder from their own truncation point, and find the folds before any sum.
+The slope and the shape partials of one point-sum call share a truncation
+point, and with it the ladder's fold kernels, one phi on the nodes and one
+block of phases; each stops on its own rung, so it sums the nodes it would
+alone.  The shape partials' numerical tail tables are built once per law,
+both from one grid.
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 from scipy import integrate, interpolate, special
 
 from .chf import char_fn, dlog_char_fn
 from .params import StableParams
-from .series import ODD_QUANTITIES, TailSeriesSide, hurwitz_zeta, tail_constant
+from .series import ODD_QUANTITIES, PARTIALS, TailSeriesSide, hurwitz_zeta, tail_constant
 
 _ORDER = {"pdf": 0, "dpdf": 1}
 _EPS = np.finfo(float).eps
@@ -56,34 +63,43 @@ def _deriv_bound(alpha: float, order: int) -> float:
     return float(special.gamma((order + 1.0) / alpha) / (alpha * np.pi))
 
 
+def _transforms(t, psi: StableParams, quantities):
+    """Fourier transforms of the quantities from one phi: phi, -it phi, or phi d(log phi)."""
+    ph = char_fn(t, psi)
+    return [ph if q == "pdf" else ph * (-1j * t) if q == "dpdf"
+            else ph * dlog_char_fn(t, psi.alpha, psi.beta, q[1:]) for q in quantities]
+
+
 def _transform(t, psi: StableParams, quantity: str):
     """Fourier transform of the quantity: phi, -it phi, or phi d(log phi)."""
-    ph = char_fn(t, psi)
-    if quantity == "pdf":
-        return ph
-    if quantity == "dpdf":
-        return ph * (-1j * t)
-    return ph * dlog_char_fn(t, psi.alpha, psi.beta, quantity[1:])
+    return _transforms(t, psi, (quantity,))[0]
 
 
-def _partial_tails(alpha: float, beta: float, quantity: str):
-    """Grid s, tails (2/pi) int_s^inf |g| and moment (2/pi) int_0^inf s^4 |g|.
+@lru_cache(maxsize=64)
+def _partial_tails(alpha: float, beta: float):
+    """{partial: (grid s, tails (2/pi) int_s^inf |g|, moment (2/pi) int_0^inf s^4 |g|)}.
 
-    g is the quantity's transform.  The shape partials have no closed-form
+    g is the partial's transform.  The shape partials have no closed-form
     moments, so the modulus exp(-s^alpha) |d(log phi)| is integrated by the
     trapezoid rule on a logarithmic grid (400 nodes over s in
     [1e-9, 1.05 * 745^(1/alpha)]); the factor 2 over the 1/pi of the
     inversion is the margin for the rule's error (against adaptive quadrature
     it overstates the tails by at most 5% and matches the moment to 1e-4, for
-    alpha from 0.45 to 1.99).
+    alpha from 0.45 to 1.99).  Both partials come from one grid and one phi,
+    cached for as many laws as engines are kept, so an engine's point sums,
+    its partial tables and their widened rebuilds all read one table.
     """
     s = np.geomspace(1e-9, 1.05 * 745.0 ** (1.0 / alpha), 400)
-    g = np.abs(_transform(s, StableParams(alpha, beta), quantity)) * s  # d log s
-    seg = 0.5 * (g[1:] + g[:-1]) * np.diff(np.log(s))
-    tail = np.append(np.cumsum(seg[::-1])[::-1], 0.0) * 2.0 / np.pi
-    g4 = g * s ** 4
-    m4 = float(np.sum(0.5 * (g4[1:] + g4[:-1]) * np.diff(np.log(s)))) * 2.0 / np.pi
-    return s, tail, m4
+    dlog = np.diff(np.log(s))
+    out = {}
+    for quantity, transform in zip(PARTIALS, _transforms(s, StableParams(alpha, beta), PARTIALS)):
+        g = np.abs(transform) * s  # d log s
+        seg = 0.5 * (g[1:] + g[:-1]) * dlog
+        tail = np.append(np.cumsum(seg[::-1])[::-1], 0.0) * 2.0 / np.pi
+        g4 = g * s ** 4
+        m4 = float(np.sum(0.5 * (g4[1:] + g4[:-1]) * dlog)) * 2.0 / np.pi
+        out[quantity] = s, tail, m4
+    return out
 
 
 def _bounds(alpha: float, beta: float, quantity: str):
@@ -96,7 +112,7 @@ def _bounds(alpha: float, beta: float, quantity: str):
     if quantity in _ORDER:
         order = _ORDER[quantity]
         return (lambda t: _truncation_error(alpha, t, order)), _deriv_bound(alpha, order + 4)
-    s, tail, m4 = _partial_tails(alpha, beta, quantity)
+    s, tail, m4 = _partial_tails(alpha, beta)[quantity]
     return (lambda t: float(np.interp(t, s, tail, left=tail[0], right=0.0))), m4
 
 
@@ -113,31 +129,49 @@ def _first_rung(t_pad: float, reach: float, n_grid: int) -> int:
     return min(2 ** max(10, math.ceil(math.log2(2.0 * t_pad * reach / (0.45 * np.pi)))), n_grid)
 
 
-def _subtract_folds(alpha: float, beta: float, quantity: str, x, vals, period: float,
-                    tail_sides) -> float:
-    """Remove the aliasing folds of ``period`` from ``vals`` at x, in place; their bound.
+def _subtract_folds(alpha: float, beta: float, quantities, x, vals, period: float,
+                    tail_sides, own=None):
+    """Remove the aliasing folds of ``period`` from ``vals`` at x, in place; their bounds.
 
-    A trapezoid rule of node spacing 2 pi / period returns at x the quantity
-    plus its folds, its values at x + j * period for every j != 0 (Poisson
-    summation).  Each side's folds are a lattice sum of its tail series.
+    ``vals`` holds one row per quantity, and one bound per quantity is
+    returned, over its row of ``own`` (boolean, default every point), where
+    its folds are removed.  A trapezoid rule of node spacing 2 pi / period
+    returns at x the quantity plus its folds, its values at x + j * period
+    for every j != 0 (Poisson summation).  Each side's folds are a lattice
+    sum of its tail series, one ``fold_sum`` per side for every quantity
+    that has them.
     """
-    if alpha == 2.0 and quantity in _ORDER:
-        return _truncation_error(2.0, period / 4.0)  # Gaussian folds, effectively zero
-    if alpha == 1.0 and (beta != 0.0 or quantity == "dbeta"):
-        return _subtract_folds_alpha_one(beta, quantity, x, vals, period)
-    if tail_sides is None:
-        raise ValueError("tail series required for aliasing correction")
-    right, left = tail_sides
-    # each series term summed over all folds is a Hurwitz zeta, so the
-    # whole correction is exact up to the first omitted series term
-    q_r = 1.0 + (x + right.tau) / period
-    q_l = 1.0 + (left.tau - x) / period
-    v_r, e_r = right.fold_sum(q_r, period, quantity)
-    v_l, e_l = left.fold_sum(q_l, period, quantity)
-    if quantity in ODD_QUANTITIES:
-        v_l = -v_l  # the left side runs in -x with beta mirrored
-    vals -= v_r + v_l
-    return e_r + e_l
+    bounds = np.empty(len(quantities))
+    series = []
+    for i, quantity in enumerate(quantities):
+        if alpha == 2.0 and quantity in _ORDER:
+            bounds[i] = _truncation_error(2.0, period / 4.0)  # Gaussian folds, effectively zero
+        elif alpha == 1.0 and (beta != 0.0 or quantity == "dbeta"):
+            cols = slice(None) if own is None else own[i]
+            row = vals[i, cols]
+            bounds[i] = _subtract_folds_alpha_one(beta, quantity, x[cols], row, period)
+            vals[i, cols] = row
+        else:
+            series.append(i)
+    if series:
+        if tail_sides is None:
+            raise ValueError("tail series required for aliasing correction")
+        right, left = tail_sides
+        qs = tuple(quantities[i] for i in series)
+        rows = None if own is None else own[series]
+        # each series term summed over all folds is a Hurwitz zeta, so the
+        # whole correction is exact up to the first omitted series term
+        v_r, e_r = right.fold_sum(1.0 + (x + right.tau) / period, period, qs, rows)
+        v_l, e_l = left.fold_sum(1.0 + (left.tau - x) / period, period, qs, rows)
+        # the left side runs in -x with beta mirrored
+        flip = np.array([[-1.0] if q in ODD_QUANTITIES else [1.0] for q in qs])
+        if len(series) == len(quantities):
+            vals -= v_r + flip * v_l
+            bounds[:] = e_r + e_l
+        else:
+            vals[series] -= v_r + flip * v_l
+            bounds[series] = e_r + e_l
+    return bounds
 
 
 def _subtract_folds_alpha_one(beta: float, quantity: str, x, vals, period: float) -> float:
@@ -246,8 +280,8 @@ class FourierTable:
             i_lo, i_hi = mid - 8, mid + 8
         xg = np.arange(i_lo, i_hi + 1) * dx
         fg = vals[n_grid // 2 + i_lo:n_grid // 2 + i_hi + 1].copy()
-        alias_err = _subtract_folds(self.alpha, self.beta, self.quantity, xg, fg, 2.0 * x_max,
-                                    tail_sides)
+        (alias_err,) = _subtract_folds(self.alpha, self.beta, (self.quantity,), xg, fg[None],
+                                       2.0 * x_max, tail_sides)
         return xg, fg, alias_err
 
     def __call__(self, x):
@@ -265,56 +299,115 @@ class FourierTable:
 _SUM_BLOCK = 2 ** 15
 
 
-def point_sums(x, alpha: float, beta: float, quantity: str, n_grid: int, abs_tol: float,
+def point_sums(points, alpha: float, beta: float, quantities, n_grid: int, abs_tol: float,
                tail_sides: tuple[TailSeriesSide, TailSeriesSide] | None = None):
-    """The quantity at the points x by a table's own trapezoid rule; (values, errs).
+    """Each quantity at its own points by a table's trapezoid rule; [(values, errs)].
 
-    The rule is the one a ``FourierTable`` inverts with, summed at the points
-    themselves: no FFT and no spline.  Since the quantity is real, the nodes
-    t_j = j dt, j = 0 .. n/2, on [0, t_cut] serve.  By Poisson summation the
-    rule's value at x is the quantity plus its folds at period 2 pi / dt, up
-    to the truncation beyond t_cut.  So the certificate is a table's without
-    its interpolation term: ``trunc_at(t_cut)`` at the table's t_cut, the
-    fold bound of ``_subtract_folds`` over these points, and a rounding term
-    for each point.  n starts on the table's first rung for t_pad = t_cut
-    and doubles, up to ``n_grid``, until the fold bound is at most
-    abs_tol / 8; the folds, which need no sum, are found first.
+    ``points`` holds one array of points per quantity.  The rule is the one
+    a ``FourierTable`` inverts with, summed at the points themselves: no FFT
+    and no spline.  Since each quantity is real, the nodes t_j = j dt,
+    j = 0 .. n/2, on [0, t_cut] serve.  By Poisson summation the rule's
+    value at x is the quantity plus its folds at period 2 pi / dt, up to the
+    truncation beyond t_cut.  So a quantity's certificate is a table's
+    without its interpolation term: ``trunc_at(t_cut)``, the fold bound of
+    ``_subtract_folds`` over its points, and a rounding term for each point.
+    The density sums to its table's t_cut; the slope and the two shape
+    partials, which a likelihood evaluation sums together, to the largest of
+    their three tables' t_cut, so they share one rule (``_shared_rule``)
+    and each sums the same nodes whichever others share the call.
     """
-    x = np.asarray(x, dtype=float)
-    trunc_at, _ = _bounds(alpha, beta, quantity)
-    t_cut = _choose_t_cut(trunc_at, abs_tol / 8.0)
-    n = _first_rung(t_cut, max(float(np.max(np.abs(x))), 1.0), n_grid)
-    while True:
-        vals = np.zeros(x.size)
-        alias_err = _subtract_folds(alpha, beta, quantity, x, vals, np.pi * n / t_cut, tail_sides)
-        if alias_err <= abs_tol / 8.0 or n >= n_grid:
-            break
+    shared = ("dpdf",) + PARTIALS  # the slope and the partials: the largest of their three
+    needed = tuple(quantities) + (shared if set(quantities) - {"pdf"} else ())
+    truncs = {q: _bounds(alpha, beta, q)[0] for q in dict.fromkeys(needed)}
+    own = {q: _choose_t_cut(trunc, abs_tol / 8.0) for q, trunc in truncs.items()}
+    cuts = [own[q] if q == "pdf" else max(own[p] for p in shared) for q in quantities]
+    out = [None] * len(quantities)
+    for t_cut in dict.fromkeys(cuts):
+        rows = [i for i, cut in enumerate(cuts) if cut == t_cut]
+        sums = _shared_rule([np.asarray(points[i], dtype=float) for i in rows], alpha, beta,
+                            [quantities[i] for i in rows], [truncs[quantities[i]] for i in rows],
+                            t_cut, n_grid, abs_tol, tail_sides)
+        for i, got in zip(rows, sums):
+            out[i] = got
+    return out
+
+
+def _shared_rule(points, alpha, beta, quantities, truncs, t_cut, n_grid, abs_tol, tail_sides):
+    """[(values, errs)] of ``point_sums`` for quantities that share ``t_cut``.
+
+    Each quantity climbs its own ladder: n starts on the table's first rung
+    for t_pad = t_cut and its own points, and doubles, up to ``n_grid``,
+    until its fold bound over its points is at most abs_tol / 8.  The folds,
+    which need no sum, are found first, one ``fold_sum`` per side and rung
+    for the union of the points of every quantity on that rung.  The nodes
+    of a rung are every other node of the next, so one phi on the last
+    rung's nodes serves every rung, and the quantities of a rung share one
+    block of phases.
+    """
+    if len(points) == 1:
+        x, where, own = points[0], [slice(None)], None
+    else:
+        x, where = np.unique(np.concatenate(points), return_inverse=True)
+        where = np.split(where, np.cumsum([p.size for p in points])[:-1])
+        own = np.zeros((len(points), x.size), bool)
+        for row, cols in zip(own, where):
+            row[cols] = True
+    first = [_first_rung(t_cut, max(float(np.max(np.abs(p))), 1.0), n_grid) for p in points]
+    vals = np.zeros((len(points), x.size))
+    alias_err = np.empty(len(points))
+    rungs = np.zeros(len(points), dtype=int)
+    n = min(first)
+    while not rungs.all():
+        climbing = np.flatnonzero((rungs == 0) & (np.array(first) <= n))
+        if climbing.size:
+            folds = np.zeros((climbing.size, x.size))
+            bounds = _subtract_folds(alpha, beta, [quantities[i] for i in climbing], x, folds,
+                                     np.pi * n / t_cut, tail_sides,
+                                     None if own is None else own[climbing])
+            done = (bounds <= abs_tol / 8.0) | (n >= n_grid)
+            vals[climbing[done]], alias_err[climbing[done]] = folds[done], bounds[done]
+            rungs[climbing[done]] = n
         n *= 2
-    dt = 2.0 * t_cut / n
-    # node j = a * b_n + b, b < b_n: e^(-i t_j x) is e^(-i a b_n dt x) times
-    # e^(-i b dt x), so a point takes a_n + b_n exponentials, not n/2 + 1
-    b_n = math.isqrt(n // 2) + 1
-    a_n = -(-(n // 2 + 1) // b_n)
-    g = np.zeros(a_n * b_n, dtype=complex)
-    t = np.arange(n // 2 + 1) * dt
-    # weights dt / pi, half at t = 0, which pairs with no node at -t
-    g[:t.size] = _transform(t, StableParams(alpha, beta, 0.0, 1.0), quantity) * (dt / np.pi)
-    g[0] *= 0.5
-    step = max(1, _SUM_BLOCK // (a_n + b_n))
-    for lo in range(0, x.size, step):
-        xc = x[lo:lo + step]
-        inner = np.exp(-1j * np.multiply.outer(xc, np.arange(b_n) * dt)) @ g.reshape(a_n, b_n).T
-        outer = np.exp(-1j * np.multiply.outer(xc, np.arange(a_n) * (b_n * dt)))
-        vals[lo:lo + step] += np.einsum("pa,pa->p", outer, inner).real
-    # each of the two phases to a relative eps, cos and sin, their product
-    # and the sums of at most n/2 + 1 terms, each of modulus at most |g_j|
-    rounding = 8.0 * _EPS * (2.0 * t_cut * np.abs(x) + t.size + 8.0) * float(np.sum(np.abs(g)))
-    err = trunc_at(t_cut) + alias_err + rounding
-    bad = ~(np.isfinite(err) & np.isfinite(vals))
-    if bad.any():
-        # overflowing aliasing folds certify nothing, as in a table
-        vals[bad], err[bad] = 0.0, np.inf
-    return vals, err
+    top = int(rungs.max())
+    t_top = np.arange(top // 2 + 1) * (2.0 * t_cut / top)
+    transforms = _transforms(t_top, StableParams(alpha, beta, 0.0, 1.0), quantities)
+    rounding = np.empty((len(points), x.size))
+    for n in np.unique(rungs):
+        rows = np.flatnonzero(rungs == n)
+        cols = np.arange(x.size) if own is None else np.flatnonzero(own[rows].any(axis=0))
+        dt = 2.0 * t_cut / n
+        # node j = a * b_n + b, b < b_n: e^(-i t_j x) is e^(-i a b_n dt x) times
+        # e^(-i b dt x), so a point takes a_n + b_n exponentials, not n/2 + 1
+        b_n = math.isqrt(n // 2) + 1
+        a_n = -(-(n // 2 + 1) // b_n)
+        g = np.zeros((rows.size, a_n * b_n), dtype=complex)
+        size = n // 2 + 1
+        # weights dt / pi, half at t = 0, which pairs with no node at -t
+        for weights, i in zip(g, rows):
+            weights[:size] = transforms[i][::top // n] * (dt / np.pi)
+        g[:, 0] *= 0.5
+        blocks = g.reshape(-1, b_n).T  # (b_n, rows * a_n)
+        step = max(1, _SUM_BLOCK // (a_n + b_n))
+        for lo in range(0, cols.size, step):
+            sl = cols[lo:lo + step]
+            inner = np.exp(-1j * np.multiply.outer(x[sl], np.arange(b_n) * dt)) @ blocks
+            outer = np.exp(-1j * np.multiply.outer(x[sl], np.arange(a_n) * (b_n * dt)))
+            vals[np.ix_(rows, sl)] += np.einsum("pa,pqa->qp", outer,
+                                                inner.reshape(sl.size, -1, a_n)).real
+        # each of the two phases to a relative eps, cos and sin, their product
+        # and the sums of at most n/2 + 1 terms, each of modulus at most |g_j|
+        rounding[rows] = (8.0 * _EPS * (2.0 * t_cut * np.abs(x) + size + 8.0)
+                          * np.sum(np.abs(g), axis=1)[:, None])
+    err = np.array([trunc(t_cut) for trunc in truncs])[:, None] + alias_err[:, None] + rounding
+    out = []
+    for val, e, cols in zip(vals, err, where):
+        val, e = val[cols], e[cols]
+        bad = ~(np.isfinite(e) & np.isfinite(val))
+        if bad.any():
+            # overflowing aliasing folds certify nothing, as in a table
+            val[bad], e[bad] = 0.0, np.inf
+        out.append((val, e))
+    return out
 
 
 def quad_pdf_point(x: float, alpha: float, beta: float, quantity: str = "pdf"):

@@ -6,7 +6,9 @@ with tau = beta * tan(alpha*pi/2):
 * a tail expansion in inverse powers |y|^(-k*alpha-1), convergent for
   alpha <= 1 and asymptotic (truncated at the minimal-magnitude term) for
   alpha > 1; it is valid as printed on the side y > 0, the other side is
-  obtained from the parity f(x, alpha, beta) = f(-x, alpha, -beta);
+  obtained from the parity f(x, alpha, beta) = f(-x, alpha, -beta): the
+  side's ``mirror``, the series at -beta, whose coefficients differ only in
+  their signs, so the two sides share every envelope and certificate;
 * a Taylor expansion in powers y^k around the shift point, convergent for
   alpha > 1 (and for alpha = 1, beta = 0 inside |y| < 1).
 
@@ -35,6 +37,9 @@ asked for reads its terms off it: a weight row (sign times factors)
 contracted column by column, with the centre's odd powers signed at y < 0
 and its f' term k read off row k - 1, the tail's offset a power of r per
 point, and the alpha partial's log r slope a second row times log r.  A
+tail pass takes both sides, the mirror's points as y < 0: one matrix and
+one certificate, each side's columns contracted with its own sign rows,
+and each side's term budget its own points' need.  A
 convergent certificate starts at the first term whose envelope is small
 enough and whose ratio bound contracts; for each term that holds on one
 side of one radius (``_cut``), so the first such term of every point is
@@ -44,14 +49,16 @@ points that failed to certify.  From the same radii each expansion states
 the radius beyond which (tail, ``certifies_from``) or inside which
 (centre, ``certifies_within``) a pass of a given cap can certify a
 tolerance at all.  The tail's ``fold_sum``, which removes aliasing folds
-from the Fourier rules, sums the same specs over a lattice: each term's
-lattice sum is a Hurwitz zeta from ``hurwitz_zeta``, which returns zeta
-and -d zeta/d s with their bounds from one direct sum and an
-Euler-Maclaurin tail.
+from the Fourier rules, sums the same specs over a lattice, for several
+quantities at once: each term's lattice sum is a Hurwitz zeta from one
+``hurwitz_zeta`` call on the union of their rows, which returns zeta and
+-d zeta/d s with their bounds from one direct sum and an Euler-Maclaurin
+tail.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from functools import cached_property
 
@@ -84,6 +91,8 @@ _REACH_SLACK = 1e-9
 # Quantities odd under the parity f(x, alpha, beta) = f(-x, alpha, -beta):
 # the slope and the beta partial flip sign between the two tail sides.
 ODD_QUANTITIES = ("dpdf", "dbeta")
+# the shape partials d f/d alpha and d f/d beta
+PARTIALS = ("dalpha", "dbeta")
 
 
 def skew_shift(alpha: float, beta: float) -> float:
@@ -105,29 +114,35 @@ def log_radius(z):
     return np.where(az > 0.0, np.log(np.where(az > 0.0, az, 1.0)), -745.0)
 
 
-def _contract(row, powers):
-    """sum_k row_k * powers[k, n] for each column n, accumulated term by term.
+def _contract(rows, powers):
+    """sum_k rows[k, n] * powers[k, n] for each column n, accumulated term by term.
 
-    einsum runs the columns as its inner loop, so every column takes the
-    same operations in the same order whatever columns share the call, and
-    a point's value does not depend on the batch it is evaluated in.  A lone
+    ``rows`` holds one weight row per column, or a single column of weights
+    that every column shares.  einsum runs the columns as its inner loop, so
+    every column takes the same operations in the same order whatever
+    columns share the call, and a point's value does not depend on the batch
+    it is evaluated in, nor on whether its weights are shared.  A lone
     column would be reduced in another order, so it is accumulated here.
     No BLAS product is used: gemv rounds a column by its neighbours.
     """
     if powers.shape[1] == 1:
-        return np.cumsum(row * powers[:, 0])[-1:]
-    return np.einsum("k,kn->n", row, powers)
+        return np.cumsum(rows[:, 0] * powers[:, 0])[-1:]
+    if rows.shape[1] == 1:
+        return np.einsum("k,kn->n", rows[:, 0], powers)
+    return np.einsum("kn,kn->n", rows, powers)
 
 
 def _certified_sum(signed, rows, env, logz, kstop=None, convergent=None):
     """Truncated sum of a series with a certified error, per column.
 
-    Term k of column n is row_k * signed[k, n], plus slope_k * signed[k, n]
-    * logz_n where ``rows`` = (row, slope) has a second entry, and ``env``
-    (k, points) holds the terms' envelopes.  An asymptotic series is summed
-    up to term ``kstop`` (its least envelope: optimal truncation), and
+    Term k of column n is rows[0][k, n] * signed[k, n], plus rows[1][k, n]
+    * signed[k, n] * logz_n where ``rows`` = (row, slope) has a second entry
+    (each of one column shared by all, or one per column), and ``env`` (k,
+    points) holds the terms' envelopes.  An asymptotic series is summed up
+    to term ``kstop`` (its least envelope: optimal truncation), and
     _ASYM_SAFETY times that envelope is charged.  A convergent series,
-    ``convergent`` = (found, q, nterms), sums every given term and bounds
+    ``convergent`` = (found, q, nterms), sums the first ``nterms`` terms
+    (one count, or one per column, whose rows past it weigh -0.0) and bounds
     the rest geometrically from the last one by the ratio bound q < 1 of
     the first term below tol/_ASYM_SAFETY whose ratio contracts; a column
     where no term before the cap is such (``found`` False) certifies
@@ -145,13 +160,17 @@ def _certified_sum(signed, rows, env, logz, kstop=None, convergent=None):
         cut = kstop, np.arange(env.shape[1])
         remainder = _ASYM_SAFETY * env[cut]
         maxenv = np.maximum.accumulate(env, axis=0, out=env)[cut]
-        value = np.cumsum(rows[0][:, None] * signed, axis=0)[cut]
+        value = np.cumsum(rows[0] * signed, axis=0)[cut]
         if len(rows) > 1:
-            value += logz * np.cumsum(rows[1][:, None] * signed, axis=0)[cut]
+            value += logz * np.cumsum(rows[1] * signed, axis=0)[cut]
         nterms = kstop + 1
     else:
         found, q, nterms = convergent
-        remainder = np.where(found, env[-1] * q / (1.0 - q) + env[-1], np.inf)
+        last = env[-1]
+        if isinstance(nterms, np.ndarray):  # one count per column: the rows past it are none
+            last = env[nterms - 1, np.arange(env.shape[1])]
+            env[np.arange(env.shape[0])[:, None] >= nterms] = 0.0
+        remainder = np.where(found, last * q / (1.0 - q) + last, np.inf)
         maxenv = env.max(axis=0)
         value = _contract(rows[0], signed)
         if len(rows) > 1:
@@ -326,8 +345,7 @@ class _Expansion:
         convergent series (with a ratio bound) needs its ratio bound to
         contract as well, below the smaller of the two radii.  Entry k is
         the greatest radius of terms 0 to k: the first certifying term of a
-        point is one search on it, and the reach bounds read it off.  Cached
-        for a convergent series, the one that searches it.
+        point is one search on it, and the reach bounds read it off.  Cached.
         """
         running = self._cuts.get((quantity, tol))
         if running is None:
@@ -336,9 +354,7 @@ class _Expansion:
             radii = _env_reach(logc, self._degree(self._k, off), tol / _ASYM_SAFETY)
             if ratio is not None:
                 radii = np.minimum(radii, (np.log(_RATIO_CAP) - ratio) / abs(self._step))
-            running = np.maximum.accumulate(radii)
-            if ratio is not None:  # an asymptotic series searches none: its reach is cached
-                self._cuts[quantity, tol] = running
+            running = self._cuts[quantity, tol] = np.maximum.accumulate(radii)
         return running
 
     def _log_reach(self, quantity: str, tol: float, kcap: int | None) -> float:
@@ -363,28 +379,47 @@ class _Expansion:
             reach = min(reach, float(np.min(every)))
         return reach
 
+    def _mirrored(self, z):
+        """Columns evaluated with another side's sign rows: None for a series in y."""
+        return None
+
     def evaluate(self, z, quantities, tols, kcap=None, need=None, budgets=None):
         """(values, errors), each of shape (len(quantities), points), at z.
 
         The quantities share log|z| and one power matrix (``_power_matrix``),
         which each reads off with its own weights (see ``_sum``), and each
-        is certified to its entry of ``tols``.  Without ``kcap`` each term
-        budget is cut to what the slowest of the quantity's ``need`` points
-        (a boolean row each, default all) can use, or taken from
-        ``budgets``; a quantity with no point is skipped.
+        is certified to its entry of ``tols``.  A tail series also takes
+        z < 0, its mirror's side at r = -z (``TailSeriesSide.mirror``), so
+        both sides share the matrix and the certificate.  Without ``kcap``
+        each term budget is cut, per side, to what the slowest of the
+        quantity's ``need`` points (a boolean row each, default all) on that
+        side can use, or taken from ``budgets`` (per quantity, the budgets
+        of the points z >= 0 and z < 0); a quantity with no point on a side
+        is skipped there.
         """
         z = np.asarray(z, dtype=float)
         logz = log_radius(z)
-        rows = need if need is not None else [slice(None)] * len(quantities)
-        if budgets is None:
-            nks = [self._budget(self._spec(q), tol, kcap, logz[row])
-                   for q, tol, row in zip(quantities, tols, rows)]
-        else:
-            nks = [nk if logz[row].size else 0 for nk, row in zip(budgets, rows)]
+        mirrored = self._mirrored(z)
+        rows = need if need is not None else [slice(None) if mirrored is None
+                                              else np.ones(z.size, bool)] * len(quantities)
+        nks, tops = [], []
+        for i, (q, tol, row) in enumerate(zip(quantities, tols, rows)):
+            # each side's points: this side's, and the mirror's at z < 0
+            sides = [row] if mirrored is None else [row & ~mirrored, row & mirrored]
+            if budgets is None:
+                per = [self._budget(self._spec(q), tol, kcap, logz[on]) for on in sides]
+            else:
+                per = [nk if logz[on].size else 0 for nk, on in zip(budgets[i], sides)]
+            if mirrored is None or mirrored.all():
+                per = per[-1:]
+            elif per[0] != per[1]:  # one count per column
+                per = [np.where(mirrored, per[1], per[0])]
+            nks.append(per[0])
+            tops.append(int(per[0].max()) if isinstance(per[0], np.ndarray) else per[0])
         out = np.zeros((2, len(quantities), z.size))
         out[1] = np.inf
         shifts = [self._layout(self._spec(q)[1])[0] for q in quantities]
-        used = [nk - shift for nk, shift in zip(nks, shifts) if nk]
+        used = [top - shift for top, shift in zip(tops, shifts) if top]
         if used:
             v = np.sign(self._step) * logz
             powers, lift = self._power_matrix(v, max(used))
@@ -393,19 +428,27 @@ class _Expansion:
                 signed = powers.copy()
                 signed[1::2] *= np.where(z < 0.0, -1.0, 1.0)
             env = np.empty_like(powers)
-            for i, (q, tol, nk) in enumerate(zip(quantities, tols, nks)):
-                if nk:
-                    out[0, i], out[1, i] = self._sum(q, tol, nk, powers, signed, lift, logz, v, env)
+            for i, (q, tol, nk, top) in enumerate(zip(quantities, tols, nks, tops)):
+                if top:
+                    out[:, i] = self._sum(q, tol, nk, top, powers, signed, lift, logz, v, env,
+                                          mirrored)
+                    if isinstance(nk, np.ndarray):  # a side with no point of it certifies nothing
+                        out[:, i, nk == 0] = [[0.0], [np.inf]]
+        if mirrored is not None:  # d/dz = -d/dr, and d/d beta of the mirror's -beta
+            odd = [i for i, q in enumerate(quantities) if q in ODD_QUANTITIES]
+            out[0, odd] = np.where(mirrored, -out[0, odd], out[0, odd])
         return out
 
-    def _sum(self, quantity, tol, nk, powers, signed, lift, logz, v, env):
+    def _sum(self, quantity, tol, nk, nkmax, powers, signed, lift, logz, v, env, mirrored):
         """(value, err) of a quantity's first ``nk`` terms read off a pass's power matrix.
 
-        Its weight rows (``_weights``) give the values, contracted column by
-        column with ``signed`` (the matrix with the signs of the powers of
-        y < 0), and the envelopes, in one weighted pass over ``powers`` into
-        ``env``, and are scaled by |z|^power and the matrix's ``lift`` per
-        point.  An asymptotic series stops at its least envelope, one whose
+        ``nk`` is one count, or one per column (at most ``nkmax``) where the
+        two sides of a tail pass sum different budgets.  Its weight rows
+        (``_weights``; the mirror's in ``mirrored`` columns) give the values,
+        contracted column by column with ``signed`` (the matrix with the
+        signs of the powers of y < 0), and the envelopes, in one weighted
+        pass over ``powers`` into ``env``, and are scaled by |z|^power and the
+        matrix's ``lift`` per point.  An asymptotic series stops at its least envelope, one whose
         power is floored counting as zero (it is a bound, not a value).  A
         convergent series certifies from the first term within its ``_cut``
         radius: one search per point, except for a log r slope, which moves
@@ -415,8 +458,18 @@ class _Expansion:
         spec = self._spec(quantity)
         ratio = spec[4]
         shift, power = self._layout(spec[1])
-        m = nk - shift
+        m = nkmax - shift
         value_rows, env_rows = self._weights(spec, shift, m)
+        value_rows = [row[:, None] for row in value_rows]
+        if mirrored is not None:
+            mirror = self.mirror
+            other = [row[:, None] for row in mirror._weights(mirror._spec(quantity), shift, m)[0]]
+            value_rows = other if mirrored.all() else [np.where(mirrored, o, row)
+                                                       for row, o in zip(value_rows, other)]
+        beyond = None
+        if isinstance(nk, np.ndarray):  # the rows past each column's own budget
+            nk = np.maximum(nk, 1)
+            beyond = np.arange(m)[:, None] >= nk
         powers, env = powers[:m], np.einsum("k,kn->kn", env_rows[0], powers[:m], out=env[:m])
         if len(env_rows) > 1:
             env += np.abs(logz) * np.einsum("k,kn->kn", env_rows[1], powers)
@@ -426,16 +479,25 @@ class _Expansion:
         scale = 1.0 if logscale is None else np.exp(np.minimum(logscale, -_LOG_FLOOR))
         kstop = convergent = None
         if ratio is None:
-            kstop = np.argmin(np.where(powers > self._floor, env, 0.0), axis=0)
+            least = np.where(powers > self._floor, env, 0.0)
+            if beyond is not None:
+                least[beyond] = np.inf
+            kstop = np.argmin(least, axis=0)
         else:
             if len(env_rows) > 1:
-                contracts = (np.log(_RATIO_CAP) - ratio[:nk - 1]) / abs(self._step)
+                contracts = (np.log(_RATIO_CAP) - ratio[:nkmax - 1]) / abs(self._step)
                 ok = (env[:-1] * scale <= tol / _ASYM_SAFETY) & (v <= contracts[:, None])
+                if beyond is not None:
+                    ok &= ~beyond[1:]
                 first = np.where(ok.any(axis=0), ok.argmax(axis=0), nk - 1)
             else:
-                first = np.searchsorted(self._cut(quantity, tol)[:nk - 1], v)
+                first = np.searchsorted(self._cut(quantity, tol)[:nkmax - 1], v)
+                if beyond is not None:
+                    first = np.minimum(first, nk - 1)
             q = np.exp(np.clip(ratio[first] + self._step * logz, _LOG_FLOOR, np.log(_RATIO_CAP)))
             convergent = first < nk - 1, q, nk
+            if beyond is not None:
+                value_rows = [np.where(beyond, -0.0, row) for row in value_rows]
         value, err = _certified_sum(signed[:m], value_rows, env, logz, kstop, convergent)
         if logscale is not None:  # an overflow is a term too large to certify anything
             with np.errstate(over="ignore"):
@@ -447,7 +509,13 @@ class _Expansion:
 
 
 class TailSeriesSide(_Expansion):
-    """Tail expansion for one side, in r = y > 0: term k carries r**(-(alpha*k + off))."""
+    """Tail expansion for one side, in r = y > 0: term k carries r**(-(alpha*k + off)).
+
+    Its ``mirror`` is the other side, the series at -beta.  The two share
+    every envelope, so each certificate, reach and budget of one is the
+    other's, and differ only in their sign rows; ``evaluate`` takes the
+    mirror's points as z < 0.
+    """
 
     def __init__(self, alpha: float, beta: float, kmax: int):
         super().__init__(alpha, beta, kmax, 1, np.pi)
@@ -460,7 +528,39 @@ class TailSeriesSide(_Expansion):
             - special.gammaln(k + 1.0)
             + 0.5 * k * np.log1p(tau * tau)
         )
-        self._sink = np.sin(k * (np.arctan(tau) + alpha * np.pi / 2.0)) * (-1.0) ** (k + 1)
+        self._sink = self._sines()
+        # (extra, off, slope magnitudes, ratio) by quantity, and the shape
+        # partials' magnitudes: none depends on the sign of beta
+        self._envelopes = {}
+
+    def _sines(self):
+        """Per term, (-1)^(k+1) sin(k phi) with phi = arctan(tau) + alpha pi / 2."""
+        k = self._k
+        return np.sin(k * (np.arctan(self.tau) + self.alpha * np.pi / 2.0)) * (-1.0) ** (k + 1)
+
+    @cached_property
+    def mirror(self) -> TailSeriesSide:
+        """The other side: this series at -beta, holding only its own sign rows.
+
+        tau and d tau/d alpha change sign with beta, and with them the sign
+        rows; the coefficients' moduli, every envelope, and so every
+        ``_cut``, reach bound and term budget, depend on tau^2 and |beta|
+        alone, and the two sides share them and their caches.  The mirror
+        holds no reference back, so an engine's sides form no cycle and are
+        freed as soon as the engine is.
+        """
+        other = copy.copy(self)  # shares every array and cache but the sign rows'
+        other.beta = -self.beta
+        other.tau = skew_shift(self.alpha, other.beta)
+        other.dtau = shift_partials(self.alpha, other.beta)
+        other._sink = other._sines()
+        other._specs = {}
+        return other
+
+    def _mirrored(self, z):
+        """The columns z < 0, on the mirror's side, or None if there are none."""
+        mirrored = z < 0.0
+        return mirrored if mirrored.any() else None
 
     def _degree(self, k, off):
         """The power of 1/r in term k."""
@@ -479,27 +579,48 @@ class TailSeriesSide(_Expansion):
         env_k = coef_k * exp(extra_k) * r**(-(alpha*k + off)) / pi.
         ``slope`` = (s_k, m_k), |s_k| <= m_k, adds s_k * env_k * log(r) to the
         term and m_k * env_k * |log(r)| to its envelope; ``ratio`` bounds
-        envelope ratios (alpha <= 1).
+        envelope ratios (alpha <= 1).  All but the signs sign_k and s_k are
+        shared with the mirror.
         """
         if quantity not in self._specs:
+            signs = self._shape_signs() if quantity in PARTIALS else {
+                quantity: (-self._sink if quantity == "dpdf" else self._sink, None)}
+            for q, (sign, slope_sign) in signs.items():
+                extra, off, slope_mag, ratio = self._envelope(q)
+                slope = None if slope_mag is None else (slope_sign, slope_mag)
+                self._specs[q] = (extra, off, sign, slope, ratio)
+        return self._specs[quantity]
+
+    def _envelope(self, quantity: str):
+        """(extra, off, slope magnitudes or None, ratio) of a quantity's terms, cached, shared."""
+        if quantity not in self._envelopes:
             k, slope = self._k, None
-            if quantity in ("dalpha", "dbeta"):
-                off, (extra, sign, slope) = 1.0, self._shape_coefs[quantity]
+            if quantity == "pdf":
+                off, extra = 1.0, np.broadcast_to(0.0, k.shape)
+            elif quantity == "dpdf":
+                off, extra = 2.0, np.log(k * self.alpha + 1.0)
+            elif quantity == "sf":
+                off, extra = 0.0, -np.log(k * self.alpha)
             else:
-                off, extra, sign = {"pdf": (1.0, np.broadcast_to(0.0, k.shape), self._sink),
-                                    "dpdf": (2.0, np.log(k * self.alpha + 1.0), -self._sink),
-                                    "sf": (0.0, -np.log(k * self.alpha), self._sink)}[quantity]
+                _, a_mag, b_mag = self._shape_mags()
+                off, extra = 1.0, np.log(a_mag if quantity == "dalpha" else b_mag)
+                slope = k / a_mag if quantity == "dalpha" else None
             ratio = None
             if self.alpha <= 1.0:
                 # (1 + m_{k+1}|log r|) / (1 + m_k |log r|) <= max(1, m_{k+1}/m_k)
-                growth = None if slope is None else np.maximum(0.0, np.diff(np.log(slope[1])))
+                growth = None if slope is None else np.maximum(0.0, np.diff(np.log(slope)))
                 ratio = _contraction(self._logcoef + extra, growth)
-            self._specs[quantity] = (extra, off, sign, slope, ratio)
-        return self._specs[quantity]
+            self._envelopes[quantity] = (extra, off, slope, ratio)
+        return self._envelopes[quantity]
 
     def _budget(self, spec, tol, kcap, logr):
-        """Terms a quantity sums at the points ``logr``: 0 if there are none."""
-        extra, off, _, slope, _ = spec
+        """Terms a quantity sums at the points ``logr``: 0 if there are none.
+
+        With no cap, the budget is cut to what the slowest point can use,
+        and an asymptotic series to just past the least envelope of the
+        farthest point (``_least_cut``): no point's sum stops beyond it.
+        """
+        extra, off, _, slope, ratio = spec
         nk = self.kmax if kcap is None else min(kcap, self.kmax)
         if kcap is None and logr.size:
             # slice the term budget to what the slowest point can ever use
@@ -508,9 +629,29 @@ class TailSeriesSide(_Expansion):
             if slope is not None:
                 probe = probe + np.log1p(slope[1][:nk] * abs(worst))
             done = probe <= np.log(tol / (_ASYM_SAFETY * 10.0) * np.pi + 1e-300)
-            if done.any():
-                nk = min(nk, max(int(np.argmax(done)) + 2, 8))
+            first = int(np.argmax(done)) if done.any() else -1
+            if first >= 0:
+                nk = min(nk, max(first + 2, 8))
+            if ratio is None and first < 6:  # else the slowest point's least envelope is past nk
+                nk = self._least_cut(spec, float(logr.max()), nk)
         return nk if logr.size else 0
+
+    def _least_cut(self, spec, far, nk):
+        """Terms of an asymptotic quantity's first ``nk`` that a sum out to log r = ``far`` can use.
+
+        Each point stops at its least envelope, or at an earlier floored
+        power matrix entry.  Neither moves in when r grows, and a floored
+        entry lies at or before the least entry of its column (the floor
+        is a level of the entries' logs): so every point's stop lies at or
+        before the later of the two at the farthest point, and one row past
+        it covers rounding in these logs.
+        """
+        extra, _, _, slope, _ = spec
+        logpow = self._logcoef[:nk] - self._degree(self._k[:nk], 0.0) * far
+        logenv = logpow + extra[:nk]
+        if slope is not None:
+            logenv = logenv + np.log1p(slope[1][:nk] * abs(far))
+        return min(nk, max(int(np.argmin(logenv)), int(np.argmin(logpow))) + 2)
 
     def term_budget(self, quantity: str, tol: float, logr) -> int:
         """Terms a pass with no cap sums for ``quantity`` over the radii e^logr."""
@@ -528,30 +669,37 @@ class TailSeriesSide(_Expansion):
             self._reach[key] = -self._log_reach(quantity, tol, kcap) - _REACH_SLACK
         return self._reach[key]
 
-    def fold_sum(self, q0, period, quantity: str = "pdf"):
-        """Sum of the quantity's series over the lattice r_j = (q0 + j) * period, j >= 0.
+    def fold_sum(self, q0, period, quantities, own=None):
+        """Sums of the quantities' series over the lattice r_j = (q0 + j) * period, j >= 0.
 
         Used to remove aliasing folds from Fourier inversions.  Each of the
-        first ``_NEAR_FOLDS`` terms of the quantity's ``_spec``, summed over
+        first ``_NEAR_FOLDS`` terms of a quantity's ``_spec``, summed over
         the lattice, is a Hurwitz zeta at s = alpha*k + off, plus
-        Z(s, q) = -d zeta/d s where the term has a log r slope; both come
-        from one ``hurwitz_zeta`` call, the rows of s of the quantity and of
-        its shift term stacked.  A shape partial is taken at fixed x, where
-        the lattice points x + tau + j * period move with tau: that adds
-        d tau/d q times the f' folds.  Returns (value, error) where the error
-        bounds the first omitted term's lattice sum and the kernel's bounds
-        on zeta and Z; it is NaN where some q0 <= 0.
+        Z(s, q) = -d zeta/d s where the term has a log r slope; all come
+        from one ``hurwitz_zeta`` call on the union of the rows of s of the
+        quantities and of their shift terms, stacked by offset in the order
+        first met (so one quantity's rows are stacked as they always were).
+        A shape partial is taken at fixed x, where the lattice points
+        x + tau + j * period move with tau: that adds d tau/d q times the f'
+        folds.  Returns (values, errors), one row and one error per quantity,
+        where the error bounds, over the quantity's row of ``own`` (boolean,
+        default every point), the first omitted term's lattice sum and the
+        kernel's bounds on zeta and Z (which hold at every point of the
+        call); it is NaN where some q0 <= 0.
         """
         q0 = np.asarray(q0, dtype=float)
         n = min(_NEAR_FOLDS, self.kmax - 1) + 1  # the last term only bounds the rest
         logp = np.log(period)
-        parts = [(quantity, 1.0)] + ([("dpdf", self.dtau[quantity])] if quantity in self.dtau else [])
-        ss = [self._k[:n, None] * self.alpha + self._spec(q)[1] for q, _ in parts]
+        weights = [{q: 1.0, **({"dpdf": self.dtau[q]} if q in self.dtau else {})}
+                   for q in quantities]
+        specs = {p: self._spec(p) for own_weights in weights for p in own_weights}
+        offs = list(dict.fromkeys(spec[1] for spec in specs.values()))
+        ss = [self._k[:n, None] * self.alpha + off for off in offs]
         kernel = hurwitz_zeta(np.vstack(ss), q0)
-        value = bound = 0.0
-        for i, ((q, weight), s) in enumerate(zip(parts, ss)):
-            extra, _, sign, slope, _ = self._spec(q)
-            amag = np.exp(self._logcoef[:n, None] + extra[:n, None] - s * logp) / np.pi
+        parts = {}  # each part's sum, and its bound at each point, once
+        for p, (extra, off, sign, slope, _) in specs.items():
+            i = offs.index(off)
+            amag = np.exp(self._logcoef[:n, None] + extra[:n, None] - ss[i] * logp) / np.pi
             zeta, zeta_err, lz, lz_err = (a[i * n:(i + 1) * n] for a in kernel)
             mag = amag * zeta
             terms = sign[:n, None] * mag
@@ -561,35 +709,52 @@ class TailSeriesSide(_Expansion):
                 terms = terms + amag * slope[0][:n, None] * logsum
                 mag = mag + amag * slope[1][:n, None] * np.abs(logsum)
                 err = err + amag * slope[1][:n, None] * (abs(logp) * zeta_err + lz_err)
-            value = value + weight * terms[:-1].sum(axis=0)
-            bound = bound + abs(weight) * (mag[-1] + err.sum(axis=0))
-        return value, float(np.max(bound)) * 1.5
+            parts[p] = terms[:-1].sum(axis=0), mag[-1] + err.sum(axis=0)
+        values, bounds = np.empty((len(quantities), q0.size)), np.empty(len(quantities))
+        for j, own_weights in enumerate(weights):
+            value = bound = 0.0
+            for p, weight in own_weights.items():
+                value = value + weight * parts[p][0]
+                bound = bound + abs(weight) * parts[p][1]
+            values[j] = value
+            bounds[j] = float(np.max(bound if own is None else bound[own[j]])) * 1.5
+        return values, bounds
 
-    @cached_property
-    def _shape_coefs(self):
-        """(extra_logmag, sign, slope) of the alpha and beta partials at fixed r.
+    def _shape_mags(self):
+        """(psi, a_mag, b_mag) of the alpha and beta partials, cached and shared.
+
+        psi_k = digamma(k alpha + 1), and each partial's envelope factor
+        bounds its sine and cosine parts (see ``_shape_signs``) by the moduli
+        of their coefficients, which hold tau and d tau/d alpha only in
+        modulus: a_mag_k = k (|psi_k| + pi/2) + |d tau/d alpha| k (|tau| + 1)
+        / (1 + tau^2), and b_mag_k the same for d tau/d beta alone.
+        """
+        if "shape" not in self._envelopes:
+            k, tau = self._k, self.tau
+            d_tau_mag = k * (abs(tau) + 1.0) / (1.0 + tau * tau)
+            psi = special.digamma(k * self.alpha + 1.0)
+            a_mag = k * (np.abs(psi) + np.pi / 2.0) + abs(self.dtau["dalpha"]) * d_tau_mag
+            b_mag = np.maximum(abs(self.dtau["dbeta"]) * d_tau_mag, 1e-300)
+            self._envelopes["shape"] = psi, a_mag, b_mag
+        return self._envelopes["shape"]
+
+    def _shape_signs(self):
+        """{partial: (sign, slope sign or None)} of this side's alpha and beta partials at fixed r.
 
         Term k is e^(L_k) r^(-k alpha - 1) / pi times (-1)^(k+1) times
         sin(k phi), phi = arctan(tau) + alpha pi / 2, and L_k carries
         gammaln(k alpha + 1) and (k/2) log(1 + tau^2).  At fixed tau,
         d/d alpha gives k psi(k alpha + 1) sin + k (pi/2) cos - k log(r) sin,
         and d/d tau gives k (tau sin + cos) / (1 + tau^2); tau moves with
-        alpha and beta through ``dtau``.
+        alpha and beta through ``dtau``.  Each is over its envelope factor.
         """
         k, tau = self._k, self.tau
-        u = 1.0 + tau * tau
+        psi, a_mag, b_mag = self._shape_mags()
         cosk = np.cos(k * (np.arctan(tau) + self.alpha * np.pi / 2.0)) * (-1.0) ** (k + 1)
-        d_tau = k * (tau * self._sink + cosk) / u
-        d_tau_mag = k * (abs(tau) + 1.0) / u
-        psi = special.digamma(k * self.alpha + 1.0)
-        ta, tb = self.dtau["dalpha"], self.dtau["dbeta"]
-        a_val = k * psi * self._sink + k * (np.pi / 2.0) * cosk + ta * d_tau
-        a_mag = k * (np.abs(psi) + np.pi / 2.0) + abs(ta) * d_tau_mag
-        b_mag = np.maximum(abs(tb) * d_tau_mag, 1e-300)
-        return {
-            "dalpha": (np.log(a_mag), a_val / a_mag, (-k * self._sink / a_mag, k / a_mag)),
-            "dbeta": (np.log(b_mag), tb * d_tau / b_mag, None),
-        }
+        d_tau = k * (tau * self._sink + cosk) / (1.0 + tau * tau)
+        a_val = k * psi * self._sink + k * (np.pi / 2.0) * cosk + self.dtau["dalpha"] * d_tau
+        return {"dalpha": (a_val / a_mag, -k * self._sink / a_mag),
+                "dbeta": (self.dtau["dbeta"] * d_tau / b_mag, None)}
 
 
 class CenterSeries(_Expansion):

@@ -106,7 +106,7 @@ class TestNegLogLikelihood:
         table, sums = engine.FourierTable, engine.point_sums
         monkeypatch.setattr(engine, "FourierTable", lambda *a, **k: built.append(
             k.get("quantity", "pdf")) or table(*a, **k))
-        monkeypatch.setattr(engine, "point_sums", lambda *a, **k: summed.append(a[3])
+        monkeypatch.setattr(engine, "point_sums", lambda *a, **k: summed.extend(a[3])
                             or sums(*a, **k))
         eps, _ = simulate(THETA0, StableParams(1.6, 0.1), n=1000, burn_in=400, seed=5)
         for alpha in np.linspace(1.5, 1.7, 60):

@@ -1,5 +1,7 @@
 """Density, characteristic function and derivative checks for the stable family."""
 
+from functools import lru_cache
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -486,10 +488,13 @@ class TestFusedPass:
     def test_one_pass_per_piece_and_stage(self, monkeypatch):
         # stage 1 and the full budget: at most two passes of each series
         # piece for all four quantities of a likelihood evaluation, each on
-        # one power matrix that all four quantities read
-        from stablegarch.stable import engine, log_density_terms, sample
+        # one power matrix that all four quantities read; the tail is one
+        # piece, both sides in one pass per stage, and an engine scans one
+        # side for its tail onsets, once
+        from stablegarch.stable import engine, get_engine, log_density_terms, sample
+        from stablegarch.stable.engine import StandardDensity
         from stablegarch.stable.series import CenterSeries, TailSeriesSide, _Expansion
-        passes, matrices = [], []
+        passes, matrices, scans = [], [], []
         for cls in (CenterSeries, TailSeriesSide):
             def counting(self, arg, quantities, *args, _evaluate=cls.evaluate, **kwargs):
                 passes.append((id(self), tuple(quantities)))
@@ -500,17 +505,27 @@ class TestFusedPass:
             matrices.append(id(self))
             return _matrix(self, *args)
 
+        def counting_scan(self, side, _scan=StandardDensity._side_onsets):
+            scans.append(id(side))
+            return _scan(self, side)
+
         monkeypatch.setattr(_Expansion, "_power_matrix", counting_matrix)
+        monkeypatch.setattr(StandardDensity, "_side_onsets", counting_scan)
         engine._engine.cache_clear()
         x = sample(StableParams(1.7, 0.3), 1000, np.random.default_rng(3))
         log_density_terms(x, 1.7, 0.3)
+        eng = get_engine(StableParams(1.7, 0.3), FIT_ACCURACY)
         per_piece = {}
         for piece, quantities in passes:
             per_piece[piece] = per_piece.get(piece, 0) + 1
             assert quantities == ("pdf", "dpdf", "dalpha", "dbeta")
-        assert len(per_piece) == 3 and max(per_piece.values()) <= 2
-        assert len(passes) > 3  # the full budget ran too
+        assert set(per_piece) == {id(eng.right), id(eng.center)}
+        assert max(per_piece.values()) <= 2
+        assert len(passes) > 2  # the full budget ran too
         assert [piece for piece, _ in passes] == matrices
+        assert np.isfinite(eng.x_keep)
+        eng._build_cdf()
+        assert scans == [id(eng.right)]
 
 
 class TestFoldSums:
@@ -528,7 +543,7 @@ class TestFoldSums:
             for q, brute in lattice.items():
                 # a partial at fixed x: the lattice points move with tau
                 want = brute + side.dtau.get(q, 0.0) * lattice["dpdf"]
-                assert_allclose(side.fold_sum(q0, period, q)[0], want, rtol=1e-8)
+                assert_allclose(side.fold_sum(q0, period, (q,))[0][0], want, rtol=1e-8)
 
     def test_zeta_kernel_within_its_bounds(self):
         from scipy import special
@@ -717,6 +732,84 @@ class TestSeriesReach:
                 assert np.all(centre.evaluate(y, (q,), (tol,), 40)[1, 0] > tol)
 
 
+_MIRROR_LAWS = [(a, b) for a in (0.5, 0.8, 1.0, 1.1, 1.5, 1.9) for b in (0.3, -0.7, 1.0, -1.0)]
+_TAIL_QUANTITIES = ("pdf", "dpdf", "sf", "dalpha", "dbeta")
+
+
+class TestTailMirror:
+    """The left tail side is the right's mirror: the same envelopes, only other signs."""
+
+    @pytest.mark.parametrize("acc", [FIT_ACCURACY, DensityAccuracy()], ids=["fit", "default"])
+    @pytest.mark.parametrize("alpha, beta", _MIRROR_LAWS)
+    def test_sides_certify_alike(self, alpha, beta, acc):
+        # two sides built on their own, at beta and -beta: every error, reach
+        # bound and onset agrees bit for bit, which is what lets the left
+        # side share the right's envelopes and certificates
+        from stablegarch.stable.engine import StandardDensity
+        from stablegarch.stable.series import TailSeriesSide
+        tol, kmax = acc.abs_tol, acc.max_series_terms
+        if alpha == 1.0:
+            beta = 0.0  # no tail series at alpha = 1 otherwise
+        right, left = TailSeriesSide(alpha, beta, kmax), TailSeriesSide(alpha, -beta, kmax)
+        r = np.geomspace(0.3, 1e4, 300)
+        tols = (tol,) * len(_TAIL_QUANTITIES)
+        for kcap in (40, None):
+            err_r = right.evaluate(r, _TAIL_QUANTITIES, tols, kcap)[1]
+            err_l = left.evaluate(r, _TAIL_QUANTITIES, tols, kcap)[1]
+            assert np.array_equal(err_r.view(np.int64), err_l.view(np.int64))
+            for q in _TAIL_QUANTITIES:
+                assert right.certifies_from(q, tol, kcap) == left.certifies_from(q, tol, kcap)
+        eng = StandardDensity(alpha, beta, acc)
+        assert eng._side_onsets(right) == eng._side_onsets(left)
+
+    @pytest.mark.parametrize("alpha, beta", [(0.6, 0.3), (0.9, -1.0), (1.3, 0.3), (1.7, -0.7),
+                                             (1.95, 1.0)])
+    def test_mirror_is_the_other_side(self, alpha, beta):
+        # the mirror, and the right side at y < 0, give the values and errors
+        # of a side built at -beta (the odd quantities with their sign flipped)
+        from stablegarch.stable.series import ODD_QUANTITIES, TailSeriesSide
+        acc = DensityAccuracy()
+        tol, kmax = acc.abs_tol, acc.max_series_terms
+        right = TailSeriesSide(alpha, beta, kmax)
+        own = TailSeriesSide(alpha, -beta, kmax)
+        r = np.geomspace(0.5, 3e3, 97)
+        tols = (tol,) * len(_TAIL_QUANTITIES)
+        flip = np.array([-1.0 if q in ODD_QUANTITIES else 1.0 for q in _TAIL_QUANTITIES])[:, None]
+        for kcap in (40, None):
+            want = own.evaluate(r, _TAIL_QUANTITIES, tols, kcap)
+            got = right.mirror.evaluate(r, _TAIL_QUANTITIES, tols, kcap)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+            y = np.concatenate([r[::2], -r[1::2]])
+            budgets = [(right.term_budget(q, tol, np.log(r[::2])),
+                        right.term_budget(q, tol, np.log(r[1::2]))) for q in _TAIL_QUANTITIES]
+            both = right.evaluate(y, _TAIL_QUANTITIES, tols, kcap,
+                                  budgets=None if kcap else budgets)
+            alone = right.evaluate(r[::2], _TAIL_QUANTITIES, tols, kcap)
+            npos = r[::2].size
+            assert np.array_equal(both[:, :, :npos].view(np.int64), alone.view(np.int64))
+            mirrored = own.evaluate(r[1::2], _TAIL_QUANTITIES, tols, kcap)
+            mirrored[0] *= flip
+            assert np.array_equal(both[:, :, npos:].view(np.int64), mirrored.view(np.int64))
+
+    def test_engine_sides_form_no_cycle(self):
+        # the mirror holds no reference back to its side, so a cold engine
+        # of the fits is freed when dropped, with no wait for the cycle
+        # collector (cycles held 11 MB more at the study's peak)
+        import gc
+
+        from stablegarch.stable.engine import StandardDensity
+        gc.collect()
+        gc.disable()
+        try:
+            eng = StandardDensity(1.6, 0.1, FIT_ACCURACY)
+            eng.evaluate(np.linspace(-40.0, 40.0, 81), _ALL_QUANTITIES)
+            eng._build_cdf()
+            del eng
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+
 _SERIES_SUM_LAWS = [(a, b) for a in (0.6, 0.9, 1.3, 1.6, 1.95) for b in (0.0, 0.3, -0.7)]
 
 
@@ -805,6 +898,57 @@ _SUM_LAWS = [(a, b) for a in (0.6, 0.8, 1.0, 1.3, 1.6, 1.85, 1.95) for b in (0.0
 _SUM_LAWS += [(1.0, 0.5)]  # leading-order folds only
 
 
+class TestAsymptoticBudget:
+    """An asymptotic tail quantity sums no row past its farthest point's least envelope."""
+
+    @pytest.mark.parametrize("acc", [FIT_ACCURACY, DensityAccuracy()], ids=["fit", "default"])
+    @pytest.mark.parametrize("alpha, beta", [(1.1, 0.3), (1.3, -0.7), (1.6, 0.0), (1.8, -0.3),
+                                             (1.95, 1.0)])
+    def test_cut_changes_no_value(self, alpha, beta, acc, monkeypatch):
+        # every point's sum stops inside the cut, floored rows included, so
+        # the values and errors are those of the uncut budget bit for bit
+        from stablegarch.stable.series import TailSeriesSide
+        tol, kmax = acc.abs_tol, acc.max_series_terms
+        side = TailSeriesSide(alpha, beta, kmax)
+        sets = [np.geomspace(1.2, 40.0, 50), np.geomspace(3.0, 1e250, 60), np.array([7.3]),
+                np.array([1.2, 2.0]), np.geomspace(60.0, 1e6, 9)]
+        tols = (tol,) * len(_TAIL_QUANTITIES)
+        cut = [side.evaluate(r, _TAIL_QUANTITIES, tols) for r in sets]
+        monkeypatch.setattr(TailSeriesSide, "_least_cut", lambda self, spec, far, nk: nk)
+        for r, got in zip(sets, cut):
+            want = side.evaluate(r, _TAIL_QUANTITIES, tols)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_tail_quantile_step_builds_few_rows(self, monkeypatch):
+        # one Newton step of a tail quantile, S(1.8, -0.3) at r = 7.3: the
+        # density stops at term 23 of 220
+        from stablegarch.stable.engine import StandardDensity
+        from stablegarch.stable.series import TailSeriesSide, _Expansion
+        rows, matrix = [], _Expansion._power_matrix
+        monkeypatch.setattr(_Expansion, "_power_matrix",
+                            lambda self, v, n: rows.append(n) or matrix(self, v, n))
+        eng = StandardDensity(1.8, -0.3, DensityAccuracy())
+        x = np.array([7.3 - eng.tau])
+        cut = eng._tail_mass(x, +1, slope=True)
+        monkeypatch.setattr(TailSeriesSide, "_least_cut", lambda self, spec, far, nk: nk)
+        uncut = eng._tail_mass(x, +1, slope=True)
+        assert np.array_equal(np.array(cut).view(np.int64), np.array(uncut).view(np.int64))
+        assert rows[1] == DensityAccuracy().max_series_terms
+        assert 10 * rows[0] <= 1.5 * rows[1]
+
+
+_SUM_X = np.array([-8.0, -5.5, -3.0, -1.2, -0.4, 0.0, 0.7, 2.0, 4.0, 6.5, 8.0])
+
+
+@lru_cache(maxsize=None)
+def _sum_oracles(alpha, beta):
+    """{quantity: quadrature oracle values at _SUM_X} of one law, for both point-sum tests."""
+    return {"pdf": [quad_density_oracle(x, alpha, beta, 0) for x in _SUM_X],
+            "dpdf": [quad_density_oracle(x, alpha, beta, 1) for x in _SUM_X],
+            "dalpha": [quad_shape_derivative_oracle(x, alpha, beta, "alpha") for x in _SUM_X],
+            "dbeta": [quad_shape_derivative_oracle(x, alpha, beta, "beta") for x in _SUM_X]}
+
+
 class TestPointSums:
     """Fourier point sums against the independent quadrature oracles."""
 
@@ -812,17 +956,56 @@ class TestPointSums:
     def test_within_certificate_of_oracle(self, alpha, beta):
         from stablegarch.stable.engine import StandardDensity
         from stablegarch.stable.fourier import point_sums
-        xs = np.array([-8.0, -5.5, -3.0, -1.2, -0.4, 0.0, 0.7, 2.0, 4.0, 6.5, 8.0])
-        want = {"pdf": [quad_density_oracle(x, alpha, beta, 0) for x in xs],
-                "dpdf": [quad_density_oracle(x, alpha, beta, 1) for x in xs],
-                "dalpha": [quad_shape_derivative_oracle(x, alpha, beta, "alpha") for x in xs],
-                "dbeta": [quad_shape_derivative_oracle(x, alpha, beta, "beta") for x in xs]}
+        want = _sum_oracles(alpha, beta)
         for acc in (FIT_ACCURACY, DensityAccuracy()):
             sides = StandardDensity(alpha, beta, acc)._sides
             for q, oracle in want.items():
-                val, err = point_sums(xs, alpha, beta, q, acc.fft_grid_size, acc.abs_tol, sides)
+                ((val, err),) = point_sums([_SUM_X], alpha, beta, (q,), acc.fft_grid_size,
+                                           acc.abs_tol, sides)
                 assert np.all(err <= acc.abs_tol), (q, acc.abs_tol, err)
                 assert np.all(np.abs(val - oracle) <= err + ORACLE_ATOL), (q, acc.abs_tol)
+
+    @pytest.mark.parametrize("alpha, beta", _SUM_LAWS)
+    def test_all_quantities_in_one_call(self, alpha, beta):
+        # the four quantities summed together, each at its own points, each
+        # within its own certificate
+        from stablegarch.stable.engine import StandardDensity
+        from stablegarch.stable.fourier import point_sums
+        want = _sum_oracles(alpha, beta)
+        own = [slice(None), slice(0, 6), slice(3, None), slice(None, None, 2)]
+        for acc in (FIT_ACCURACY, DensityAccuracy()):
+            sides = StandardDensity(alpha, beta, acc)._sides
+            got = point_sums([_SUM_X[cols] for cols in own], alpha, beta, tuple(want),
+                             acc.fft_grid_size, acc.abs_tol, sides)
+            for (q, oracle), cols, (val, err) in zip(want.items(), own, got):
+                assert val.shape == err.shape == _SUM_X[cols].shape
+                assert np.all(err <= acc.abs_tol), (q, acc.abs_tol, err)
+                assert np.all(np.abs(val - np.array(oracle)[cols]) <= err + ORACLE_ATOL), q
+
+    def test_one_call_per_evaluate(self, monkeypatch):
+        # cold engines of the study's laws: the quantities with gap points
+        # take one point-sum call per evaluate, and each rung of its ladder
+        # makes one fold kernel call per tail side
+        from stablegarch.stable import engine, fourier, sample, series
+        from stablegarch.stable.engine import StandardDensity
+        calls, rungs, kernels = [], [], []
+        sums, subtract, kernel = engine.point_sums, fourier._subtract_folds, series.hurwitz_zeta
+        monkeypatch.setattr(engine, "point_sums", lambda *a: calls.append(a[3]) or sums(*a))
+        monkeypatch.setattr(fourier, "_subtract_folds",
+                            lambda *a: rungs.append(1) or subtract(*a))
+        monkeypatch.setattr(series, "hurwitz_zeta", lambda *a: kernels.append(1) or kernel(*a))
+        shared = 0
+        for alpha, beta in [(1.45, 0.0), (1.6, 0.1), (1.7, 0.3)]:
+            x = sample(StableParams(alpha, beta), 1000, seed=5)
+            for a in (alpha - 0.01, alpha, alpha + 0.013):
+                calls.clear(), rungs.clear(), kernels.clear()
+                eng = StandardDensity(a, beta, FIT_ACCURACY)
+                got = eng.evaluate(x, ("pdf", "dpdf", "dalpha", "dbeta"))
+                assert np.all(got[:, 1] <= eng.tol)
+                assert len(calls) <= 1
+                assert len(kernels) <= 2 * len(rungs)
+                shared += sum(len(quantities) > 1 for quantities in calls)
+        assert shared >= 3
 
 
 def _base(psi):

@@ -147,6 +147,8 @@ def cmd_simulate(output_path, config_path, n, burn_in, seed, k_text, jk, alpha):
     """Simulate the GARCH model with stable or summed-Student innovations."""
     if n < 1:
         raise click.UsageError("n must be >= 1")
+    if burn_in < 0:
+        raise click.UsageError("--burn-in must be >= 0")
     cfg = _load_config(config_path)
     theta = _theta_from_config(cfg)
     psi = _psi_from_config(cfg)

@@ -43,6 +43,8 @@ class ExperimentConfig:
             raise ValueError("n must be at least 100")
         if not (1.0 < self.alpha < 2.0):
             raise ValueError("alpha must lie in (1, 2)")
+        if math.inf not in self.k_list:
+            raise ValueError("k_list must hold inf, the reference of every Q ratio")
 
 
 @dataclass

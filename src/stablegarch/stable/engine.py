@@ -46,8 +46,8 @@ _PDF_FLOOR = 1e-300
 _EPS = np.finfo(float).eps
 # log r beyond which a tail quantile is not sought
 _LOG_R_MAX = 690.0
-# |x| up to which points go to Fourier point sums, the partial tables' cap
-_SUM_REACH = 64.0
+# |x| that bounds x_keep, the partial tables and the points sent to point sums
+_WINDOW_CAP = 64.0
 _QUANTITIES = ("pdf", "dpdf") + PARTIALS  # f' before partials
 
 
@@ -59,6 +59,13 @@ def _as_points(x):
     if nan.size:
         raise ValueError(f"point {int(nan[0])} is NaN")
     return pts, arr.ndim == 0
+
+
+def _keep_better(state, idx, new):
+    """At the points ``idx`` of ``state``, take ``new`` = (values, errs) where its err is less."""
+    val, err = new
+    better = err < state[1][idx]
+    state[0][idx[better]], state[1][idx[better]] = val[better], err[better]
 
 
 def _pick(raw, target):
@@ -111,13 +118,13 @@ class StandardDensity:
         tail mass (see ``_probe_onsets``), shifted by |tau|, within [6, 64].
         """
         if not self.has_tail_series:
-            return 64.0
+            return _WINDOW_CAP
         pads = [6.0]
         for kind in _ONSET_KINDS:
             onset = self._onset(kind)
             if np.isfinite(onset):
                 pads.append(onset + abs(self.tau) + 1.0)
-        return float(np.clip(max(pads), 6.0, 64.0))
+        return float(np.clip(max(pads), 6.0, _WINDOW_CAP))
 
     def _onset(self, kind: str) -> float:
         if not self._onsets:
@@ -201,16 +208,17 @@ class StandardDensity:
         outside: the partial series stop certifying at their own onsets, and
         probing those would cost more than the table.  So a point served by
         a partial table may take its value from a wider table on a later
-        call; both values lie within the certified error.  Every table is
-        inverted on the smallest FFT that reaches its window and certifies
-        its folds, at most ``acc.fft_grid_size`` nodes (see ``FourierTable``).
+        call; both values lie within the certified error.  Every table finds
+        its FFT size from its folds alone, the smallest that reaches its
+        window and certifies them, at most ``acc.fft_grid_size`` nodes, and
+        inverts once, on that size (see ``FourierTable``).
         """
         table = self._tables.get(quantity)
         if quantity not in PARTIALS:
             window = (-self.x_keep, self.x_keep)
         else:
-            lo = max(float(np.min(points)) - 1.0, -64.0)
-            hi = min(float(np.max(points)) + 1.0, 64.0)
+            lo = max(float(np.min(points)) - 1.0, -_WINDOW_CAP)
+            hi = min(float(np.max(points)) + 1.0, _WINDOW_CAP)
             if table is None or lo + 1.0 < table.x_lo or hi - 1.0 > table.x_hi:
                 if table is not None:
                     lo, hi = min(lo, table.x_lo), max(hi, table.x_hi)
@@ -340,10 +348,10 @@ class StandardDensity:
                 need &= ~summed[q]
             if need.any():
                 self._apply_fft(x, val, err, self._fft_table(q, x[need]))
-            for i in np.flatnonzero(err > self.tol):
-                v, e = quad_pdf_point(float(x[i]), self.alpha, self.beta, q)
-                if e < err[i]:
-                    val[i], err[i] = v, e
+            left = np.flatnonzero(err > self.tol)
+            if left.size:
+                got = [quad_pdf_point(float(x[i]), self.alpha, self.beta, q) for i in left]
+                _keep_better(state[q], left, np.transpose(got))
         return state
 
     def _take_series(self, raw, state, shift):
@@ -351,11 +359,8 @@ class StandardDensity:
 
         A point takes it where its error is smaller.
         """
-        val, err = state
-        m = np.flatnonzero(err > self.tol)
-        v, e = _pick(raw[:, m], self.tol - shift[1][m]) + shift[:, m]
-        better = e < err[m]
-        val[m[better]], err[m[better]] = v[better], e[better]
+        m = np.flatnonzero(state[1] > self.tol)
+        _keep_better(state, m, _pick(raw[:, m], self.tol - shift[1][m]) + shift[:, m])
 
     def _point_sums(self, x, qs, state):
         """{quantity: its points} served by one ``point_sums`` call, at most, for all of ``qs``.
@@ -365,7 +370,7 @@ class StandardDensity:
         every such quantity at its own points, and each takes the values
         where they are better.
         """
-        reach = np.abs(x) <= _SUM_REACH
+        reach = np.abs(x) <= _WINDOW_CAP
         summed = {}
         for q in qs:
             near = (state[q][1] > self.tol) & reach
@@ -374,11 +379,8 @@ class StandardDensity:
         if summed:
             sums = point_sums([x[near] for near in summed.values()], self.alpha, self.beta,
                               tuple(summed), self.acc.fft_grid_size, self.tol, self._sides)
-            for (q, near), (v, e) in zip(summed.items(), sums):
-                val, err = state[q]
-                m = np.flatnonzero(near)
-                better = e < err[m]
-                val[m[better]], err[m[better]] = v[better], e[better]
+            for (q, near), got in zip(summed.items(), sums):
+                _keep_better(state[q], np.flatnonzero(near), got)
         return summed
 
     def _start(self, x, q, raw, state, early):

@@ -25,15 +25,16 @@ zero (the shift tau beyond the period, near alpha = 1) gives NaN there, and
 the table then certifies nothing.
 
 The node spacing is set by the truncation and interpolation bounds alone;
-the grid size sets only the aliasing period.  So every table is inverted on
-the smallest FFT that reaches its window and whose fold bound certifies,
-doubling up to the accuracy's ``fft_grid_size``; point sums climb the same
-ladder from their own truncation point, and find the folds before any sum.
-The slope and the shape partials of one point-sum call share a truncation
-point, and with it the ladder's fold kernels, one phi on the nodes and one
-block of phases; each stops on its own rung, so it sums the nodes it would
-alone.  The shape partials' numerical tail tables are built once per law,
-both from one grid.
+the grid size sets only the aliasing period.  So both rules find their FFT
+size from the folds alone, before any transform, by one ladder (``_climb``):
+from the smallest power of two that reaches the points, doubling up to the
+accuracy's ``fft_grid_size`` until the fold bound certifies.  A table then
+inverts once, on the size found; point sums sum each quantity on its own
+rung.  The slope and the shape partials of one point-sum call share a
+truncation point, and with it the ladder's fold kernels, one phi on the
+nodes and one block of phases; each stops on its own rung, so it sums the
+nodes it would alone.  The shape partials' numerical tail tables are built
+once per law, both from one grid.
 """
 
 from __future__ import annotations
@@ -68,11 +69,6 @@ def _transforms(t, psi: StableParams, quantities):
     ph = char_fn(t, psi)
     return [ph if q == "pdf" else ph * (-1j * t) if q == "dpdf"
             else ph * dlog_char_fn(t, psi.alpha, psi.beta, q[1:]) for q in quantities]
-
-
-def _transform(t, psi: StableParams, quantity: str):
-    """Fourier transform of the quantity: phi, -it phi, or phi d(log phi)."""
-    return _transforms(t, psi, (quantity,))[0]
 
 
 @lru_cache(maxsize=64)
@@ -127,6 +123,37 @@ def _first_rung(t_pad: float, reach: float, n_grid: int) -> int:
     """Least node count, a power of two from 1024 up to ``n_grid``, whose
     rule on [-t_pad, t_pad] has 0.45 of its half-period beyond ``reach``."""
     return min(2 ** max(10, math.ceil(math.log2(2.0 * t_pad * reach / (0.45 * np.pi)))), n_grid)
+
+
+def _climb(alpha: float, beta: float, quantities, x, own, first, t: float, n_grid: int,
+           abs_tol: float, tail_sides):
+    """(rungs, folds, fold bounds) of the quantities on the Fourier rules' one ladder.
+
+    The rule on [-t, t] with n nodes has folds of period pi n / t.  Quantity
+    i starts on rung ``first[i]`` and doubles n, up to ``n_grid``, until its
+    fold bound over its points (its row of ``own``, default all of x) is at
+    most abs_tol / 8: one ``_subtract_folds`` call per rung, before any
+    transform.  A row of ``folds`` is the quantity less its rule's sum.
+    The stop is on the fold bound alone, so S(0.8, 0.3) climbs one rung more
+    than its total error needs; stopping on the total error would move every
+    certificate's split between truncation, folds and interpolation.
+    """
+    folds = np.zeros((len(quantities), x.size))
+    bounds = np.empty(len(quantities))
+    rungs = [0] * len(quantities)
+    n = min(first)
+    while not all(rungs):
+        climbing = [i for i, rung in enumerate(rungs) if not rung and first[i] <= n]
+        if climbing:
+            got = np.zeros((len(climbing), x.size))
+            found = _subtract_folds(alpha, beta, [quantities[i] for i in climbing], x, got,
+                                    np.pi * n / t, tail_sides,
+                                    None if own is None else own[climbing])
+            for row, i in enumerate(climbing):
+                if found[row] <= abs_tol / 8.0 or n >= n_grid:
+                    folds[i], bounds[i], rungs[i] = got[row], found[row], n
+        n *= 2
+    return np.array(rungs), folds, bounds
 
 
 def _subtract_folds(alpha: float, beta: float, quantities, x, vals, period: float,
@@ -219,36 +246,39 @@ class FourierTable:
     """FFT-inverted quantity (density, slope or shape partial) on a window.
 
     ``window`` = (x_from, x_to) is the interval the table must cover; it is
-    widened to 17 nodes.  ``n_grid`` is the largest FFT size: the inversion
-    runs on the smallest power of two (at least 1024) whose 0.45 half-period
-    reaches the window, doubled until the aliasing folds certify, and
-    ``n_nodes`` records the size used.  At ``n_grid`` the window is cut to
-    0.45 of the half-period.
+    widened to 17 nodes.  The node spacing pi / t_pad does not depend on the
+    FFT size, so ``_climb`` finds the size from the aliasing folds at the
+    window's nodes alone: the smallest power of two (at least 1024) whose
+    0.45 half-period reaches the window, doubled up to ``n_grid`` until the
+    folds certify.  The table inverts once, on that size (``n_nodes``).
+    Only a first size of ``n_grid`` cuts the window to 0.45 of its
+    half-period.
     """
 
     def __init__(self, alpha: float, beta: float, window: tuple[float, float],
                  n_grid: int, abs_tol: float, quantity: str = "pdf",
                  tail_sides: tuple[TailSeriesSide, TailSeriesSide] | None = None):
-        self.alpha = alpha
-        self.beta = beta
-        self.quantity = quantity
-
         trunc_at, f_interp = _bounds(alpha, beta, quantity)
         t_cut = _choose_t_cut(trunc_at, abs_tol / 8.0)
         dx_target = (abs_tol / 4.0 * 384.0 / 5.0 / f_interp) ** 0.25
         t_pad = max(t_cut, np.pi / dx_target)
-        # The node spacing dx = pi / t_pad does not depend on the grid size,
-        # which sets only the aliasing period.  So the inversion starts on the
-        # smallest grid whose window is reached and doubles it until the folds
-        # certify; n_grid is the last rung, whose result stands either way.
-        n = _first_rung(t_pad, max(abs(window[0]), abs(window[1]), 1.0), n_grid)
-        while True:
-            xg, fg, alias_err = self._invert(t_pad, n, window, tail_sides)
-            if alias_err <= abs_tol / 8.0 or n >= n_grid:
-                break
-            n *= 2
-        self.n_nodes = n
         dx = np.pi / t_pad
+        first = _first_rung(t_pad, max(abs(window[0]), abs(window[1]), 1.0), n_grid)
+        cap = int(0.45 * (first // 2))
+        i_lo = max(-cap, math.ceil(window[0] / dx))
+        i_hi = min(cap, math.floor(window[1] / dx))
+        if i_hi - i_lo < 16:
+            mid = (i_lo + i_hi) // 2
+            i_lo, i_hi = mid - 8, mid + 8
+        xg = np.arange(i_lo, i_hi + 1) * dx
+        (n,), folds, (alias_err,) = _climb(alpha, beta, (quantity,), xg, None, [first], t_pad,
+                                           n_grid, abs_tol, tail_sides)
+        self.n_nodes = n = int(n)
+        dt = 2.0 * t_pad / n
+        t = (np.arange(n) - n // 2) * dt
+        (ph,) = _transforms(t, StableParams(alpha, beta, 0.0, 1.0), (quantity,))
+        vals = np.fft.fftshift(np.fft.fft(np.fft.ifftshift(ph))).real * dt / (2.0 * np.pi)
+        fg = vals[n // 2 + i_lo:n // 2 + i_hi + 1] + folds[0]
 
         trunc = trunc_at(t_pad)
         interp = (5.0 / 384.0) * f_interp * dx ** 4
@@ -260,29 +290,6 @@ class FourierTable:
         self.x_lo = float(xg[0])
         self.x_hi = float(xg[-1])
         self._spline = interpolate.CubicSpline(xg, fg)
-
-    def _invert(self, t_pad, n_grid, window, tail_sides):
-        """FFT inversion on n_grid nodes over [-t_pad, t_pad], folds removed.
-
-        Returns the window's nodes, values and the aliasing error bound.
-        """
-        dt = 2.0 * t_pad / n_grid
-        t = (np.arange(n_grid) - n_grid // 2) * dt
-        ph = _transform(t, StableParams(self.alpha, self.beta, 0.0, 1.0), self.quantity)
-        vals = np.fft.fftshift(np.fft.fft(np.fft.ifftshift(ph))).real * dt / (2.0 * np.pi)
-        dx = 2.0 * np.pi / (n_grid * dt)
-        x_max = np.pi / dt
-        cap = int(0.45 * x_max / dx)
-        i_lo = max(-cap, math.ceil(window[0] / dx))
-        i_hi = min(cap, math.floor(window[1] / dx))
-        if i_hi - i_lo < 16:
-            mid = (i_lo + i_hi) // 2
-            i_lo, i_hi = mid - 8, mid + 8
-        xg = np.arange(i_lo, i_hi + 1) * dx
-        fg = vals[n_grid // 2 + i_lo:n_grid // 2 + i_hi + 1].copy()
-        (alias_err,) = _subtract_folds(self.alpha, self.beta, (self.quantity,), xg, fg[None],
-                                       2.0 * x_max, tail_sides)
-        return xg, fg, alias_err
 
     def __call__(self, x):
         return self._spline(x)
@@ -335,14 +342,10 @@ def point_sums(points, alpha: float, beta: float, quantities, n_grid: int, abs_t
 def _shared_rule(points, alpha, beta, quantities, truncs, t_cut, n_grid, abs_tol, tail_sides):
     """[(values, errs)] of ``point_sums`` for quantities that share ``t_cut``.
 
-    Each quantity climbs its own ladder: n starts on the table's first rung
-    for t_pad = t_cut and its own points, and doubles, up to ``n_grid``,
-    until its fold bound over its points is at most abs_tol / 8.  The folds,
-    which need no sum, are found first, one ``fold_sum`` per side and rung
-    for the union of the points of every quantity on that rung.  The nodes
-    of a rung are every other node of the next, so one phi on the last
-    rung's nodes serves every rung, and the quantities of a rung share one
-    block of phases.
+    Each quantity finds its rung by ``_climb`` from the table's first rung
+    for t_pad = t_cut and its own points.  The nodes of a rung are every
+    other node of the next, so one phi on the last rung's nodes serves every
+    rung, and the quantities of a rung share one block of phases.
     """
     if len(points) == 1:
         x, where, own = points[0], [slice(None)], None
@@ -353,21 +356,8 @@ def _shared_rule(points, alpha, beta, quantities, truncs, t_cut, n_grid, abs_tol
         for row, cols in zip(own, where):
             row[cols] = True
     first = [_first_rung(t_cut, max(float(np.max(np.abs(p))), 1.0), n_grid) for p in points]
-    vals = np.zeros((len(points), x.size))
-    alias_err = np.empty(len(points))
-    rungs = np.zeros(len(points), dtype=int)
-    n = min(first)
-    while not rungs.all():
-        climbing = np.flatnonzero((rungs == 0) & (np.array(first) <= n))
-        if climbing.size:
-            folds = np.zeros((climbing.size, x.size))
-            bounds = _subtract_folds(alpha, beta, [quantities[i] for i in climbing], x, folds,
-                                     np.pi * n / t_cut, tail_sides,
-                                     None if own is None else own[climbing])
-            done = (bounds <= abs_tol / 8.0) | (n >= n_grid)
-            vals[climbing[done]], alias_err[climbing[done]] = folds[done], bounds[done]
-            rungs[climbing[done]] = n
-        n *= 2
+    rungs, vals, alias_err = _climb(alpha, beta, quantities, x, own, first, t_cut, n_grid,
+                                    abs_tol, tail_sides)
     top = int(rungs.max())
     t_top = np.arange(top // 2 + 1) * (2.0 * t_cut / top)
     transforms = _transforms(t_top, StableParams(alpha, beta, 0.0, 1.0), quantities)
@@ -414,7 +404,7 @@ def quad_pdf_point(x: float, alpha: float, beta: float, quantity: str = "pdf"):
     """Adaptive-quadrature inversion at a single point; returns (value, err).
 
     The quantity is (1/pi) int_0^inf Re[g(t) e^{-itx}] dt with g the
-    transform of ``_transform``; splitting e^{-itx} into cos/sin weights lets
+    transform of ``_transforms``; splitting e^{-itx} into cos/sin weights lets
     the QUADPACK oscillatory rules handle large |x|.
     """
     psi = StableParams(alpha, beta, 0.0, 1.0)
@@ -422,10 +412,10 @@ def quad_pdf_point(x: float, alpha: float, beta: float, quantity: str = "pdf"):
     t_cut = _choose_t_cut(trunc_at, 1e-14)
 
     def re_g(t):
-        return _transform(t, psi, quantity).real
+        return _transforms(t, psi, (quantity,))[0].real
 
     def im_g(t):
-        return _transform(t, psi, quantity).imag
+        return _transforms(t, psi, (quantity,))[0].imag
 
     a1, e1 = integrate.quad(re_g, 0.0, t_cut, weight="cos", wvar=x,
                             limit=800, epsabs=1e-13, epsrel=1e-11)

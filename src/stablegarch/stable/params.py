@@ -43,11 +43,12 @@ class DensityAccuracy:
 
     abs_tol is the absolute tolerance each strategy must certify.
     max_series_terms caps both series expansions.  fft_grid_size (a power of
-    two) is the largest number of Fourier-inversion nodes: each table starts
-    on the smallest grid that reaches its window and doubles it until the
-    aliasing folds certify, up to this size.  The grid's frequency range is
-    chosen from the truncation and interpolation error bounds for the
-    current alpha.
+    two) is the largest number of Fourier-inversion nodes: tables and point
+    sums find their grid from the aliasing folds alone, the smallest that
+    reaches their points and certifies the folds, up to this size, and a
+    table inverts once, on that grid.  The grid's frequency range is chosen
+    from the truncation and interpolation error bounds for the current
+    alpha.
     """
 
     abs_tol: float = 1e-8

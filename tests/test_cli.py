@@ -50,6 +50,11 @@ class TestSimulateCommand:
         assert r.exit_code != 0
         assert "n must be" in r.output
 
+    def test_negative_burn_in_usage_error(self, runner):
+        r = invoke(runner, ["simulate", "--burn-in", "-5"])
+        assert r.exit_code != 0
+        assert "--burn-in must be >= 0" in r.output
+
     def test_explosion_surfaces_parameters(self, runner, tmp_path):
         cfg = tmp_path / "c.yaml"
         cfg.write_text("model: {omega: 0.01, a: [3.0], b: [0.9]}\n"
@@ -397,7 +402,8 @@ class TestExperimentCommand:
         assert out.exists()
 
     @pytest.mark.parametrize("args, message", [(["--reps", "1"], "reps must be at least 2"),
-                                               (["--k-list", "ten"], "'ten'")])
+                                               (["--k-list", "ten"], "'ten'"),
+                                               (["--k-list", "10"], "k_list must hold inf")])
     def test_invalid_setting_is_usage_error(self, runner, tmp_path, args, message):
         r = invoke(runner, ["experiment", *args, "--output", str(tmp_path / "t.csv")])
         assert r.exit_code == 1

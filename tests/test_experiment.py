@@ -20,6 +20,9 @@ class TestConfig:
             ExperimentConfig(n=50)
         with pytest.raises(ValueError):
             ExperimentConfig(alpha=2.3)
+        # Q is every K's RMSE against K = inf
+        with pytest.raises(ValueError, match="k_list must hold inf"):
+            ExperimentConfig(k_list=(10,))
 
 
 class TestRun:

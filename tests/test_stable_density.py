@@ -247,6 +247,25 @@ class TestTableLadder:
         assert half.n_nodes == 8192
         assert half.err - tables[0].err > eng.tol / 8.0
 
+    def test_climbing_table_inverts_once(self, monkeypatch):
+        # the rung comes from the folds alone, so the rungs below the one
+        # kept take no transform and no FFT
+        from stablegarch.stable import fourier
+        from stablegarch.stable.engine import StandardDensity
+        eng = StandardDensity(0.8, 0.3, DensityAccuracy())
+        window = (-eng.x_keep, eng.x_keep)
+        sizes, transforms = [], fourier._transforms
+
+        def counting(t, *args):
+            sizes.append(t.size)
+            return transforms(t, *args)
+
+        monkeypatch.setattr(fourier, "_transforms", counting)
+        table = fourier.FourierTable(0.8, 0.3, window, eng.acc.fft_grid_size, eng.tol,
+                                     tail_sides=(eng.right, eng.left))
+        assert table.n_nodes == 16384
+        assert sizes == [16384]
+
     @pytest.mark.parametrize("alpha, beta", [(1.7, 0.3), (0.8, 0.3)])
     def test_cdf_ppf_round_trip(self, alpha, beta):
         from stablegarch.stable.engine import StandardDensity

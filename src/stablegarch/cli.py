@@ -101,7 +101,7 @@ def main():
 @click.option("--date-column", default="date", show_default=True)
 @click.option("--p", "p_order", type=int, default=1, show_default=True)
 @click.option("--q", "q_order", type=int, default=1, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--n-starts", type=click.IntRange(1, len(_PSI_START_GRID)), default=5,
               show_default=True)
 def cmd_fit(input_path, output_path, config_path, method, column, date_column,
@@ -137,7 +137,7 @@ def cmd_fit(input_path, output_path, config_path, method, column, date_column,
 @click.option("--config", "config_path", type=click.Path(exists=True), default=None)
 @click.option("--n", type=int, default=1000, show_default=True)
 @click.option("--burn-in", type=int, default=500, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--k", "k_text", default=None,
               help="Summed-Student innovations with this K ('inf' for the stable limit).")
 @click.option("--jk", type=float, default=1.0, show_default=True,
@@ -183,7 +183,7 @@ def cmd_simulate(output_path, config_path, n, burn_in, seed, k_text, jk, alpha):
 @click.option("--k-list", default=None, help="Comma-separated K values, e.g. 10,1000,inf")
 @click.option("--n", type=int, default=None)
 @click.option("--reps", type=int, default=None)
-@click.option("--seed", type=int, default=None)
+@click.option("--seed", type=click.IntRange(min=0), default=None)
 @click.option("--cache", "cache_path", default=None,
               help="JSON sidecar for calibration results.")
 @click.option("--convention", type=click.Choice(["rmse", "mse"]), default="rmse",
@@ -229,7 +229,7 @@ def cmd_experiment(output_path, details_path, config_path, alpha, k_list, n,
 @click.option("--b-grid", default="0.0,0.2,0.4,0.6,0.8,0.9", show_default=True)
 @click.option("--horizon", type=int, default=4000, show_default=True)
 @click.option("--replications", type=int, default=24, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 def cmd_frontier(output_path, alpha_list, b_grid, horizon, replications, seed):
     """Locate the strict-stationarity frontier a*(b) for each alpha.
 

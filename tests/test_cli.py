@@ -55,6 +55,14 @@ class TestSimulateCommand:
         assert r.exit_code != 0
         assert "--burn-in must be >= 0" in r.output
 
+    @pytest.mark.parametrize("k_args", [[], ["--k", "inf"]], ids=["stable", "summed"])
+    def test_negative_seed_usage_error(self, runner, tmp_path, k_args):
+        out = tmp_path / "x.csv"
+        r = invoke(runner, ["simulate", "--seed", "-1", *k_args, "--output", str(out)])
+        assert r.exit_code == 2
+        assert "'--seed'" in r.output
+        assert not out.exists()
+
     def test_explosion_surfaces_parameters(self, runner, tmp_path):
         cfg = tmp_path / "c.yaml"
         cfg.write_text("model: {omega: 0.01, a: [3.0], b: [0.9]}\n"
@@ -110,6 +118,14 @@ class TestFitCommand:
         assert abs(est["b1"] - 0.7) < 0.25
         assert abs(est["alpha"] - 1.6) < 0.25
         assert doc["data"]["n"] == 900
+
+    def test_negative_seed_usage_error(self, runner, sim_csv, tmp_path):
+        out = tmp_path / "fit.json"
+        r = invoke(runner, ["fit", "--input", str(sim_csv), "--seed", "-1",
+                            "--output", str(out)])
+        assert r.exit_code == 2
+        assert "'--seed'" in r.output
+        assert not out.exists()
 
     @pytest.mark.parametrize("method", ["gaussian", "stable"])
     def test_dated_fit_document_round_trips(self, runner, sim_csv, tmp_path, method):
@@ -374,6 +390,13 @@ class TestFrontierCommand:
         assert r.exit_code == 1
         assert "--alpha" in r.output
 
+    def test_negative_seed_usage_error(self, runner, tmp_path):
+        out = tmp_path / "fr.csv"
+        r = invoke(runner, ["frontier", "--seed", "-1", "--output", str(out)])
+        assert r.exit_code == 2
+        assert "'--seed'" in r.output
+        assert not out.exists()
+
 
 class TestExperimentCommand:
     def test_reference_only_table(self, runner, tmp_path):
@@ -408,3 +431,10 @@ class TestExperimentCommand:
         r = invoke(runner, ["experiment", *args, "--output", str(tmp_path / "t.csv")])
         assert r.exit_code == 1
         assert message in r.output
+
+    def test_negative_seed_usage_error(self, runner, tmp_path):
+        out = tmp_path / "t.csv"
+        r = invoke(runner, ["experiment", "--seed", "-1", "--output", str(out)])
+        assert r.exit_code == 2
+        assert "'--seed'" in r.output
+        assert not out.exists()

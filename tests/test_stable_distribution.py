@@ -16,6 +16,7 @@ from stablegarch.stable import (
     sample,
 )
 from stablegarch.stable.engine import StandardDensity
+from stablegarch.stable.sample import _BLOCK, _transform
 from stablegarch.stable.series import TailSeriesSide
 
 PSI_GRID = [StableParams(a, b) for a in (0.6, 1.0, 1.3, 1.7, 2.0)
@@ -173,6 +174,61 @@ class TestSample:
         base = sample(StableParams(1.3, -0.4), 1000, seed=5)
         moved = sample(StableParams(1.3, -0.4, mu=2.0, gamma=3.0), 1000, seed=5)
         assert_allclose(moved, 2.0 + 3.0 * base, atol=1e-12)
+
+
+def _cms_reference(psi, count, seed):
+    """The CMS transform in its numpy sin/cos/pow form: the reference for sample."""
+    rng = np.random.default_rng(seed)
+    a, b = psi.alpha, psi.beta
+    v = rng.uniform(-np.pi / 2.0, np.pi / 2.0, size=count)
+    w = rng.exponential(1.0, size=count)
+    if a == 1.0:
+        half = np.pi / 2.0
+        z = (1.0 / half) * ((half + b * v) * np.tan(v)
+                            - b * np.log((half * w * np.cos(v)) / (half + b * v)))
+        return psi.mu + psi.gamma * z
+    if a == 2.0:
+        z = 2.0 * np.sqrt(w) * np.sin(v)
+        return psi.mu + psi.gamma * z
+    tb = b * np.tan(np.pi * a / 2.0)
+    b0 = np.arctan(tb) / a
+    scale = (1.0 + tb * tb) ** (1.0 / (2.0 * a))
+    z = (scale * np.sin(a * (v + b0)) / np.cos(v) ** (1.0 / a)
+         * (np.cos(v - a * (v + b0)) / w) ** ((1.0 - a) / a))
+    return psi.mu + psi.gamma * (z - tb)
+
+
+EDGE_GRID = [StableParams(a, b) for a in (0.3, 0.7, 1 - 1e-9, 1.0, 1 + 1e-9, 1.3, 1.6, 1.999, 2.0)
+             for b in (-1.0, -0.5, 0.0, 0.5, 1.0)]
+
+
+@pytest.mark.parametrize("psi", EDGE_GRID, ids=lambda p: f"a{p.alpha}b{p.beta}")
+def test_sampler_matches_sin_cos_transform(psi):
+    # The tangent identities move each draw by a few ulp of the larger of
+    # |x| and the shift |beta tan(pi alpha/2)| that x is a difference from;
+    # at alpha = 1, whose two CMS terms cancel near x = 0, of at least 1.
+    # The worst on this grid (seed 13, 20,000 draws a law) is 7.2e-15, at
+    # S(0.3, 1); the bound leaves a fourfold margin.
+    x = _cms_reference(psi, 20000, 13)
+    y = sample(psi, 20000, 13)
+    assert np.isfinite(x).all() and np.isfinite(y).all()
+    shift = 1.0 if psi.alpha == 1.0 else abs(psi.beta * np.tan(np.pi * psi.alpha / 2.0))
+    assert np.max(np.abs(y - x) / np.maximum(np.abs(x), shift)) < 3e-14
+
+
+@pytest.mark.parametrize("psi", [StableParams(1.6, 0.0), StableParams(1.0, 0.7),
+                                 StableParams(2.0, 0.0), StableParams(0.7, -0.5)],
+                         ids=lambda p: f"a{p.alpha}b{p.beta}")
+def test_sampler_blocks_are_one_transform(psi):
+    # sample draws every v before any w, so a shorter draw reads other w;
+    # each count at and around a block edge equals one unblocked transform
+    # of the (uniform, exponential(1.0)) stream of its seed
+    for m in (_BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5):
+        rng = np.random.default_rng(8)
+        v = rng.uniform(-np.pi / 2.0, np.pi / 2.0, size=m)
+        w = rng.exponential(1.0, size=m)
+        _transform(psi, v, w)
+        assert np.array_equal(sample(psi, m, 8), v)
 
 
 @pytest.mark.parametrize("psi", PSI_GRID, ids=lambda p: f"a{p.alpha}b{p.beta}")

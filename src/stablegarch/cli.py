@@ -293,7 +293,10 @@ def cmd_var(fit_paths, outsample_path, p_list, report_path, series_path, column)
         fits_of[fit.method] = k = fits_of.get(fit.method, 0) + 1
         tag = fit.method if k == 1 else f"{fit.method}_{k}"
         for p in ps:
-            vv, sig, hits = var_series(fit, outsample, p)
+            try:
+                vv, sig, hits = var_series(fit, outsample, p)
+            except StableGarchError as exc:
+                raise click.ClickException(f"{path}: {exc}")
             reports.append(BacktestReport.from_hits(p, hits, fit.method).to_dict())
             series_cols[f"var_{tag}_p{p:g}"] = vv
             series_cols[f"hit_{tag}_p{p:g}"] = hits.astype(float)

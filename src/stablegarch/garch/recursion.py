@@ -25,12 +25,17 @@ def _lag_filter(lags, force: np.ndarray) -> np.ndarray:
 
     ``lags`` has shape (m,), one coefficient per lag, or (m, n) with
     ``lags[k-1, j]`` the coefficient of y_j in the equation of row j + k.
+    The band is allocated Fortran-ordered, so f2py hands it to ``dtbtrs`` as
+    it is; a C-ordered band is copied to Fortran order on every call, which
+    took about as long as the solve itself on a (2, 100500) band.  A
+    Fortran-contiguous ``force``, as every caller here builds, is solved in
+    place and overwritten; any other is copied first.
     """
     lags = np.asarray(lags, dtype=float)
-    band = np.empty((lags.shape[0] + 1, force.shape[0]))
-    band[0] = 1.0
-    band[1:] = -(lags if lags.ndim == 2 else lags[:, None])
-    return lapack.dtbtrs(band, force, uplo="L", diag="U")[0]
+    # row 0 is the unit diagonal, which dtbtrs with diag="U" never reads
+    band = np.empty((lags.shape[0] + 1, force.shape[0]), order="F")
+    np.negative(lags if lags.ndim == 2 else lags[:, None], out=band[1:])
+    return lapack.dtbtrs(band, force, uplo="L", diag="U", overwrite_b=True)[0]
 
 
 def _presample_response(e2: np.ndarray, theta: GarchParams):
@@ -77,10 +82,15 @@ def variance_derivatives(eps: ReturnSeries, theta: GarchParams):
     e2 = eps.values ** 2
     n, pre = e2.size, _presample_value(e2)
     sig2 = volatility_path(eps, theta).sigma2
-    lagged = [np.concatenate([np.full(k, pre), x])[:n]
-              for x, n_lags in ((e2, len(theta.a)), (sig2, len(theta.b)))
+    lagged = [(x, k) for x, n_lags in ((e2, len(theta.a)), (sig2, len(theta.b)))
               for k in range(1, n_lags + 1)]
-    return sig2, _lag_filter(theta.b, np.column_stack([np.ones(n)] + lagged))
+    # one Fortran-ordered forcing column per parameter, which LAPACK solves in place
+    force = np.empty((n, 1 + len(lagged)), order="F")
+    force[:, 0] = 1.0
+    for col, (x, k) in zip(force.T[1:], lagged):
+        col[:k] = pre
+        col[k:] = x[:max(n - k, 0)]
+    return sig2, _lag_filter(theta.b, force)
 
 
 def simulate(theta: GarchParams, psi: StableParams, n: int, burn_in: int = 500,
@@ -95,7 +105,9 @@ def simulate(theta: GarchParams, psi: StableParams, n: int, burn_in: int = 500,
     omega / (1 - sum(a) - sum(b)), the denominator floored at 0.05.
 
     The whole variance path is one ``_lag_filter`` band solve, lag k's
-    coefficient in column j being a_k * eta_j**2 + b_k.  Forward
+    coefficient in column j being a_k * eta_j**2 + b_k.  The lag rows are
+    written in place from one eta**2, and the band and forcing reach LAPACK
+    in Fortran order, so f2py copies neither.  Forward
     substitution makes it prefix-consistent: on the same innovations a path
     of t steps is the first t steps of a longer one.  If any variance is
     non-finite, ExplosionError reports the first such step ``t``, counted
@@ -114,26 +126,36 @@ def simulate(theta: GarchParams, psi: StableParams, n: int, burn_in: int = 500,
         if eta.size < total:
             raise ValueError(f"need {total} innovations, got {eta.size}")
         eta = eta[:total]
-        bad = np.flatnonzero(~np.isfinite(eta))
-        if bad.size:
-            raise ValueError(f"innovation {bad[0]} is {eta[bad[0]]}, not finite")
+        if not np.isfinite(eta).all():
+            bad = int(np.flatnonzero(~np.isfinite(eta))[0])
+            raise ValueError(f"innovation {bad} is {eta[bad]}, not finite")
     omega, a, b = theta.omega, theta.a, theta.b
     start = omega / max(1.0 - sum(a) - sum(b), 0.05)
-    # sigma2_t = omega + sum_k (a_k eta_{t-k}**2 + b_k) sigma2_{t-k}; only
-    # the real a_k meet eta**2, so a padded zero never multiplies an inf
-    lags = np.zeros((max(len(a), len(b)), total))
+    # sigma2_t = omega + sum_k (a_k eta_{t-k}**2 + b_k) sigma2_{t-k}.  Each
+    # lag row is written in place from eta**2, which the last row holds
+    # until its own turn; only the real a_k meet eta**2, so a padded zero
+    # never multiplies an inf
+    lags = np.empty((max(len(a), len(b)), total))
     with np.errstate(over="ignore", invalid="ignore"):
-        lags[:len(a)] = np.outer(a, eta * eta)
-    lags[:len(b)] += np.asarray(b)[:, None]
+        eta2 = np.multiply(eta, eta, out=lags[-1])
+        for k, row in enumerate(lags):
+            if k < len(a):
+                np.multiply(eta2, a[k], out=row)
+            else:
+                row.fill(0.0)
+            if k < len(b):
+                row += b[k]
     # lag k reaches the presample, where every eps**2 and sigma2 is start,
     # from rows 0..k-1
     force = np.full(total, omega)
     for k, (ak, bk) in enumerate(zip_longest(a, b, fillvalue=0.0), start=1):
         force[:k] += (ak + bk) * start
     sig2 = _lag_filter(lags, force)
-    bad = np.flatnonzero(~np.isfinite(sig2))
-    if bad.size:
-        t, var = int(bad[0]), float(sig2[bad[0]])
+    if not np.isfinite(sig2).all():
+        t = int(np.flatnonzero(~np.isfinite(sig2))[0])
+        var = float(sig2[t])
         raise ExplosionError(f"sigma^2 overflowed to {var} at step {t}", t=t, sigma2=var)
     sig2 = sig2[burn_in:]
-    return ReturnSeries(np.sqrt(sig2) * eta[burn_in:]), VolatilityPath(sig2)
+    eps = np.sqrt(sig2)
+    eps *= eta[burn_in:]
+    return ReturnSeries(eps), VolatilityPath(sig2)

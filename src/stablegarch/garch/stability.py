@@ -74,7 +74,7 @@ def _draw_squared(psi: StableParams, horizon: int, replications: int, seed) -> n
     seeds = np.random.SeedSequence(seed).spawn(replications)
     eta2 = np.empty((replications, horizon))
     for r, s in enumerate(seeds):
-        eta2[r] = stable_sample(psi, horizon, np.random.default_rng(s)) ** 2
+        np.square(stable_sample(psi, horizon, np.random.default_rng(s)), out=eta2[r])
     eta2.flags.writeable = False
     return eta2
 

@@ -32,8 +32,13 @@ def sample(psi: StableParams, count: int, seed=0) -> np.ndarray:
     (cos v and cos d are positive, as |v|, |d| < pi/2), and its two powers
     become one ``exp`` of a sum of two logarithms.  At alpha = 1 it takes
     cos v = 1/sqrt(1 + tan(v)^2), at alpha = 2 sin v = tan v/sqrt(1 + tan(v)^2).
-    It runs in place on blocks of ``_BLOCK`` values, whose temporaries stay
-    in cache; each value depends on its own (v, w) alone, so the blocks give
+    It runs on blocks of ``_BLOCK`` values, in place: each step writes with
+    ``out=`` into the block of v or w or one of at most two temporaries, so
+    a block touches at most four arrays, all in cache, where the same
+    expressions would allocate a new array per operation.  Each step keeps
+    its expression's operations and their order (only a product's or a
+    sum's operands trade places), so the draws equal the expressions' bit
+    for bit.  Each value depends on its own (v, w) alone, so the blocks give
     the values of one pass over the whole array.  The (v, w) stream is
     ``count`` draws of ``uniform(-pi/2, pi/2)``, then ``count`` of
     ``exponential(1.0)``.
@@ -50,30 +55,62 @@ def sample(psi: StableParams, count: int, seed=0) -> np.ndarray:
 
 
 def _transform(psi: StableParams, v: np.ndarray, w: np.ndarray) -> None:
-    """Overwrite v with the S(psi) variates of the pairs (v, w)."""
+    """Overwrite v with the S(psi) variates of the pairs (v, w), using w as scratch."""
     a, b = psi.alpha, psi.beta
     t = np.tan(v)
     if a == 1.0:
         half = np.pi / 2.0
-        hv = half + b * v
-        z = t * hv
-        z -= b * np.log((half * w) / (hv * np.sqrt(1.0 + t * t)))
+        # z = (t hv - b log((half w) / (hv sqrt(1 + t^2)))) / half, hv = half + b v
+        hv = np.multiply(v, b)
+        hv += half
+        z = np.multiply(t, hv, out=v)
+        np.multiply(t, t, out=t)
+        t += 1.0
+        np.sqrt(t, out=t)
+        np.multiply(hv, t, out=hv)
+        w *= half
+        np.divide(w, hv, out=w)
+        np.log(w, out=w)
+        w *= b
+        z -= w
         z *= 1.0 / half
     elif a == 2.0:
-        z = t * (2.0 * np.sqrt(w / (1.0 + t * t)))
+        # z = t * (2 sqrt(w / (1 + t^2)))
+        q = np.multiply(t, t, out=v)
+        q += 1.0
+        np.divide(w, q, out=w)
+        np.sqrt(w, out=w)
+        w *= 2.0
+        z = np.multiply(t, w, out=v)
     else:
         tb = b * np.tan(np.pi * a / 2.0)
         b0 = np.arctan(tb) / a
         scale = (1.0 + tb * tb) ** (1.0 / (2.0 * a))
-        phi = a * (v + b0)
-        d = v - phi
-        s = np.tan(0.5 * phi)
-        td = np.tan(d, out=d)
-        # 1/cos(v)^(1/a) * (cos(d)/w)^((1-a)/a), as one exp
-        e = np.log(1.0 + t * t)
-        e += (a - 1.0) * np.log((1.0 + td * td) * (w * w))
+        phi = np.add(v, b0)
+        phi *= a
+        td = np.subtract(v, phi, out=v)  # d = v - phi, then tan d
+        np.tan(td, out=td)
+        s = np.multiply(phi, 0.5, out=phi)
+        np.tan(s, out=s)
+        # 1/cos(v)^(1/a) * (cos(d)/w)^((1-a)/a), as one exp of
+        # e = (log(1 + t^2) + (a - 1) log((1 + td^2) w^2)) / (2a)
+        e = np.multiply(t, t, out=t)
+        e += 1.0
+        np.log(e, out=e)
+        np.multiply(td, td, out=td)
+        td += 1.0
+        np.multiply(w, w, out=w)
+        np.multiply(td, w, out=td)
+        np.log(td, out=td)
+        td *= a - 1.0
+        e += td
         e /= 2.0 * a
-        z = (2.0 * scale) * s / (1.0 + s * s) * np.exp(e, out=e)
+        # z = (2 scale) s / (1 + s^2) * exp(e) - tb
+        q = np.multiply(s, s, out=v)
+        q += 1.0
+        z = np.multiply(s, 2.0 * scale, out=s)
+        np.divide(z, q, out=z)
+        z *= np.exp(e, out=e)
         z -= tb
     np.multiply(z, psi.gamma, out=v)
     v += psi.mu

@@ -137,6 +137,33 @@ class TestLagFilter:
                         + sum(bj * sig2[p + t - j] for j, bj in enumerate(theta.b, start=1)))
         assert_allclose(volatility_path(eps, theta).sigma2, sig2[p:], rtol=1e-13, atol=0)
 
+    @pytest.mark.parametrize("p, q", ORDERS)
+    def test_band_reaches_lapack_fortran_ordered(self, p, q, monkeypatch):
+        # f2py copies a band or forcing that is not Fortran-contiguous before
+        # LAPACK reads it; every solve hands both over as they are, solves
+        # the forcing in place, and solves what a C-ordered copy of them
+        # solves, bit for bit, with the unit diagonal (never set) as NaN
+        from stablegarch.garch import recursion
+        dtbtrs, seen = recursion.lapack.dtbtrs, []
+
+        def recorded(band, force, **kw):
+            ref_band = np.ascontiguousarray(band)
+            ref_band[0] = np.nan
+            ref = dtbtrs(ref_band, np.ascontiguousarray(force),
+                         uplo=kw["uplo"], diag=kw["diag"])[0]
+            flags = band.flags.f_contiguous, force.flags.f_contiguous
+            out = dtbtrs(band, force, **kw)
+            seen.append(flags + (np.shares_memory(out[0], force),))
+            assert out[0].tobytes() == ref.tobytes()
+            return out
+        monkeypatch.setattr(recursion.lapack, "dtbtrs", recorded)
+        theta = self._theta(p, q)
+        eps, _ = simulate(theta, StableParams(1.7, 0.2), n=600, burn_in=100, seed=p + q)
+        volatility_path(eps, theta)
+        variance_derivatives(eps, theta)
+        # variance_derivatives solves its path, then its derivative columns
+        assert seen == [(True, True, True)] * 4
+
 
 class TestVarianceDerivatives:
     @pytest.mark.parametrize("p, q", [(1, 1), (0, 1), (1, 2), (2, 1), (2, 2)])
@@ -425,6 +452,14 @@ class TestFrontier:
         assert not eta2.flags.writeable
         with pytest.raises(ValueError):
             eta2[0, 0] = 1.0
+
+    def test_squared_draws_are_squared_samples(self):
+        from stablegarch.garch import stability
+        psi = StableParams(1.4, 0.2)
+        eta2 = stability._draw_squared(psi, 1000, 4, 9)
+        for row, s in zip(eta2, np.random.SeedSequence(9).spawn(4), strict=True):
+            want = stable_sample(psi, 1000, np.random.default_rng(s)) ** 2
+            assert row.tobytes() == want.tobytes()
 
     def test_unseeded_estimates_draw_anew(self):
         theta = GarchParams(1.0, a=(0.3,), b=(0.6,))

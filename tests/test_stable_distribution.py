@@ -216,6 +216,39 @@ def test_sampler_matches_sin_cos_transform(psi):
     assert np.max(np.abs(y - x) / np.maximum(np.abs(x), shift)) < 3e-14
 
 
+def _tangent_reference(psi, count, seed):
+    """sample's tangent-identity transform as numpy expressions, on one unblocked pass."""
+    rng = np.random.default_rng(seed)
+    a, b = psi.alpha, psi.beta
+    v = rng.uniform(-np.pi / 2.0, np.pi / 2.0, size=count)
+    w = rng.exponential(1.0, size=count)
+    t = np.tan(v)
+    if a == 1.0:
+        half = np.pi / 2.0
+        hv = half + b * v
+        z = (t * hv - b * np.log((half * w) / (hv * np.sqrt(1.0 + t * t)))) * (1.0 / half)
+    elif a == 2.0:
+        z = t * (2.0 * np.sqrt(w / (1.0 + t * t)))
+    else:
+        tb = b * np.tan(np.pi * a / 2.0)
+        b0 = np.arctan(tb) / a
+        scale = (1.0 + tb * tb) ** (1.0 / (2.0 * a))
+        phi = a * (v + b0)
+        s = np.tan(0.5 * phi)
+        td = np.tan(v - phi)
+        e = (np.log(1.0 + t * t) + (a - 1.0) * np.log((1.0 + td * td) * (w * w))) / (2.0 * a)
+        z = (2.0 * scale) * s / (1.0 + s * s) * np.exp(e) - tb
+    return z * psi.gamma + psi.mu
+
+
+@pytest.mark.parametrize("psi", EDGE_GRID, ids=lambda p: f"a{p.alpha}b{p.beta}")
+def test_sampler_is_the_tangent_expressions(psi):
+    # the in-place transform keeps each expression's operations and order,
+    # so its draws are the expressions' bit for bit, on each side of a block edge
+    for m in (_BLOCK - 1, _BLOCK, 3 * _BLOCK + 5):
+        assert sample(psi, m, 13).tobytes() == _tangent_reference(psi, m, 13).tobytes()
+
+
 @pytest.mark.parametrize("psi", [StableParams(1.6, 0.0), StableParams(1.0, 0.7),
                                  StableParams(2.0, 0.0), StableParams(0.7, -0.5)],
                          ids=lambda p: f"a{p.alpha}b{p.beta}")

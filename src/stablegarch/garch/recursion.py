@@ -113,6 +113,8 @@ def simulate(theta: GarchParams, psi: StableParams, n: int, burn_in: int = 500,
     non-finite, ExplosionError reports the first such step ``t``, counted
     from the first burn-in step, and its value ``sigma2``.  The last bits
     of a path depend on the LAPACK build, as ``volatility_path``'s do.
+    Where every variance is finite but a return sigma_t * eta_t overflows,
+    ExplosionError reports that step and its finite variance the same way.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -157,5 +159,11 @@ def simulate(theta: GarchParams, psi: StableParams, n: int, burn_in: int = 500,
         raise ExplosionError(f"sigma^2 overflowed to {var} at step {t}", t=t, sigma2=var)
     sig2 = sig2[burn_in:]
     eps = np.sqrt(sig2)
-    eps *= eta[burn_in:]
+    with np.errstate(over="ignore"):
+        eps *= eta[burn_in:]
+    if not np.isfinite(eps).all():
+        i = int(np.flatnonzero(~np.isfinite(eps))[0])
+        var = float(sig2[i])
+        raise ExplosionError(f"the return sigma * eta overflowed at step {burn_in + i} "
+                             f"(sigma^2 = {var})", t=burn_in + i, sigma2=var)
     return ReturnSeries(eps), VolatilityPath(sig2)

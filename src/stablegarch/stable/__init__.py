@@ -56,13 +56,18 @@ def cdf(x, psi: StableParams, acc: DensityAccuracy = DEFAULT_ACCURACY):
 def quantile(p, psi: StableParams, acc: DensityAccuracy = DEFAULT_ACCURACY):
     """Quantile function: the root of cdf(x, psi) = p.
 
-    Each p is inverted on the piece of the certified cdf that holds it (see
-    ``StandardDensity.ppf``): Brent's method in one knot cell of the central
-    spline, or Newton's method on the log tail mass beyond the anchors.  The
-    engine keeps the levels it solved, so a repeated p is not solved again.
-    Raises AccuracyNotReached where ``cdf`` would: where the certified error
-    of the standardized cdf exceeds its bound ``cdf_tol``, max(256 abs_tol,
-    2e-5) (near alpha = 1 with beta != 0, for one).
+    The standardized cdf takes, at each point, the first of three pieces
+    that certifies it: the tail series' mass, the centre series' integral of
+    the density from the shift point (where F is known in closed form), and
+    the anchored spline of the Fourier table.  Each p is inverted on the
+    piece that holds its root (see ``StandardDensity.ppf``): Newton's method
+    on the tail's log mass or on the centre's cdf, else Brent's method in
+    one knot cell of the spline (or Newton beyond its anchors), so
+    cdf(quantile(p)) is p to 1e-12 and only a root no series certifies
+    builds a table.  The engine keeps the levels it solved, so a repeated p
+    is not solved again.  Raises AccuracyNotReached where no series
+    certifies the root and the spline's certified error exceeds ``cdf_tol``,
+    max(256 abs_tol, 2e-5) (near alpha = 1 with beta != 0, for one).
     """
     pts, scalar = _as_points(p)
     eng = get_engine(psi, acc)

@@ -16,6 +16,16 @@ points within its reach: the radii, read from the series' own certificates,
 beyond which (tail) or inside which (centre) a pass of its term cap can
 certify the tolerance at all.
 
+The distribution function has a finishing order of its own: each point
+takes the tail series' mass of its side where that certifies the tolerance,
+else F(-tau), in closed form, plus the centre series' integral of f where
+that certifies (and its terms stay small enough that the sum's rounding
+cannot defeat an inversion), else the anchored spline, the f table's
+integral between the tail masses at two anchors, built on first need.
+``ppf`` inverts that same function, by Newton's method on whichever series
+holds the root, so a quantile the series certify probes no tail onset and
+builds no table.
+
 Engines are cached per (alpha, beta, accuracy); all evaluations on them are
 read-only after construction apart from lazy table attachment (a
 shape-partial table is replaced by a wider one when points fall outside it).
@@ -24,7 +34,7 @@ shape-partial table is replaced by a wider one when points fall outside it).
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy import integrate, interpolate, optimize
@@ -103,6 +113,9 @@ class StandardDensity:
         self._cdf_state = None
         self._onsets: dict[str, float] = {}
         self._quantiles: dict[float, float] = {}  # solved p -> x, see ppf
+        self._centre_grids: dict[int, tuple] = {}  # by side, see _centre_ppf
+        # F at the shift point x = -tau (Nolan 1997, Thm 1), where the centre series starts
+        self._f_shift = 0.5 - math.atan(self.tau) / (self.alpha * math.pi)
         # the certified cdf bound aggregates anchor closure, table error over
         # the central window and the mass-balance mismatch, so it is looser
         # than the pointwise density tolerance
@@ -451,7 +464,88 @@ class StandardDensity:
 
     # -- distribution function --------------------------------------------
 
+    def _series_cdf(self, x, density: bool = False, tail: bool = True, centre: bool = True):
+        """(mass, err, f, piece) at x from the series alone, in the cdf's finishing order.
+
+        ``mass`` is the probability on the point's side of the shift point
+        x = -tau: P[X <= x] where y = x + tau < 0, else P[X > x].  Each
+        point takes the first piece that certifies ``tol`` there: the tail
+        series' "sf" of its side (piece 0), both sides in one pass; then
+        F(-tau) plus the centre series' "cdf" (piece 1), F(-tau) being
+        1/2 - arctan(tau) / (alpha pi) (Nolan 1997, Thm 1).  A point that
+        neither certifies has piece -1, mass NaN and err inf.  Each piece
+        takes only the points within its reach (``_cdf_reach``) and sums
+        the term budget of a pass over all of it, so a point's value does
+        not depend on the other points of the call.  With ``density``, ``f``
+        is the density from the same pass, else None; ``tail`` or ``centre``
+        False leaves that piece out.
+        """
+        y = x + self.tau
+        logy = log_radius(y)
+        mass, err = np.full(x.size, np.nan), np.full(x.size, np.inf)
+        f = np.full(x.size, np.nan) if density else None
+        piece = np.full(x.size, -1)
+        (floor, tail_budget), (reach, centre_budget) = self._cdf_reach
+        todo = ~np.isnan(x)
+        for k, series, quantity, budget, within in (
+                (0, self.right, "sf", tail_budget, tail & (logy >= floor)),
+                (1, self.center, "cdf", centre_budget, centre & (logy <= reach))):
+            m = todo & within
+            if not m.any():
+                continue
+            qs = (quantity, "pdf")[:1 + density]
+            got = series.evaluate(y[m], qs, (self.tol,) * len(qs), budgets=[budget] * len(qs))
+            val, e = got[0, 0], got[1, 0]
+            if k:  # F(-tau) plus the centre's integral, charged F(-tau)'s rounding
+                e += 4.0 * _EPS
+                val = self._f_shift + val
+                val = np.where(y[m] < 0.0, val, 1.0 - val)
+            ok = e <= self.tol
+            idx = np.flatnonzero(m)[ok]
+            mass[idx], err[idx], piece[idx] = val[ok], e[ok], k
+            todo[idx] = False
+            if density:
+                f[idx] = got[0, 1, ok]
+        return mass, err, f, piece
+
+    @cached_property
+    def _cdf_reach(self):
+        """((floor, budget), (reach, budget)) of the tail's and the centre's cdf passes.
+
+        The tail's "sf" certifies no point at log |y| below its floor
+        (``certifies_from`` for a pass with no term cap).  The centre's
+        "cdf" is taken up to the least of ``certifies_within`` and the
+        radius inside which every term is at most ``_CDF_TERM_CAP``
+        (``CenterSeries.terms_within``): beyond it the sum's rounding
+        (measured at 10 to 70 eps times its largest term) would move F
+        between neighbouring floats by more than ``_ROOT_GAP``, and no
+        quantile could invert it to that.  A piece's budget, for its quantity
+        and for "pdf" alike, is its quantity's for a pass over its whole
+        reach (per side, in ``evaluate``'s form: both tail sides alike); None
+        where there is no piece.
+        """
+        tail, centre = (np.inf, None), (-np.inf, None)
+        if self.has_tail_series:
+            floor = self.right.certifies_from("sf", self.tol, None)
+            nk = self.right.term_budget("sf", self.tol, [floor, _LOG_R_MAX])
+            tail = floor, (nk, nk)
+        if self.center is not None:
+            reach = min(self.center.certifies_within("cdf", self.tol, None),
+                        self.center.terms_within("cdf", _CDF_TERM_CAP))
+            centre = reach, (self.center.term_budget("cdf", self.tol, [reach]),)
+        return tail, centre
+
+    def _cdf_value(self, x, mass):
+        """F(x) from the mass on x's side of the shift point (see ``_series_cdf``)."""
+        return np.where(x + self.tau < 0.0, mass, 1.0 - mass)
+
     def _build_cdf(self):
+        """The anchored spline: tail masses at anchors a_l < a_r, the f table's integral between.
+
+        The anchors sit just past the tail onset of "sf".  Its certified
+        error aggregates the anchors' closure, the table's error over the
+        window and the mismatch of the two masses with the integral.
+        """
         if self._cdf_state is not None:
             return self._cdf_state
         if self.has_tail_series:
@@ -462,8 +556,8 @@ class StandardDensity:
             a_r = self.x_keep - 1.0
             a_l = -a_r
             self._tail_grids = {side: self._build_tail_grid(a_r, side) for side in (+1, -1)}
-        (f_al,), _, (slope_l,) = self._tail_mass(np.array([a_l]), -1, slope=True)
-        (sf_ar,), (sf_err,), (slope_r,) = self._tail_mass(np.array([a_r]), +1, slope=True)
+        (f_al,), _ = self._tail_mass(np.array([a_l]), -1)
+        (sf_ar,), (sf_err,) = self._tail_mass(np.array([a_r]), +1)
         table = self._fft_table()
         if not np.isfinite(table.err):
             # no certified central mass: ppf would bracket a zero spline
@@ -478,8 +572,7 @@ class StandardDensity:
         mismatch = abs(knot_cdf[-1] + sf_ar - 1.0)
         err = mismatch + sf_err + table.err * (a_r - a_l)
         self._cdf_state = dict(a_l=a_l, a_r=a_r, f_al=f_al, anti=anti, anti_al=anti_al, err=err,
-                               knots=knots, knot_cdf=knot_cdf,
-                               anchors={-1: (a_l, f_al, slope_l), +1: (a_r, sf_ar, slope_r)})
+                               knots=knots, knot_cdf=knot_cdf)
         return self._cdf_state
 
     def _build_tail_grid(self, r_from: float, side: int):
@@ -523,13 +616,8 @@ class StandardDensity:
             dlog = np.where(r > 1e6, -self.alpha, grid(u, 1) / mass)
         return mass, np.full(r.shape, 1e-6), dlog
 
-    def _central_cdf(self, x):
-        """The cdf on [a_l, a_r]: the left anchor's mass plus the f spline's integral."""
-        st = self._build_cdf()
-        return st["f_al"] + (st["anti"](x) - st["anti_al"])
-
-    def cdf_with_err(self, x):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
+    def _spline_cdf(self, x):
+        """(F, err) of the anchored spline: tail masses beyond the anchors, the integral between."""
         st = self._build_cdf()
         val = np.full_like(x, np.nan)  # a NaN point is in no piece
         err = np.full_like(x, st["err"])
@@ -543,6 +631,28 @@ class StandardDensity:
         if hi.any():
             sf, err[hi] = self._tail_mass(x[hi], +1)
             val[hi] = 1.0 - sf
+        return val, err
+
+    def _central_cdf(self, x):
+        """The cdf on [a_l, a_r]: the left anchor's mass plus the f spline's integral."""
+        st = self._build_cdf()
+        return st["f_al"] + (st["anti"](x) - st["anti_al"])
+
+    def cdf_with_err(self, x):
+        """(F(x), certified err) at each point, by the cdf's finishing order.
+
+        A point takes the first of: the tail series' mass of its side where
+        that certifies ``tol``, F(-tau) plus the centre series' integral of
+        f where that does (``_series_cdf``), else the anchored spline
+        (``_spline_cdf``), built on first need, with the spline's own
+        certificate.
+        """
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        mass, err, _, piece = self._series_cdf(x)
+        val = self._cdf_value(x, mass)
+        rest = piece < 0
+        if rest.any():
+            val[rest], err[rest] = self._spline_cdf(x[rest])
         return np.clip(val, 0.0, 1.0), err
 
     def cdf(self, x):
@@ -553,16 +663,20 @@ class StandardDensity:
         return v
 
     def ppf(self, p: float) -> float:
-        """Quantile: the root of cdf(x) = p in the piece of the cdf that holds it.
+        """Quantile: the root of cdf(x) = p in the piece of ``cdf_with_err`` that holds it.
 
-        A central p (from the cdf at the anchor a_l to the cdf at a_r) lies
-        in one cell of the cdf tabulated at the central spline's knots, and
-        Brent's method runs in that cell only.  A p beyond an anchor is a
-        tail mass, found by ``_tail_ppf``.  Raises AccuracyNotReached where
-        the cdf's certified error exceeds ``cdf_tol``, the bound ``cdf``
-        holds: there the root says nothing.  The engine keeps the first
-        ``_QUANTILES_KEPT`` levels it solves, so a repeated p costs a lookup
-        and returns the same float.
+        The pieces are tried in the cdf's finishing order.  On the side of
+        the shift point that holds p (p < F(-tau) or not), Newton's method
+        runs on the tail series' log mass (``_tail_ppf``), then on the
+        centre series' cdf (``_centre_ppf``), and a root counts only at a
+        point where its series is the piece ``cdf_with_err`` takes.  Else
+        the anchored spline is inverted (``_spline_ppf``): Brent's method in
+        one of its knot cells, or the same tail Newton on its masses beyond
+        the anchors.  Only that last route builds a Fourier table, and it
+        raises AccuracyNotReached where the spline's certified error exceeds
+        ``cdf_tol``, the bound ``cdf`` holds: there the root says nothing.
+        The engine keeps the first ``_QUANTILES_KEPT`` levels it solves, so
+        a repeated p costs a lookup and returns the same float.
         """
         if not (0.0 < p < 1.0):
             raise ValueError("p must lie strictly between 0 and 1")
@@ -577,76 +691,264 @@ class StandardDensity:
     _QUANTILES_KEPT = 32
 
     def _solve_ppf(self, p: float) -> float:
+        """One quantile by the pieces in order: tail series, centre series, anchored spline.
+
+        The tail is skipped where the centre's first pass already brackets
+        the root short of the tail's floor, where the tail certifies nothing.
+        """
+        side = -1 if p < self._f_shift else +1
+        floor = self._cdf_reach[0][0]
+        tail = self.has_tail_series
+        if self.center is not None:
+            t, _, cdf, _, ok = self._centre_grid(side)
+            below = np.flatnonzero(ok & (side * (p - cdf) < 0.0))
+            tail &= not (below.size and math.log(t[below[0]]) < floor)
+        x = None
+        if tail:
+            x = self._tail_ppf(p if side < 0 else 1.0 - p, side, floor, certified=True)
+        if x is None and self.center is not None:
+            x = self._centre_ppf(p, side)
+        return self._spline_ppf(p) if x is None else x
+
+    def _spline_ppf(self, p: float) -> float:
+        """The root of the anchored spline's cdf, beyond its anchors or in one of its knot cells."""
         st = self._build_cdf()
         if st["err"] > self.cdf_tol:
             raise AccuracyNotReached(
                 f"no certified cdf to invert for alpha={self.alpha}, beta={self.beta}",
                 worst_error=float(st["err"]))
         knots, knot_cdf = st["knots"], st["knot_cdf"]
-        if p < knot_cdf[0]:
-            return self._tail_ppf(p, -1)
-        if p > knot_cdf[-1]:
-            return self._tail_ppf(1.0 - p, +1)
+        shift = self.tau if self.has_tail_series else 0.0
+        for side, beyond, mass, anchor in ((-1, p < knot_cdf[0], p, st["a_l"]),
+                                           (+1, p > knot_cdf[-1], 1.0 - p, st["a_r"])):
+            if beyond:
+                x = self._tail_ppf(mass, side, math.log(side * (anchor + shift)), certified=False)
+                if x is None:
+                    raise AccuracyNotReached(
+                        f"no tail quantile at mass {mass:g} for alpha={self.alpha}, "
+                        f"beta={self.beta}", worst_error=float(st["err"]))
+                return x
         # the running maximum keeps the cells in order if rounding breaks it:
         # then knot_cdf[i - 1] < p <= knot_cdf[i] (or p = knot_cdf[0])
         i = max(int(np.searchsorted(np.maximum.accumulate(knot_cdf), p)), 1)
         return float(optimize.brentq(lambda x: float(self._central_cdf(x)) - p, knots[i - 1],
                                      knots[i], xtol=1e-12, rtol=1e-15, maxiter=200))
 
-    # Newton steps of a tail quantile before it gives up
-    _TAIL_STEPS = 60
+    def _tail_ppf(self, mass: float, side: int, floor: float, certified: bool):
+        """x on ``side`` whose tail mass is ``mass``, or None where none is found.
 
-    def _tail_ppf(self, mass: float, side: int) -> float:
-        """x beyond the anchor on ``side`` whose tail mass is ``mass``.
-
-        Newton's method on g = log(tail mass / mass) against u = log r from
-        the anchor, where g is near linear (the tail is near a power of r);
-        each step takes the mass and dg/du from one ``_tail_mass`` pass.
-        The evaluated points bracket the root in u; a step that leaves the
-        bracket, or has no usable slope, bisects it (or, with no upper end
-        yet, moves one unit of u further than lo lies from the anchor), and
-        u stays at most 690.  Stops at |g| <= 1e-14, at a step within
-        rounding, or one Newton step earlier: when K = g_n / g_(n-1)^2
-        predicts K g_n^2 <= 1e-16, that step is taken unevaluated.  Raises
-        AccuracyNotReached otherwise, or when the mass at r = e^690 still
-        exceeds the target.
+        Newton's method (``_outward_root``) on g = log(tail mass / mass)
+        against u = log r, r = side * (x + tau), where g is near linear (the
+        tail is near a power of r).  The start is the tail series' leading
+        term, mass = K r^-alpha / alpha with K = ``tail_constant``: one pass
+        over ``floor`` and the log radii ``_TAIL_GRID`` from u0 - 1, or from
+        the floor if that is higher, cut at 690, brackets the root.  With ``certified`` the masses are the tail piece of
+        ``_series_cdf``, ``floor`` its reach, and a point it does not
+        certify ends the search.  Else they are ``_tail_mass``, the
+        spline's, from its anchor at ``floor``; where the mass there is
+        already below ``mass`` the cdf steps over p at the anchor, which is
+        returned.
         """
-        def gap(m):
-            return math.log(m) - math.log(mass) if m > 0.0 else -math.inf
-
-        x, m, slope = self._build_cdf()["anchors"][side]
         shift = self.tau if self.has_tail_series else 0.0
-        u0 = u = math.log(side * (x + shift))
-        g = gap(m)
-        if g <= 0.0:
-            return float(x)  # the cdf steps over p at the anchor
-        lo, hi, g_prev = u, math.inf, None
-        for _ in range(self._TAIL_STEPS):
-            nxt = u - g / slope if slope < 0.0 else math.inf
-            newton = lo < nxt < hi
-            if not newton:
-                nxt = 0.5 * (lo + hi) if hi < math.inf else lo + 1.0 + (lo - u0)
-            if nxt > _LOG_R_MAX:
-                nxt, newton = _LOG_R_MAX, False
-            if abs(nxt - u) <= 4.0 * _EPS * abs(nxt):
-                return float(x)
-            if newton and g_prev is not None and abs(g) ** 3 <= 1e-16 * g_prev ** 2:
-                return float(side * math.exp(nxt) - shift)
-            u, g_prev = nxt, (g if newton else None)
-            x = side * math.exp(u) - shift
-            (m,), _, (slope,) = self._tail_mass(np.array([x]), side, slope=True)
-            g = gap(m)
-            if abs(g) <= 1e-14:
-                return float(x)
-            if g <= 0.0:
-                hi = u
-            elif u < _LOG_R_MAX:
-                lo = u
+        k = tail_constant(self.alpha, side * self.beta, +1)
+        u0 = math.log(k / (self.alpha * mass)) / self.alpha if k > 0.0 else floor
+        logmass = math.log(mass)
+
+        def gap(u, density=True):
+            x = side * np.exp(u) - shift
+            if certified:
+                m, _, f, piece = self._series_cdf(x, density, centre=False)
+                ok = piece == 0
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    slope = -np.abs(x + shift) * f / m if density else None
             else:
-                break
-        raise AccuracyNotReached(
-            f"no tail quantile at mass {mass:g} for alpha={self.alpha}, beta={self.beta}",
-            worst_error=abs(m - mass))
+                (m, _, slope), ok = self._tail_mass(x, side, slope=True), np.ones(x.size, bool)
+            with np.errstate(divide="ignore"):
+                g = np.log(np.maximum(m, 0.0)) - logmass
+            return x, g, slope, ok
+
+        u = np.unique(np.clip(np.append(max(u0 - 1.0, floor) + _TAIL_GRID, floor),
+                              floor, _LOG_R_MAX))
+        grid = gap(u)
+        if not certified and grid[1][0] <= 0.0:
+            return float(grid[0][0])  # the cdf steps over p at the anchor
+        return _outward_root(gap, (u, *grid), _LOG_R_MAX)
+
+    def _centre_grid(self, side: int):
+        """(t, x, F, -f, certified) of one centre pass over ``_CENTRE_GRID`` points y = side * t.
+
+        t spans [0, R], R the centre cdf's reach (``_cdf_reach``); kept per
+        side, as every quantile on that side starts from it.
+        """
+        grid = self._centre_grids.get(side)
+        if grid is None:
+            t = np.linspace(0.0, math.exp(self._cdf_reach[1][0]), _CENTRE_GRID)
+            x = side * t - self.tau
+            mass, _, f, piece = self._series_cdf(x, density=True, tail=False)
+            grid = self._centre_grids[side] = t, x, self._cdf_value(x, mass), -f, piece > 0
+        return grid
+
+    def _centre_ppf(self, p: float, side: int):
+        """x on ``side`` of the shift point where the series' cdf is p, or None.
+
+        Newton's method (``_outward_root``) on g = side * (p - F) against
+        t = side * y = |y|, started from the side's centre pass
+        (``_centre_grid``).  Each step evaluates ``_series_cdf`` with both
+        pieces, so the root is the value ``cdf_with_err`` returns there.
+        """
+        def gap(t, density=True):
+            x = side * t - self.tau
+            mass, _, f, piece = self._series_cdf(x, density)
+            return x, side * (p - self._cdf_value(x, mass)), -f if density else None, piece >= 0
+
+        t, x, cdf, slope, ok = self._centre_grid(side)
+        return _outward_root(gap, (t, x, side * (p - cdf), slope, ok), math.inf)
+
+
+# log radii of a tail quantile's first pass, from one below the leading term's
+_TAIL_GRID = np.linspace(0.0, 2.0, 17)
+# points of a side's centre pass, over [0, R]
+_CENTRE_GRID = 49
+# Newton steps of a quantile before it gives up
+_ROOT_STEPS = 60
+# |g| at which a quantile's Newton search stops: the centre's F within it of
+# p, the tail mass within it relatively, so cdf(ppf(p)) == p to 1e-12
+_ROOT_GAP = 5e-13
+# largest term of the centre's "cdf" where the cdf takes it (see
+# StandardDensity._cdf_reach): its rounding stays near _ROOT_GAP
+_CDF_TERM_CAP = 32.0
+
+
+class _HermiteModel:
+    """The Hermite interpolant of values and slopes at a few grid points, in Newton form.
+
+    Each node is taken twice (value and slope), so n nodes give a
+    polynomial of degree 2n - 1; ``lo`` and ``hi`` are the outer nodes.
+    """
+
+    def __init__(self, ts, gs, ss):
+        z = [float(v) for v in ts for _ in (0, 1)]
+        d = [float(v) for v in gs for _ in (0, 1)]
+        coef = [d[0]]
+        for lag in range(1, len(z)):  # divided differences of order lag, in place from the top
+            for k in range(len(z) - 1, lag - 1, -1):
+                if lag == 1 and k % 2:  # a node taken twice: its slope
+                    d[k] = float(ss[k // 2])
+                else:
+                    d[k] = (d[k] - d[k - 1]) / (z[k] - z[k - lag])
+            coef.append(d[lag])
+        self.z, self.coef, self.lo, self.hi = z, coef, z[0], z[-1]
+
+    def __call__(self, t):
+        """(value, slope) at t."""
+        val, der = self.coef[-1], 0.0
+        for zk, ck in zip(self.z[-2::-1], self.coef[-2::-1]):
+            der = der * (t - zk) + val
+            val = val * (t - zk) + ck
+        return val, der
+
+    def root(self, lo, hi):
+        """Its root in [lo, hi], where it falls through zero, by Newton kept in the cell."""
+        t = lo
+        for _ in range(60):
+            val, der = self(t)
+            if val > 0.0:
+                lo = t
+            else:
+                hi = t
+            nxt = t - val / der if der < 0.0 else math.nan
+            if not lo <= nxt <= hi:
+                nxt = 0.5 * (lo + hi)
+            if abs(nxt - t) <= 4.0 * _EPS * max(abs(t), 1.0):
+                return nxt
+            t = nxt
+        return t
+
+
+def _hermite_model(grid, run, needed):
+    """The ``_HermiteModel`` of the certified grid points of ``run`` with finite slopes, or None.
+
+    None unless every point of ``needed`` is among them.
+    """
+    t, _, g, slope, ok = grid
+    nodes = [k for k in run if 0 <= k < t.size and ok[k] and np.isfinite(slope[k])]
+    if not set(needed).issubset(nodes):
+        return None
+    return _HermiteModel(t[nodes], g[nodes], slope[nodes])
+
+
+def _outward_root(evaluate, grid, top):
+    """The evaluated x where g, falling in t, crosses zero; None where no certified root is found.
+
+    ``evaluate(t, density)`` gives (x, g, dg/dt or None without
+    ``density``, certified) at the points t, and ``grid`` is (t, x, g,
+    dg/dt, certified) of one pass over increasing t.  A certified grid
+    point with g = 0 is the root.  The last certified grid point above zero
+    and the first certified one past it below zero bracket the root; the
+    Hermite interpolant of the values and slopes of the certified run of
+    grid points around that cell (up to one more each side) gives the
+    start, and its slope serves each step inside the run, whose points are
+    then evaluated without the density.  With none below, the start is a
+    Newton step from the last point above.  With none above, the root can
+    only lie between the first certified point, if it is below zero and not
+    the grid's first, and the point before: the start is the root there of
+    the interpolant of the first certified points, or a Newton step from the
+    first, and the steps must stay in that cell until a point above is
+    found.  Newton's method then evaluates one point per step: a step that
+    leaves the bracket bisects it, or with no upper end yet moves one unit
+    further than the last point above lies from the grid's first, and t
+    stays at most ``top``.  It stops at a certified point whose |g| <= ``_ROOT_GAP``
+    or whose Newton step is within rounding of t, and returns that point's
+    x.  It gives up at a point not certified, at ``top`` with g still above
+    zero, or after ``_ROOT_STEPS`` steps.
+    """
+    t, xs, g, slope, ok = grid
+    zero = np.flatnonzero(ok & (g == 0.0))
+    if zero.size:
+        return float(xs[zero[0]])
+    above = np.flatnonzero(ok & (g > 0.0))
+    i = above[-1] if above.size else -1
+    below = np.flatnonzero(ok[i + 1:] & (g[i + 1:] < 0.0))
+    j = i + 1 + below[0] if below.size else None
+    model, above = None, i >= 0
+    if above and j is not None:
+        lo, hi = t[i], t[j]
+        model = _hermite_model(grid, (i - 1, i, j, j + 1) if j == i + 1 else (i, j), (i, j))
+        nxt = model.root(lo, hi) if model else lo + (hi - lo) * g[i] / (g[i] - g[j])
+    elif above:
+        lo, hi = t[i], math.inf
+        nxt = lo - g[i] / slope[i] if slope[i] < 0.0 else math.nan
+    elif j is not None and j > 0:  # the root may lie just before the first certified point
+        lo, hi = t[j - 1], t[j]
+        outer = _hermite_model(grid, (j, j + 1, j + 2), (j, j + 1))
+        if outer and outer(lo)[0] > 0.0:  # taken one cell inward
+            nxt = outer.root(lo, hi)
+        else:
+            nxt = hi - g[j] / slope[j] if slope[j] < 0.0 else math.nan
+    else:
+        return None
+    for _ in range(_ROOT_STEPS):
+        if not lo < nxt < hi:
+            if not above:  # no certified point above: only a Newton step goes on
+                return None
+            nxt = 0.5 * (lo + hi) if hi < math.inf else lo + 1.0 + (lo - t[0])
+        nxt = min(nxt, top)
+        modelled = model is not None and model.lo <= nxt <= model.hi
+        (x,), (gk,), sk, (okk,) = evaluate(np.array([nxt]), not modelled)
+        if not okk:
+            return None
+        sk = model(nxt)[1] if modelled else sk[0]
+        step = -gk / sk if sk < 0.0 else math.nan
+        if abs(gk) <= _ROOT_GAP or abs(step) <= 4.0 * _EPS * abs(nxt):
+            return float(x)
+        if gk > 0.0:
+            if nxt >= top:
+                return None
+            lo, above = nxt, True
+        else:
+            hi = nxt
+        nxt += step
+    return None
 
 
 @lru_cache(maxsize=64)

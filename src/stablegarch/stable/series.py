@@ -34,10 +34,10 @@ One evaluator, ``_Expansion.evaluate``, serves both expansions.  A pass
 builds one power matrix, exp(log coefficient_k + step * k * log|z|) over
 the norm for its terms and points (``_power_matrix``), and every quantity
 asked for reads its terms off it: a weight row (sign times factors)
-contracted column by column, with the centre's odd powers signed at y < 0
-and its f' term k read off row k - 1, the tail's offset a power of r per
-point, and the alpha partial's log r slope a second row times log r.  A
-tail pass takes both sides, the mirror's points as y < 0: one matrix and
+contracted column by column, with the centre's odd powers signed at y < 0,
+its f' term k read off row k - 1 and its cdf term k off row k times y, the
+tail's offset a power of r per point, and the alpha partial's log r slope
+a second row times log r.  A tail pass takes both sides, the mirror's points as y < 0: one matrix and
 one certificate, each side's columns contracted with its own sign rows,
 and each side's term budget its own points' need.  A
 convergent certificate starts at the first term whose envelope is small
@@ -383,6 +383,10 @@ class _Expansion:
         """Columns evaluated with another side's sign rows: None for a series in y."""
         return None
 
+    def term_budget(self, quantity: str, tol: float, logz) -> int:
+        """Terms a pass with no cap sums for ``quantity`` over the radii e^logz."""
+        return self._budget(self._spec(quantity), tol, None, np.asarray(logz, dtype=float))
+
     def evaluate(self, z, quantities, tols, kcap=None, need=None, budgets=None):
         """(values, errors), each of shape (len(quantities), points), at z.
 
@@ -418,8 +422,8 @@ class _Expansion:
             tops.append(int(per[0].max()) if isinstance(per[0], np.ndarray) else per[0])
         out = np.zeros((2, len(quantities), z.size))
         out[1] = np.inf
-        shifts = [self._layout(self._spec(q)[1])[0] for q in quantities]
-        used = [top - shift for top, shift in zip(tops, shifts) if top]
+        layouts = [self._layout(self._spec(q)[1]) for q in quantities]
+        used = [top - shift for top, (shift, _) in zip(tops, layouts) if top]
         if used:
             v = np.sign(self._step) * logz
             powers, lift = self._power_matrix(v, max(used))
@@ -437,6 +441,9 @@ class _Expansion:
         if mirrored is not None:  # d/dz = -d/dr, and d/d beta of the mirror's -beta
             odd = [i for i, q in enumerate(quantities) if q in ODD_QUANTITIES]
             out[0, odd] = np.where(mirrored, -out[0, odd], out[0, odd])
+        odd = [i for i, (_, power) in enumerate(layouts) if self._parity and power % 2]
+        if odd:  # the centre's |y|^off of an odd offset carries the sign of y
+            out[0, odd] = np.where(z < 0.0, -out[0, odd], out[0, odd])
         return out
 
     def _sum(self, quantity, tol, nk, nkmax, powers, signed, lift, logz, v, env, mirrored):
@@ -653,10 +660,6 @@ class TailSeriesSide(_Expansion):
             logenv = logenv + np.log1p(slope[1][:nk] * abs(far))
         return min(nk, max(int(np.argmin(logenv)), int(np.argmin(logpow))) + 2)
 
-    def term_budget(self, quantity: str, tol: float, logr) -> int:
-        """Terms a pass with no cap sums for ``quantity`` over the radii e^logr."""
-        return self._budget(self._spec(quantity), tol, None, np.asarray(logr, dtype=float))
-
     def certifies_from(self, quantity: str, tol: float, kcap: int | None) -> float:
         """A log radius below which no pass of ``kcap`` terms certifies ``tol``, cached.
 
@@ -779,22 +782,25 @@ class CenterSeries(_Expansion):
         return k + off
 
     def _layout(self, off):
-        """Term k reads row k + off of the power matrix: y^(k + off) for off <= 0."""
-        return int(-off), 0.0
+        """Term k reads row k + off of the power matrix for off <= 0, else row k times |y|^off."""
+        return max(int(-off), 0), max(off, 0.0)
 
     def _spec(self, quantity: str):
         """(extra, off, trig, None, ratio) of one quantity's terms, cached.
 
-        The quantities are "pdf", "dpdf" (d/dy), "dalpha" and "dbeta".  Term
-        k is trig_k * coef_k * exp(extra_k) * y**(k + off) / (alpha pi), with
-        no log slope; the ratio bound is infinite where k + off < 0
-        (extra -inf).
+        The quantities are "pdf", "dpdf" (d/dy), "cdf" (the density's
+        integral from the shift point, term k over k + 1), "dalpha" and
+        "dbeta".  Term k is trig_k * coef_k * exp(extra_k) * y**(k + off) /
+        (alpha pi), with no log slope; the ratio bound is infinite where
+        k + off < 0 (extra -inf).
         """
         if quantity not in self._specs:
             k = self._k
             off, extra, trig = 0.0, np.broadcast_to(0.0, k.shape), self._cosk
             if quantity == "dpdf":
                 off, extra = -1.0, np.where(k > 0, np.log(np.where(k > 0, k, 1.0)), -np.inf)
+            elif quantity == "cdf":
+                off, extra = 1.0, -np.log(k + 1.0)
             elif quantity != "pdf":
                 extra, trig = self._shape_coefs[quantity]
             self._specs[quantity] = (extra, off, trig, None, _contraction(self._logcoef + extra))
@@ -804,7 +810,10 @@ class CenterSeries(_Expansion):
         """Terms a quantity sums at the points ``logay``: 0 if there are none."""
         nk = (self.kmax + 1) if kcap is None else min(kcap, self.kmax + 1)
         if kcap is None and logay.size:
-            probe = self._logcoef[:nk] + self._k[:nk] * float(logay.max()) + spec[0][:nk]
+            # a positive power offset (the cdf's y) scales every envelope by
+            # |y|^off; the f' row's negative one is left out, as it always was
+            far = float(logay.max())
+            probe = self._logcoef[:nk] + (self._k[:nk] + max(spec[1], 0.0)) * far + spec[0][:nk]
             done = probe <= np.log(tol / (_ASYM_SAFETY * 10.0) * self.alpha * np.pi + 1e-300)
             done[:4] = False  # envelopes can start below threshold near k = 0
             if done.any():
@@ -823,6 +832,20 @@ class CenterSeries(_Expansion):
         key = (quantity, tol, kcap)
         if key not in self._reach:
             self._reach[key] = self._log_reach(quantity, tol, kcap) + _REACH_SLACK
+        return self._reach[key]
+
+    def terms_within(self, quantity: str, cap: float) -> float:
+        """The log radius inside which each term of ``quantity`` is at most ``cap``, cached.
+
+        Each envelope grows in |y|, so each term holds it up to its own
+        ``_env_reach``, and all of them up to the least of those.  A sum of
+        terms up to ``cap`` rounds to a few tens of eps times ``cap``.
+        """
+        key = (quantity, cap)
+        if key not in self._reach:
+            extra, off = self._spec(quantity)[:2]
+            logc = self._logcoef + extra - self._lognorm
+            self._reach[key] = float(np.min(_env_reach(logc, self._degree(self._k, off), cap)))
         return self._reach[key]
 
     @cached_property

@@ -96,12 +96,23 @@ def quad_shape_derivative_oracle(x, alpha, beta, wrt):
 
 
 def quad_cdf_oracle(x, alpha, beta):
-    """Gil-Pelaez inversion for the distribution function."""
+    """Gil-Pelaez inversion for the distribution function.
+
+    QUADPACK integrates over [0, 1], [1, t_hi] (t_hi as for the density
+    oracle) at 1e-14 absolute or 1e-12 relative, and over [t_hi, inf),
+    where |phi| < 1e-16, at its defaults.  One pass over [0, inf) at the
+    defaults (1.5e-8) returned F(-3.05) of S(1.9, -0.3) 1.16e-9 low, and at
+    1e-13 it returned F(119.7) of S(0.8, 0.3) 1.0e-9 low, where this split
+    and the integrated density oracle agree to 1e-11.
+    """
     def integrand(t):
         ph = stable_chf(t, alpha, beta)
         return (ph.imag * np.cos(t * x) - ph.real * np.sin(t * x)) / t
 
-    v, _ = integrate.quad(integrand, 0, np.inf, limit=800)
+    t_hi = max(40.0, np.log(1e16) ** (1.0 / alpha))
+    v = sum(integrate.quad(integrand, lo, hi, limit=2000, epsabs=1e-14, epsrel=1e-12)[0]
+            for lo, hi in ((0.0, 1.0), (1.0, t_hi)))
+    v += integrate.quad(integrand, t_hi, np.inf, limit=800)[0]
     return 0.5 - v / np.pi
 
 

@@ -307,15 +307,17 @@ class TestVarCommand:
         assert "two returns" in r.output
 
     def test_uncertified_quantile_named(self, runner, tmp_path):
-        # the cdf of S(0.3, 0) certifies no p, so its quantile has nothing to
-        # invert: the error names the fit, and no output is written
+        # near alpha = 1 the shift tau = beta tan(alpha pi/2) is huge: no
+        # series certifies the cdf of S(1.001, 0.5) at the default levels
+        # 0.01 and 0.05 and its spline certifies nothing, so the quantile has
+        # nothing to invert: the error names the fit, and no output is written
         outs = tmp_path / "o.csv"
         write_returns_csv(outs, ReturnSeries(np.array([0.1, -0.2, 0.05])))
         fit = tmp_path / "f.json"
         fit.write_text(json.dumps({
             "method": "stable", "order": {"p": 1, "q": 1},
             "names": ["omega", "a1", "b1", "alpha", "beta", "mu"],
-            "estimates": [0.01, 0.05, 0.8, 0.3, 0.0, 0.0], "std_errors": None,
+            "estimates": [0.01, 0.05, 0.8, 1.001, 0.5, 0.0], "std_errors": None,
             "neg_loglik": 1.0, "J_n": None, "iterations": 1, "converged": True,
             "data": {"n": 900, "first_date": None, "last_date": None}}))
         rep, var_csv = tmp_path / "report.json", tmp_path / "var.csv"

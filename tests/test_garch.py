@@ -1,6 +1,7 @@
 """GARCH recursion, simulation and stationarity tests."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -244,6 +245,25 @@ class TestSimulate:
         with pytest.raises(ExplosionError) as again:
             simulate(theta, psi, n=exc.t + 1, burn_in=0, innovations=eta)
         assert (again.value.t, again.value.sigma2) == (exc.t, exc.sigma2)
+
+    def test_overflowing_return_raises(self):
+        # every variance is finite (about 2.5e18), but sigma * eta at the
+        # last step is about 1.6e309: a typed error names that step, with no
+        # RuntimeWarning on the way
+        theta = GarchParams(1e18, a=(0.1,), b=(0.5,))
+        eta = np.ones(30)
+        eta[-1] = 1e300
+        psi = StableParams(1.6, 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ExplosionError) as info:
+                simulate(theta, psi, n=20, burn_in=10, innovations=eta)
+        # the last eta enters no variance of the path: with it at 1 the path
+        # is finite and ends on the variance the error reports
+        eta[-1] = 1.0
+        _, path = simulate(theta, psi, n=20, burn_in=10, innovations=eta)
+        assert info.value.t == 29
+        assert info.value.sigma2 == path.sigma2[-1] > 1e18
 
     @pytest.mark.parametrize("theta, alpha", [
         *(pytest.param(TestLagFilter._theta(p, q), 1.6, id=f"{p}-{q}")

@@ -4,13 +4,13 @@ import statistics
 
 import numpy as np
 import pytest
-from scipy import optimize
 
 from stablegarch.data import ReturnSeries
 from stablegarch.estimate import FitResult, ModelParams
 from stablegarch.garch import GarchParams, simulate
 from stablegarch.risk import backtest, innovation_quantile, var_forecast, var_series
 from stablegarch.stable import StableParams, quantile
+from stablegarch.stable import engine
 from stablegarch.stable.engine import StandardDensity
 
 THETA0 = GarchParams(0.01, a=(0.02,), b=(0.7,))
@@ -135,30 +135,52 @@ class TestBacktest:
 
 
 class TestQuantileReuse:
-    def test_one_solve_per_level(self, monkeypatch):
-        # a VaR desk asset: a forecast at 0.01, then backtests at 0.01 and
-        # 0.05; an engine of its own, so no earlier test solved these levels
+    """A VaR desk asset: a forecast at 0.01, then backtests at 0.01 and 0.05."""
+
+    @staticmethod
+    def _asset():
+        # an engine of its own, cleared, so no earlier test solved its levels
+        engine._engine.cache_clear()
         theta = GarchParams(0.01, a=(0.03,), b=(0.6,))
         fit = make_fit(theta=theta, alpha=1.617, beta=0.213)
         eps, _ = simulate(theta, StableParams(1.617, 0.213), n=400, seed=17)
-        history, outsample = eps.slice(0, 200), eps.slice(200, 400)
+        return fit, eps.slice(0, 200), eps.slice(200, 400)
+
+    def test_one_solve_per_level(self, monkeypatch):
+        fit, history, outsample = self._asset()
         solves = []
-        tail_ppf, brentq = StandardDensity._tail_ppf, optimize.brentq
+        solve = StandardDensity._solve_ppf
 
-        def counting_tail(self, *args):
-            solves.append("tail")
-            return tail_ppf(self, *args)
+        def counting_solve(self, p):
+            solves.append(p)
+            return solve(self, p)
 
-        def counting_brentq(*args, **kwargs):
-            solves.append("central")
-            return brentq(*args, **kwargs)
-
-        monkeypatch.setattr(StandardDensity, "_tail_ppf", counting_tail)
-        monkeypatch.setattr(optimize, "brentq", counting_brentq)
+        monkeypatch.setattr(StandardDensity, "_solve_ppf", counting_solve)
         fc = var_forecast(fit, history, 0.01)
         backtest(fit, outsample, 0.01)
         backtest(fit, outsample, 0.05)
-        assert len(solves) == 2
+        assert solves == [0.01, 0.05]
         # the repeat returns the very float the forecast used
         assert fc.var_value == fc.sigma * innovation_quantile(fit, 0.01)
-        assert len(solves) == 2
+        assert solves == [0.01, 0.05]
+
+    def test_only_the_gap_level_builds_a_table(self, monkeypatch):
+        # the 0.05 level lies in the centre series' reach and builds nothing;
+        # the 0.01 level, at |y| = 5.42, lies between that reach (4.28: past
+        # it the centre's terms pass _CDF_TERM_CAP) and the tail's floor
+        # (5.61), so it takes the anchored spline, once for both its uses
+        fit, history, outsample = self._asset()
+        calls = []
+        table, probe = engine.FourierTable, StandardDensity._probe_onsets
+        monkeypatch.setattr(engine, "FourierTable",
+                            lambda *a, **k: calls.append("table") or table(*a, **k))
+        monkeypatch.setattr(StandardDensity, "_probe_onsets",
+                            lambda self: calls.append("probe") or probe(self))
+        backtest(fit, outsample, 0.05)
+        assert calls == []
+        var_forecast(fit, history, 0.01)
+        backtest(fit, outsample, 0.01)
+        assert calls == ["probe", "table"]
+        eng = engine.get_engine(fit.tau_hat.psi, engine.DensityAccuracy())
+        x = np.array([eng.ppf(0.05), eng.ppf(0.01)])
+        assert eng._series_cdf(x)[3].tolist() == [1, -1]

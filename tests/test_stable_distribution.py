@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import ks_distance
+from conftest import ks_distance, quad_cdf_oracle
 from stablegarch.errors import AccuracyNotReached
 from stablegarch.stable import (
     DEFAULT_ACCURACY,
@@ -17,7 +17,7 @@ from stablegarch.stable import (
 )
 from stablegarch.stable.engine import StandardDensity
 from stablegarch.stable.sample import _BLOCK, _transform
-from stablegarch.stable.series import TailSeriesSide
+from stablegarch.stable.series import TailSeriesSide, _Expansion
 
 PSI_GRID = [StableParams(a, b) for a in (0.6, 1.0, 1.3, 1.7, 2.0)
             for b in (-0.9, 0.0, 0.9)]
@@ -109,41 +109,104 @@ class TestQuantile:
     @pytest.mark.parametrize("alpha, beta", [(0.999, -0.5), (0.999, 0.3), (1.001, 0.5)])
     def test_refuses_uncertified_cdf(self, alpha, beta):
         # near alpha = 1 the shift tau puts the central window far outside
-        # the f table, and the cdf's certified error exceeds what cdf accepts
+        # the f table, so the spline's certified error exceeds what cdf
+        # accepts; a level is refused exactly where no series piece
+        # certifies the cdf about its root, and the others invert a series
         psi = StableParams(alpha, beta)
         eng = get_engine(psi, DEFAULT_ACCURACY)
         assert eng._build_cdf()["err"] > eng.cdf_tol
+        # the certified series values on a grid about the shift point, for
+        # the certified cells that hold each level
+        xs = np.linspace(-600.0, 600.0, 6001) - eng.tau
+        mass, _, _, piece = eng._series_cdf(xs)
+        cdf = eng._cdf_value(xs, mass)
+        served = set()
         for p in (0.01, 0.5, 0.99):
-            with pytest.raises(AccuracyNotReached):
-                quantile(p, psi)
-        assert eng._quantiles == {}
+            ok = piece >= 0
+            cells = ok[:-1] & ok[1:] & (cdf[:-1] <= p) & (p <= cdf[1:])
+            try:
+                x = quantile(p, psi)
+            except AccuracyNotReached:
+                assert not cells.any(), p
+                continue
+            served.add(p)
+            (got,), (err,) = eng.cdf_with_err(np.array([x]))
+            assert eng._series_cdf(np.array([x]))[3][0] >= 0 and err <= eng.tol
+            assert got == pytest.approx(p, abs=1e-12)
+            assert abs(x) < 300.0  # inside the range the oracle can judge
+            assert quad_cdf_oracle(x, alpha, beta) == pytest.approx(p, abs=err + 1e-9)
+        assert set(eng._quantiles) == served  # a refused level is not kept
 
     def test_tail_and_central_quantile_passes(self, monkeypatch):
-        # a tail quantile is a few Newton steps of one series pass each; a
-        # central one is Brent's method in one knot cell of the central cdf
+        # a tail quantile is a pass over a few radii and a few one-point
+        # passes; a central one evaluates no tail series at all
         eng = StandardDensity(1.5, 0.0, DEFAULT_ACCURACY)
-        st = eng._build_cdf()
-        (at_l, at_r), _ = eng.cdf_with_err(np.array([st["a_l"], st["a_r"]]))
-        assert 0.01 < at_l < 0.3 < at_r  # 0.01 lies beyond the left anchor
-        tail, cdfs = [], []
-        evaluate, cdf_with_err = TailSeriesSide.evaluate, StandardDensity.cdf_with_err
+        passes, tail = [], []
+        evaluate = _Expansion.evaluate
 
         def counting_evaluate(self, *args, **kwargs):
-            tail.append(1)
+            passes.append(1)
+            if isinstance(self, TailSeriesSide):
+                tail.append(1)
             return evaluate(self, *args, **kwargs)
 
-        def counting_cdf(self, *args, **kwargs):
-            cdfs.append(1)
-            return cdf_with_err(self, *args, **kwargs)
-
-        monkeypatch.setattr(TailSeriesSide, "evaluate", counting_evaluate)
-        monkeypatch.setattr(StandardDensity, "cdf_with_err", counting_cdf)
-        eng.ppf(0.01)
-        assert len(tail) <= 6
+        monkeypatch.setattr(_Expansion, "evaluate", counting_evaluate)
+        x = eng.ppf(0.01)
+        assert len(passes) <= 6
+        passes.clear()
         tail.clear()
-        cdfs.clear()
-        eng.ppf(0.3)
-        assert tail == [] and len(cdfs) <= 8
+        y = eng.ppf(0.3)
+        assert tail == []
+        monkeypatch.undo()
+        # each served by the piece that solved it, with no table built
+        assert eng._series_cdf(np.array([x, y]))[3].tolist() == [0, 1]
+        assert eng._tables == {} and eng._cdf_state is None
+
+
+class TestSeriesCdf:
+    """The cdf from the tail and centre series, and the quantiles that invert it."""
+
+    @pytest.mark.parametrize("alpha", [1.1, 1.3, 1.6, 1.9])
+    @pytest.mark.parametrize("beta", [-0.9, -0.3, 0.0, 0.5])
+    def test_centre_cdf_against_oracle(self, alpha, beta):
+        # F(-tau) in closed form, and F(-tau) plus the integrated centre
+        # series at |y| <= 4, within the series' error plus the oracle's
+        eng = StandardDensity(alpha, beta, DEFAULT_ACCURACY)
+        assert eng._f_shift == pytest.approx(quad_cdf_oracle(-eng.tau, alpha, beta), abs=1e-9)
+        y = np.linspace(-4.0, 4.0, 17)
+        (c,), (err,) = eng.center.evaluate(y, ("cdf",), (eng.tol,))
+        assert np.all(err[np.abs(y) <= 1.0] <= eng.tol)
+        for yk, ck, ek in zip(y, c, err):
+            if ek <= eng.tol:
+                want = quad_cdf_oracle(yk - eng.tau, alpha, beta)
+                assert eng._f_shift + ck == pytest.approx(want, abs=ek + 1e-9), yk
+
+    @pytest.mark.parametrize("alpha", [1.2, 1.45, 1.7, 1.95])
+    @pytest.mark.parametrize("beta", [-0.5, -0.2, 0.2, 0.5])
+    def test_quantiles_round_trip_and_match_the_spline(self, alpha, beta):
+        # the VaR desk's law box: cdf(ppf(p)) is p, and each quantile lies
+        # within the two certificates of a Brent solve on the anchored spline
+        eng = StandardDensity(alpha, beta, DEFAULT_ACCURACY)
+        for p in (0.01, 0.05, 0.95, 0.99):
+            x = eng.ppf(p)
+            (got,), (err,) = eng.cdf_with_err(np.array([x]))
+            assert got == pytest.approx(p, abs=1e-12)
+            spline_err = eng._build_cdf()["err"]
+            (at_x,), _ = eng._spline_cdf(np.array([x]))
+            assert at_x == pytest.approx(p, abs=err + spline_err + 1e-12)
+            xb = eng._spline_ppf(p)
+            (at_xb,), (err_b,) = eng.cdf_with_err(np.array([xb]))
+            assert at_xb == pytest.approx(p, abs=err_b + spline_err + 1e-12)
+
+    def test_a_value_does_not_depend_on_the_batch(self):
+        # each piece sums one term budget over its reach, so a point's value
+        # and error are those it has alone, as a quantile's steps see it
+        eng = StandardDensity(1.6, 0.3, DEFAULT_ACCURACY)
+        xs = np.linspace(-12.0, 12.0, 97)
+        got = np.array(eng.cdf_with_err(xs))
+        alone = np.array([eng.cdf_with_err(xs[i:i + 1]) for i in range(xs.size)])[:, :, 0].T
+        assert np.array_equal(got.view(np.int64), alone.view(np.int64))
+        assert {0, 1} <= set(eng._series_cdf(xs)[3].tolist())
 
 
 class TestSample:

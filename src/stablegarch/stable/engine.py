@@ -20,11 +20,12 @@ The distribution function has a finishing order of its own: each point
 takes the tail series' mass of its side where that certifies the tolerance,
 else F(-tau), in closed form, plus the centre series' integral of f where
 that certifies (and its terms stay small enough that the sum's rounding
-cannot defeat an inversion), else the anchored spline, the f table's
-integral between the tail masses at two anchors, built on first need.
-``ppf`` inverts that same function, by Newton's method on whichever series
-holds the root, so a quantile the series certify probes no tail onset and
-builds no table.
+cannot defeat an inversion), or F(-tau) alone at the shift point itself,
+else the anchored spline, the f table's integral between the tail masses
+at two anchors, built on first need.  ``ppf`` inverts that same function,
+by Newton's method on whichever series holds the root, so a quantile the
+series certify probes no tail onset and builds no table; the level F(-tau)
+is -tau with no search.
 
 Engines are cached per (alpha, beta, accuracy); all evaluations on them are
 read-only after construction apart from lazy table attachment (a
@@ -65,9 +66,9 @@ def _as_points(x):
     """(points as a 1-d array, whether x was a scalar); a NaN point is a ValueError."""
     arr = np.asarray(x, dtype=float)
     pts = np.atleast_1d(arr)
-    nan = np.flatnonzero(np.isnan(pts))
-    if nan.size:
-        raise ValueError(f"point {int(nan[0])} is NaN")
+    nan = np.isnan(pts)
+    if nan.any():
+        raise ValueError(f"point {int(np.flatnonzero(nan)[0])} is NaN")
     return pts, arr.ndim == 0
 
 
@@ -472,41 +473,60 @@ class StandardDensity:
         point takes the first piece that certifies ``tol`` there: the tail
         series' "sf" of its side (piece 0), both sides in one pass; then
         F(-tau) plus the centre series' "cdf" (piece 1), F(-tau) being
-        1/2 - arctan(tau) / (alpha pi) (Nolan 1997, Thm 1).  A point that
-        neither certifies has piece -1, mass NaN and err inf.  Each piece
-        takes only the points within its reach (``_cdf_reach``) and sums
-        the term budget of a pass over all of it, so a point's value does
-        not depend on the other points of the call.  With ``density``, ``f``
-        is the density from the same pass, else None; ``tail`` or ``centre``
-        False leaves that piece out.
+        1/2 - arctan(tau) / (alpha pi) (Nolan 1997, Thm 1), which alone
+        serves the shift point y = 0 where no series does (alpha <= 1).  A
+        point that none certifies has piece -1, mass NaN and err inf.  Each
+        piece takes only the points within its reach (``_cdf_reach``) and
+        sums the term budget of a pass over all of it, so a point's value
+        does not depend on the other points of the call.  With ``density``,
+        ``f`` is the density from the same pass (NaN at a shift point no
+        series serves), else None; ``tail`` or ``centre`` False leaves that
+        piece out.  A call whose points one pass certifies returns that
+        pass's rows as they are.
         """
         y = x + self.tau
         logy = log_radius(y)
-        mass, err = np.full(x.size, np.nan), np.full(x.size, np.inf)
-        f = np.full(x.size, np.nan) if density else None
-        piece = np.full(x.size, -1)
         (floor, tail_budget), (reach, centre_budget) = self._cdf_reach
-        todo = ~np.isnan(x)
-        for k, series, quantity, budget, within in (
-                (0, self.right, "sf", tail_budget, tail & (logy >= floor)),
-                (1, self.center, "cdf", centre_budget, centre & (logy <= reach))):
-            m = todo & within
+        todo = x == x  # no NaN point is in any piece
+        mass = None  # the outputs, made once a piece leaves a point uncertified
+        for k, series, quantity, budget, wanted in ((0, self.right, "sf", tail_budget, tail),
+                                                    (1, self.center, "cdf", centre_budget, centre)):
+            if not wanted:
+                continue
+            m = todo & (logy >= floor if k == 0 else logy <= reach)  # within the piece's reach
             if not m.any():
                 continue
+            every = mass is None and m.all()
+            ym = y if every else y[m]
             qs = (quantity, "pdf")[:1 + density]
-            got = series.evaluate(y[m], qs, (self.tol,) * len(qs), budgets=[budget] * len(qs))
+            got = series.evaluate(ym, qs, (self.tol,) * len(qs), budgets=[budget] * len(qs))
             val, e = got[0, 0], got[1, 0]
             if k:  # F(-tau) plus the centre's integral, charged F(-tau)'s rounding
                 e += 4.0 * _EPS
                 val = self._f_shift + val
-                val = np.where(y[m] < 0.0, val, 1.0 - val)
+                val = np.where(ym < 0.0, val, 1.0 - val)
             ok = e <= self.tol
+            if every and ok.all():
+                return val, e, got[0, 1] if density else None, np.full(x.size, k)
+            if mass is None:
+                mass, err, f, piece = self._cdf_unserved(x.size, density)
             idx = np.flatnonzero(m)[ok]
             mass[idx], err[idx], piece[idx] = val[ok], e[ok], k
             todo[idx] = False
             if density:
                 f[idx] = got[0, 1, ok]
+        if mass is None:
+            mass, err, f, piece = self._cdf_unserved(x.size, density)
+        if centre and self.has_tail_series:
+            at = todo & (y == 0.0)  # the shift point: F(-tau), the upper mass 1 - F(-tau)
+            mass[at], err[at], piece[at] = 1.0 - self._f_shift, 4.0 * _EPS, 1
         return mass, err, f, piece
+
+    @staticmethod
+    def _cdf_unserved(n, density):
+        """(mass, err, f, piece) of ``_series_cdf`` at n points before any piece certifies one."""
+        return (np.full(n, np.nan), np.full(n, np.inf), np.full(n, np.nan) if density else None,
+                np.full(n, -1))
 
     @cached_property
     def _cdf_reach(self):
@@ -643,9 +663,9 @@ class StandardDensity:
 
         A point takes the first of: the tail series' mass of its side where
         that certifies ``tol``, F(-tau) plus the centre series' integral of
-        f where that does (``_series_cdf``), else the anchored spline
-        (``_spline_cdf``), built on first need, with the spline's own
-        certificate.
+        f where that does, F(-tau) at the shift point (``_series_cdf``), else
+        the anchored spline (``_spline_cdf``), built on first need, with the
+        spline's own certificate.
         """
         x = np.atleast_1d(np.asarray(x, dtype=float))
         mass, err, _, piece = self._series_cdf(x)
@@ -665,7 +685,9 @@ class StandardDensity:
     def ppf(self, p: float) -> float:
         """Quantile: the root of cdf(x) = p in the piece of ``cdf_with_err`` that holds it.
 
-        The pieces are tried in the cdf's finishing order.  On the side of
+        The level F(-tau) is the shift point -tau, in closed form, for a law
+        with a tail series.  Other levels try the pieces in the cdf's
+        finishing order.  On the side of
         the shift point that holds p (p < F(-tau) or not), Newton's method
         runs on the tail series' log mass (``_tail_ppf``), then on the
         centre series' cdf (``_centre_ppf``), and a root counts only at a
@@ -696,6 +718,8 @@ class StandardDensity:
         The tail is skipped where the centre's first pass already brackets
         the root short of the tail's floor, where the tail certifies nothing.
         """
+        if p == self._f_shift and self.has_tail_series:
+            return 0.0 - self.tau  # the shift point, F known in closed form (+0 at tau = 0)
         side = -1 if p < self._f_shift else +1
         floor = self._cdf_reach[0][0]
         tail = self.has_tail_series
@@ -750,7 +774,10 @@ class StandardDensity:
         returned.
         """
         shift = self.tau if self.has_tail_series else 0.0
-        k = tail_constant(self.alpha, side * self.beta, +1)
+        if self.alpha != 1.0:  # tail_constant, read off the side's own series
+            k = (self.right if side > 0 else self.left).constant
+        else:
+            k = tail_constant(self.alpha, side * self.beta, +1)
         u0 = math.log(k / (self.alpha * mass)) / self.alpha if k > 0.0 else floor
         logmass = math.log(mass)
 
@@ -767,8 +794,11 @@ class StandardDensity:
                 g = np.log(np.maximum(m, 0.0)) - logmass
             return x, g, slope, ok
 
-        u = np.unique(np.clip(np.append(max(u0 - 1.0, floor) + _TAIL_GRID, floor),
-                              floor, _LOG_R_MAX))
+        # the sorted distinct radii: the grid up to its first point at the cap, after the floor
+        u = np.minimum(max(u0 - 1.0, floor) + _TAIL_GRID, _LOG_R_MAX)
+        u = u[:int(np.searchsorted(u, _LOG_R_MAX)) + 1]
+        if floor < u[0]:
+            u = np.concatenate(([floor], u))
         grid = gap(u)
         if not certified and grid[1][0] <= 0.0:
             return float(grid[0][0])  # the cdf steps over p at the anchor
@@ -840,8 +870,8 @@ class _HermiteModel:
         self.z, self.coef, self.lo, self.hi = z, coef, z[0], z[-1]
 
     def __call__(self, t):
-        """(value, slope) at t."""
-        val, der = self.coef[-1], 0.0
+        """(value, slope) at t, in Python floats (the same doubles numpy's scalars would give)."""
+        t, val, der = float(t), self.coef[-1], 0.0
         for zk, ck in zip(self.z[-2::-1], self.coef[-2::-1]):
             der = der * (t - zk) + val
             val = val * (t - zk) + ck
@@ -849,6 +879,7 @@ class _HermiteModel:
 
     def root(self, lo, hi):
         """Its root in [lo, hi], where it falls through zero, by Newton kept in the cell."""
+        lo, hi = float(lo), float(hi)
         t = lo
         for _ in range(60):
             val, der = self(t)
@@ -871,7 +902,7 @@ def _hermite_model(grid, run, needed):
     None unless every point of ``needed`` is among them.
     """
     t, _, g, slope, ok = grid
-    nodes = [k for k in run if 0 <= k < t.size and ok[k] and np.isfinite(slope[k])]
+    nodes = [k for k in run if 0 <= k < t.size and ok[k] and math.isfinite(slope[k])]
     if not set(needed).issubset(nodes):
         return None
     return _HermiteModel(t[nodes], g[nodes], slope[nodes])

@@ -34,12 +34,15 @@ One evaluator, ``_Expansion.evaluate``, serves both expansions.  A pass
 builds one power matrix, exp(log coefficient_k + step * k * log|z|) over
 the norm for its terms and points (``_power_matrix``), and every quantity
 asked for reads its terms off it: a weight row (sign times factors)
-contracted column by column, with the centre's odd powers signed at y < 0,
-its f' term k read off row k - 1 and its cdf term k off row k times y, the
-tail's offset a power of r per point, and the alpha partial's log r slope
-a second row times log r.  A tail pass takes both sides, the mirror's points as y < 0: one matrix and
-one certificate, each side's columns contracted with its own sign rows,
-and each side's term budget its own points' need.  A
+contracted column by column, with the centre's odd powers signed at y < 0
+by weight rows with those signs, its f' term k read off row k - 1 and its
+cdf term k off row k times y, the tail's offset a power of r per point,
+and the alpha partial's log r slope a second row times log r.  A tail pass
+takes both sides, the mirror's points as y < 0: one matrix and one
+certificate, each side's columns contracted with its own sign rows, and
+each side's term budget its own points' need; a pass with every point on
+the mirror's side is the mirror's own pass.  An asymptotic quantity sums
+no row past the least envelope of its farthest point (``_least_cut``).  A
 convergent certificate starts at the first term whose envelope is small
 enough and whose ratio bound contracts; for each term that holds on one
 side of one radius (``_cut``), so the first such term of every point is
@@ -54,6 +57,23 @@ quantities at once: each term's lattice sum is a Hurwitz zeta from one
 ``hurwitz_zeta`` call on the union of their rows, which returns zeta and
 -d zeta/d s with their bounds from one direct sum and an Euler-Maclaurin
 tail.
+
+What depends on the series and a quantity alone is kept on the series,
+so that a pass pays for its points and not for its set-up: per quantity
+(``_plan``), the spec, its layout, its sign rows over every term (as
+columns), the centre's sign rows flipped for y < 0 and the contraction
+radii of a log r slope, and (``_magnitudes``, shared by a tail side and
+its mirror) the envelope rows that ``np.exp`` gives; per (quantity, tol),
+the running maxima of the per-term radii (``_cut``); per (quantity, tol,
+cap), the reach bounds.  Each entry is a pure function of its key, and a
+pass reads the first m entries of a cached row, a view whose entries are
+the ones it would compute for itself (every entry is a function of its own
+term), and forms its value rows as the same products of sign and
+magnitude, so every value and error is the same, bit for bit, on a fresh
+series and on one that has served other passes.  No power matrix and no
+per-point array is kept.  The asymptotic quantities of a small pass are
+summed together (``_least_sums``): they share each array operation and
+no arithmetic.
 """
 
 from __future__ import annotations
@@ -70,6 +90,7 @@ _EPS = np.finfo(float).eps
 _ASYM_SAFETY = 8.0
 _ROUNDOFF_SAFETY = 8.0
 _RATIO_CAP = 0.95
+_LOG_RATIO_CAP = float(np.log(_RATIO_CAP))
 # Tail-series terms that FFT aliasing removal sums over all folds.
 _NEAR_FOLDS = 4
 # Lattice terms ``hurwitz_zeta`` sums directly before its Euler-Maclaurin
@@ -85,6 +106,11 @@ _LOG_FLOOR = -600.0
 # relative to it, so the floor costs it no term within exp(_LOG_FLOOR -
 # _LOG_LIFT) of its largest, and far tail masses keep their digits.
 _LOG_LIFT = -300.0
+# Most entries (quantities x rows x points) of the arrays of a pass whose
+# asymptotic quantities are summed together, 256 kB each: a small pass saves
+# an array operation per quantity, and a larger one would only hold more
+# memory at once (a likelihood call's peak by 3 MB if its four were)
+_BATCH = 2 ** 15
 # Margin, in log radius, by which a reach bound is widened so that rounding
 # in the envelopes cannot certify a point the bound leaves out.
 _REACH_SLACK = 1e-9
@@ -111,7 +137,10 @@ def shift_partials(alpha: float, beta: float) -> dict:
 def log_radius(z):
     """log|z|, with -745 (below log of the least subnormal) at z = 0."""
     az = np.abs(z)
-    return np.where(az > 0.0, np.log(np.where(az > 0.0, az, 1.0)), -745.0)
+    positive = az > 0.0
+    if positive.all():
+        return np.log(az)
+    return np.where(positive, np.log(np.where(positive, az, 1.0)), -745.0)
 
 
 def _contract(rows, powers):
@@ -132,51 +161,72 @@ def _contract(rows, powers):
     return np.einsum("kn,kn->n", rows, powers)
 
 
-def _certified_sum(signed, rows, env, logz, kstop=None, convergent=None):
-    """Truncated sum of a series with a certified error, per column.
+def _certified_sum(signed, rows, env, logz, found, q, nterms):
+    """Truncated sum of a convergent series with a certified error, per column.
 
     Term k of column n is rows[0][k, n] * signed[k, n], plus rows[1][k, n]
     * signed[k, n] * logz_n where ``rows`` = (row, slope) has a second entry
     (each of one column shared by all, or one per column), and ``env`` (k,
-    points) holds the terms' envelopes.  An asymptotic series is summed up
-    to term ``kstop`` (its least envelope: optimal truncation), and
-    _ASYM_SAFETY times that envelope is charged.  A convergent series,
-    ``convergent`` = (found, q, nterms), sums the first ``nterms`` terms
-    (one count, or one per column, whose rows past it weigh -0.0) and bounds
-    the rest geometrically from the last one by the ratio bound q < 1 of
-    the first term below tol/_ASYM_SAFETY whose ratio contracts; a column
-    where no term before the cap is such (``found`` False) certifies
-    nothing.  Summing past the point where the tolerance is met costs
-    nothing, keeps the value from jumping when the parameters move that
-    point, and leaves f' an error well below the tolerance: the shape
-    partials' shift term tau_q * f' carries |tau_q| times that error, and
-    with stops at the first certifying term it rarely certified (the i.i.d.
-    Cauchy fit of the test suite, alpha near 1, took 379 s against 23 s on
-    a 2-CPU machine).  Roundoff is charged on the largest envelope summed,
-    times the number of terms (at least 8; ``nterms`` when convergent).
-    Returns (value, remainder + roundoff); ``env`` is overwritten.
+    points) holds the terms' envelopes.  The first ``nterms`` terms are
+    summed (one count, or one per column, whose rows past it weigh -0.0)
+    and the rest bounded geometrically from the last one by the ratio
+    bound q < 1 of the first term below tol/_ASYM_SAFETY whose ratio
+    contracts; a column where no term before the cap is such (``found``
+    False) certifies nothing.  Summing past the point where the tolerance
+    is met costs nothing, keeps the value from jumping when the parameters
+    move that point, and leaves f' an error well below the tolerance: the
+    shape partials' shift term tau_q * f' carries |tau_q| times that error,
+    and with stops at the first certifying term it rarely certified (the
+    i.i.d. Cauchy fit of the test suite, alpha near 1, took 379 s against
+    23 s on a 2-CPU machine).  Roundoff is charged on the largest envelope
+    summed, times the number of terms (at least 8).  Returns (value,
+    remainder + roundoff); ``env`` is overwritten.
     """
-    if kstop is not None:  # running sums, read at the cut: term by term as in _contract
-        cut = kstop, np.arange(env.shape[1])
-        remainder = _ASYM_SAFETY * env[cut]
-        maxenv = np.maximum.accumulate(env, axis=0, out=env)[cut]
-        value = np.cumsum(rows[0] * signed, axis=0)[cut]
-        if len(rows) > 1:
-            value += logz * np.cumsum(rows[1] * signed, axis=0)[cut]
-        nterms = kstop + 1
-    else:
-        found, q, nterms = convergent
-        last = env[-1]
-        if isinstance(nterms, np.ndarray):  # one count per column: the rows past it are none
-            last = env[nterms - 1, np.arange(env.shape[1])]
-            env[np.arange(env.shape[0])[:, None] >= nterms] = 0.0
-        remainder = np.where(found, last * q / (1.0 - q) + last, np.inf)
-        maxenv = env.max(axis=0)
-        value = _contract(rows[0], signed)
-        if len(rows) > 1:
-            value += logz * _contract(rows[1], signed)
+    last = env[-1]
+    if isinstance(nterms, np.ndarray):  # one count per column: the rows past it are none
+        last = env[nterms - 1, np.arange(env.shape[1])]
+        env[np.arange(env.shape[0])[:, None] >= nterms] = 0.0
+    remainder = np.where(found, last * q / (1.0 - q) + last, np.inf)
+    maxenv = env.max(axis=0)
+    value = _contract(rows[0], signed)
+    if len(rows) > 1:
+        value += logz * _contract(rows[1], signed)
     roundoff = _ROUNDOFF_SAFETY * _EPS * maxenv * np.maximum(nterms, 8)
     return value, remainder + roundoff
+
+
+def _truncated_sums(signed, values, slopes, env, logz, kstop):
+    """Asymptotic series summed to their least envelopes with certified errors, per column.
+
+    Several quantities at once: term k of quantity j in column n is
+    values[j, k, n] * signed[k, n] (``values`` of one column shared by all,
+    or one per column), plus slopes[j][k, n] * signed[k, n] * logz_n where
+    ``slopes[j]`` is not None, and ``env`` (quantities, k, points) holds the
+    terms' envelopes.  Each is summed term by term up to its ``kstop``
+    (optimal truncation), as ``_contract`` sums, and charged _ASYM_SAFETY
+    times the envelope there, plus the roundoff of ``_certified_sum`` on
+    the largest envelope summed times the number of terms (at least 8).
+    The quantities share each array operation and no arithmetic, so every
+    entry is the one a quantity summed alone gets.  Returns (values,
+    errors), each (quantities, points); ``env`` is overwritten.
+    """
+    last = int(kstop.max()) + 1  # no row past the last cut is read
+    env, signed = env[:, :last], signed[:last]
+    cut = np.arange(env.shape[0])[:, None], kstop, np.arange(env.shape[2])
+    remainder = _ASYM_SAFETY * env[cut]
+    maxenv = np.maximum.accumulate(env, axis=1, out=env)[cut]
+    terms = values[:, :last] * signed
+    value = terms.cumsum(axis=1, out=terms)[cut]
+    for j, slope in enumerate(slopes):
+        if slope is not None:
+            value[j] += logz * (slope[:last] * signed).cumsum(axis=0)[kstop[j], cut[2]]
+    roundoff = _ROUNDOFF_SAFETY * _EPS * maxenv * np.maximum(kstop + 1, 8)
+    return value, remainder + roundoff
+
+
+def _stacked(rows):
+    """The rows on a new leading axis: a view of a lone one."""
+    return rows[0][None] if len(rows) == 1 else np.concatenate([row[None] for row in rows])
 
 
 def _env_reach(logc, power, limit):
@@ -199,7 +249,7 @@ def _contraction(logterm, log_slope_growth=None):
     bounds log(env_{j+1}/env_j) for every j >= k inside the array, so the
     geometric remainder bound holds even where the factors are not monotone.
     """
-    d = np.diff(logterm)
+    d = logterm[1:] - logterm[:-1]
     if log_slope_growth is not None:
         d = d + log_slope_growth
     d = np.maximum.accumulate(d[::-1])[::-1]
@@ -273,7 +323,13 @@ class _Expansion:
     A subclass states its mathematics: ``_logcoef`` (log |coefficient| of
     term k), ``_degree`` (the power of e^v in a quantity's term k, where
     v = sign(step) * log|z|), its step ``_step`` in k, ``_spec``,
-    ``_layout`` and ``_budget``; the norm divides every term.
+    ``_layout`` and ``_budget``; the norm divides every term.  It keeps
+    ``_specs``, ``_plans`` and their envelope rows ``_magnitudes`` by
+    quantity, ``_cuts`` by (quantity, tol) and ``_reach`` by (quantity,
+    tol, cap), each entry a pure function of its key (see the module
+    docstring); a tail side's mirror shares the caches of envelopes,
+    magnitudes and radii and keeps its own specs and plans, which hold its
+    signs.
     """
 
     def __init__(self, alpha: float, beta: float, kmax: int, k0: int, norm: float):
@@ -287,6 +343,8 @@ class _Expansion:
         self._lognorm = math.log(norm)
         self._floor = math.exp(_LOG_FLOOR) / norm  # a floored power matrix entry
         self._specs = {}
+        self._plans = {}  # sign rows of every term, by quantity, see _plan
+        self._magnitudes = {}  # their envelope rows, by quantity, shared with a mirror
         self._cuts = {}  # running maxima of per-term radii by (quantity, tol), see _cut
         self._reach = {}  # log radii by (quantity, tol, kcap), see certifies_from/within
 
@@ -305,10 +363,10 @@ class _Expansion:
         exponent is below _LOG_LIFT to it.
         """
         # the k = 0 entry is the bare coefficient even at z = 0 (0 * log 0 = 0)
-        logpow = np.multiply.outer(self._degree(self._k[:rows], 0.0), v)
+        logpow = np.multiply.outer(self._matrix_degree[:rows], v)
         logpow += self._logcoef[:rows, None]
         lift = None
-        if (logpow[0] < _LOG_LIFT).any():  # else no column's largest is below it
+        if logpow[0].min() < _LOG_LIFT:  # else no column's largest is below it
             lift = np.minimum(logpow.max(axis=0) - _LOG_LIFT, 0.0)
             logpow -= lift
         np.maximum(logpow, _LOG_FLOOR, out=logpow)
@@ -317,25 +375,55 @@ class _Expansion:
         powers /= self._norm
         return powers, lift
 
-    def _weights(self, spec, shift, m):
-        """(value rows, envelope rows) of a quantity's terms on the first ``m`` matrix rows.
+    @cached_property
+    def _matrix_degree(self):
+        """The power of e^v in each row of the power matrix, for every term."""
+        return self._degree(self._k, 0.0)
 
-        Term k of the quantity reads row k - ``shift`` of the power matrix,
-        times its value rows' entry: the first carries the sign, the second
-        (with a log|z| slope) the slope factor.  The envelope rows are the
-        magnitudes, the second to be taken times |log|z||.
+    def _plan(self, quantity: str):
+        """A quantity's rows for a pass, cached: (spec, shift, power, signs, env rows, signed, contracts).
+
+        ``shift`` and ``power`` are its ``_layout``: term k reads row k -
+        ``shift`` of the power matrix.  Its value rows are the ``signs``
+        (the spec's sign and, with a log|z| slope, slope sign per term)
+        times the first envelope row, the magnitudes; the envelope rows are
+        the magnitudes and, with a slope, the slope's magnitudes times them,
+        to be taken times |log|z||.  Each is a column over every term it
+        reads, and a pass of m rows reads the first m entries (``_values``),
+        each a function of its own term alone.  The envelope rows depend on
+        no sign, so a tail side shares them with its mirror.  ``signed``
+        (centre) is the sign row with the odd rows flipped, read at y < 0,
+        where the power matrix row k is |y|^k and y^k carries (-1)^k;
+        ``contracts`` (a log r slope on a convergent series) holds the
+        greatest v at which each term's ratio bound contracts.
         """
-        extra, _, sign, slope, _ = spec
-        terms = slice(shift, m + shift)
-        log_mag = extra[terms]
-        if shift:  # the coefficient of term k over that of the row it reads
-            log_mag = log_mag + (self._logcoef[terms] - self._logcoef[:m])
-        mag = np.exp(log_mag)
-        value, env = [sign[terms] * mag], [mag]
-        if slope is not None:
-            value.append(slope[0][terms] * mag)
-            env.append(slope[1][terms] * mag)
-        return value, env
+        plan = self._plans.get(quantity)
+        if plan is None:
+            spec = self._spec(quantity)
+            extra, _, sign, slope, ratio = spec
+            shift, power = self._layout(spec[1])
+            env = self._magnitudes.get(quantity)
+            if env is None:
+                log_mag = extra[shift:]
+                if shift:  # the coefficient of term k over that of the row it reads
+                    log_mag = log_mag + (self._logcoef[shift:] - self._logcoef[:-shift])
+                mag = np.exp(log_mag)
+                env = [mag] if slope is None else [mag, slope[1][shift:] * mag]
+                env = self._magnitudes[quantity] = [row[:, None] for row in env]
+            signs = [sign[shift:, None]] + ([] if slope is None else [slope[0][shift:, None]])
+            signed = contracts = None
+            if self._parity:
+                signed = np.where(np.arange(signs[0].shape[0])[:, None] % 2 == 1, -signs[0],
+                                  signs[0])
+            if ratio is not None and slope is not None:
+                contracts = ((_LOG_RATIO_CAP - ratio[:-1]) / abs(self._step))[:, None]
+            plan = self._plans[quantity] = spec, shift, power, signs, env, signed, contracts
+        return plan
+
+    @staticmethod
+    def _values(signs, env, m):
+        """The value rows of a quantity's first m matrix rows: its sign rows times magnitudes."""
+        return [row[:m] * env[0][:m] for row in signs]
 
     def _cut(self, quantity: str, tol: float):
         """Running maximum over terms of the greatest v = sign(step) * log|z| at which each can start a certificate.
@@ -353,7 +441,7 @@ class _Expansion:
             logc = self._logcoef + extra - self._lognorm
             radii = _env_reach(logc, self._degree(self._k, off), tol / _ASYM_SAFETY)
             if ratio is not None:
-                radii = np.minimum(radii, (np.log(_RATIO_CAP) - ratio) / abs(self._step))
+                radii = np.minimum(radii, (_LOG_RATIO_CAP - ratio) / abs(self._step))
             running = self._cuts[quantity, tol] = np.maximum.accumulate(radii)
         return running
 
@@ -383,6 +471,17 @@ class _Expansion:
         """Columns evaluated with another side's sign rows: None for a series in y."""
         return None
 
+    def _given(self, spec, nk, logz) -> int:
+        """A given term budget at the points ``logz``: 0 if there are none.
+
+        An asymptotic quantity's is cut as a pass with no cap cuts its own
+        (``TailSeriesSide._least_cut``): no point's sum stops beyond it, so
+        every value and error is the full budget's.
+        """
+        if not logz.size:
+            return 0
+        return nk if spec[4] is not None else self._least_cut(spec, float(logz.max()), nk)
+
     def term_budget(self, quantity: str, tol: float, logz) -> int:
         """Terms a pass with no cap sums for ``quantity`` over the radii e^logz."""
         return self._budget(self._spec(quantity), tol, None, np.asarray(logz, dtype=float))
@@ -394,7 +493,8 @@ class _Expansion:
         which each reads off with its own weights (see ``_sum``), and each
         is certified to its entry of ``tols``.  A tail series also takes
         z < 0, its mirror's side at r = -z (``TailSeriesSide.mirror``), so
-        both sides share the matrix and the certificate.  Without ``kcap``
+        both sides share the matrix and the certificate; a pass with every
+        point there is the mirror's own pass at r = -z.  Without ``kcap``
         each term budget is cut, per side, to what the slowest of the
         quantity's ``need`` points (a boolean row each, default all) on that
         side can use, or taken from ``budgets`` (per quantity, the budgets
@@ -402,117 +502,198 @@ class _Expansion:
         is skipped there.
         """
         z = np.asarray(z, dtype=float)
-        logz = log_radius(z)
         mirrored = self._mirrored(z)
-        rows = need if need is not None else [slice(None) if mirrored is None
-                                              else np.ones(z.size, bool)] * len(quantities)
+        if mirrored is None or not mirrored.all():
+            return self._pass(z, mirrored, quantities, tols, kcap, need, budgets)
+        out = self.mirror._pass(-z, None, quantities, tols, kcap, need, None if budgets is None
+                                else [(neg, pos) for pos, neg in budgets])
+        for i, q in enumerate(quantities):
+            if q in ODD_QUANTITIES:  # d/dz = -d/dr, and d/d beta of the mirror's -beta
+                out[0, i] = -out[0, i]
+        return out
+
+    def _pass(self, z, mirrored, quantities, tols, kcap, need, budgets):
+        """``evaluate`` at points z of which those ``mirrored`` (None if none) are the mirror's."""
+        logz = log_radius(z)
+        plans = [self._plan(q) for q in quantities]
+        rows = need if need is not None else [None] * len(quantities)
         nks, tops = [], []
-        for i, (q, tol, row) in enumerate(zip(quantities, tols, rows)):
+        for i, (plan, tol, row) in enumerate(zip(plans, tols, rows)):
+            if mirrored is None:  # one side: one budget
+                on = logz if row is None else logz[row]
+                nk = (self._budget(plan[0], tol, kcap, on) if budgets is None
+                      else self._given(plan[0], budgets[i][0], on))
+                nks.append(nk)
+                tops.append(nk)
+                continue
             # each side's points: this side's, and the mirror's at z < 0
-            sides = [row] if mirrored is None else [row & ~mirrored, row & mirrored]
+            if row is None:
+                row = np.ones(z.size, bool)
+            sides = [row & ~mirrored, row & mirrored]
             if budgets is None:
-                per = [self._budget(self._spec(q), tol, kcap, logz[on]) for on in sides]
+                per = [self._budget(plan[0], tol, kcap, logz[on]) for on in sides]
             else:
-                per = [nk if logz[on].size else 0 for nk, on in zip(budgets[i], sides)]
-            if mirrored is None or mirrored.all():
-                per = per[-1:]
-            elif per[0] != per[1]:  # one count per column
+                per = [self._given(plan[0], nk, logz[on]) for nk, on in zip(budgets[i], sides)]
+            if per[0] != per[1]:  # one count per column
                 per = [np.where(mirrored, per[1], per[0])]
             nks.append(per[0])
             tops.append(int(per[0].max()) if isinstance(per[0], np.ndarray) else per[0])
         out = np.zeros((2, len(quantities), z.size))
         out[1] = np.inf
-        layouts = [self._layout(self._spec(q)[1]) for q in quantities]
-        used = [top - shift for top, (shift, _) in zip(tops, layouts) if top]
+        negative = None  # the columns y < 0 of a centre pass, or True for all of them
+        if self._parity:
+            negative = z < 0.0
+            negative = None if not negative.any() else True if negative.all() else negative
+        used = [top - plan[1] for top, plan in zip(tops, plans) if top]
         if used:
-            v = np.sign(self._step) * logz
+            v = logz if self._step > 0.0 else -logz
             powers, lift = self._power_matrix(v, max(used))
-            signed = powers
-            if self._parity and (z < 0.0).any():  # y^k for odd k at y < 0
-                signed = powers.copy()
-                signed[1::2] *= np.where(z < 0.0, -1.0, 1.0)
-            env = np.empty_like(powers)
-            for i, (q, tol, nk, top) in enumerate(zip(quantities, tols, nks, tops)):
-                if top:
-                    out[:, i] = self._sum(q, tol, nk, top, powers, signed, lift, logz, v, env,
-                                          mirrored)
-                    if isinstance(nk, np.ndarray):  # a side with no point of it certifies nothing
-                        out[:, i, nk == 0] = [[0.0], [np.inf]]
-        if mirrored is not None:  # d/dz = -d/dr, and d/d beta of the mirror's -beta
-            odd = [i for i, q in enumerate(quantities) if q in ODD_QUANTITIES]
-            out[0, odd] = np.where(mirrored, -out[0, odd], out[0, odd])
-        odd = [i for i, (_, power) in enumerate(layouts) if self._parity and power % 2]
-        if odd:  # the centre's |y|^off of an odd offset carries the sign of y
-            out[0, odd] = np.where(z < 0.0, -out[0, odd], out[0, odd])
+            asymptotic = [i for i, top in enumerate(tops) if top and plans[i][0][4] is None]
+            together = len(asymptotic) * max(used) * z.size <= _BATCH  # else one at a time
+            for group in [asymptotic] if together and asymptotic else [[i] for i in asymptotic]:
+                at = slice(None) if len(group) == len(quantities) else group
+                out[0, at], out[1, at] = self._least_sums(
+                    [quantities[i] for i in group], [plans[i] for i in group],
+                    [nks[i] for i in group], [tops[i] for i in group], powers, lift, logz,
+                    mirrored)
+            env = None
+            for i, (q, plan, tol, nk, top) in enumerate(zip(quantities, plans, tols, nks, tops)):
+                if top and i not in asymptotic:
+                    env = np.empty_like(powers) if env is None else env
+                    out[:, i] = self._sum(q, plan, tol, nk, top, powers, lift, logz, v, env,
+                                          mirrored, negative)
+            for i, nk in enumerate(nks):
+                if isinstance(nk, np.ndarray):  # a side with no point of it certifies nothing
+                    out[:, i, nk == 0] = [[0.0], [np.inf]]
+        for i, (q, plan) in enumerate(zip(quantities, plans)):
+            if mirrored is not None and q in ODD_QUANTITIES:  # d/dz = -d/dr, d/d beta of -beta
+                out[0, i] = np.where(mirrored, -out[0, i], out[0, i])
+            if negative is not None and plan[2] % 2:  # the centre's |y|^off of an odd offset
+                out[0, i] = -out[0, i] if negative is True else np.where(negative, -out[0, i],
+                                                                         out[0, i])
         return out
 
-    def _sum(self, quantity, tol, nk, nkmax, powers, signed, lift, logz, v, env, mirrored):
-        """(value, err) of a quantity's first ``nk`` terms read off a pass's power matrix.
+    @staticmethod
+    def _scale(power, lift, logz):
+        """|z|^power times the power matrix's ``lift`` (None for none) per point.
+
+        ``power`` is one power or a column of them; a power of 0 scales by
+        exp(+-0) = 1, exactly.
+        """
+        logscale = power * logz
+        return np.exp(np.minimum(logscale if lift is None else logscale + lift, -_LOG_FLOOR))
+
+    @staticmethod
+    def _finish(value, err, scale):
+        """(value, err) scaled, if ``scale``; a value that is not finite certifies nothing."""
+        if scale is not None:  # an overflow is a term too large to certify anything
+            with np.errstate(over="ignore"):
+                value, err = value * scale, err * scale
+        finite = np.isfinite(value)
+        if not finite.all():
+            value, err = np.where(finite, value, 0.0), np.where(finite, err, np.inf)
+        return value, err
+
+    def _least_sums(self, quantities, plans, nks, tops, powers, lift, logz, mirrored):
+        """(values, errs), each (quantities, points), of asymptotic quantities off one power matrix.
+
+        Each quantity's weight rows (``_plan``; the mirror's in ``mirrored``
+        columns) give its values, and its envelope rows its envelopes, on
+        the first ``tops`` rows of ``powers`` (``nks`` per column where the
+        two sides of a tail pass sum different budgets), scaled by |z|^power
+        and the matrix's ``lift`` per point.  Each stops at its least
+        envelope, one whose power is floored counting as zero (it is a
+        bound, not a value), and is summed there (``_truncated_sums``).  The
+        quantities share each array operation: a row past a quantity's
+        own budget is never its least, and reads no row of another.
+        """
+        m = max(tops)
+        powers = powers[:m]
+        rows = [self._values(plan[3], plan[4], m) for plan in plans]
+        if mirrored is not None:
+            others = [self._values(self.mirror._plan(q)[3], plan[4], m)
+                      for q, plan in zip(quantities, plans)]
+            rows = [[np.where(mirrored, o, row) for row, o in zip(own, other)]
+                    for own, other in zip(rows, others)]
+        values = _stacked([row[0] for row in rows])
+        slopes = [row[1][:m] if len(row) > 1 else None for row in rows]
+        env = _stacked([plan[4][0][:m] for plan in plans]) * powers
+        for j, plan in enumerate(plans):
+            if len(plan[4]) > 1:  # a log r slope
+                env[j] += np.abs(logz) * (plan[4][1][:m] * powers)
+        least = np.where(powers > self._floor, env, 0.0)
+        for j, nk in enumerate(nks):
+            if isinstance(nk, np.ndarray):  # the rows past each column's own budget
+                least[j][np.arange(m)[:, None] >= np.maximum(nk, 1)] = np.inf
+            elif nk < m:
+                least[j, nk:] = np.inf
+        kstop = least.argmin(axis=1)
+        value, err = _truncated_sums(powers, values, slopes, env, logz, kstop)
+        if len(plans) == 1:
+            power = plans[0][2]
+            scaled = power != 0.0
+        else:
+            power = np.array([plan[2] for plan in plans])[:, None]
+            scaled = power.any()
+        scale = self._scale(power, lift, logz) if scaled or lift is not None else None
+        return self._finish(value, err, scale)
+
+    def _sum(self, quantity, plan, tol, nk, nkmax, powers, lift, logz, v, env, mirrored,
+             negative):
+        """(value, err) of a convergent quantity's first ``nk`` terms off a pass's power matrix.
 
         ``nk`` is one count, or one per column (at most ``nkmax``) where the
         two sides of a tail pass sum different budgets.  Its weight rows
-        (``_weights``; the mirror's in ``mirrored`` columns) give the values,
-        contracted column by column with ``signed`` (the matrix with the
-        signs of the powers of y < 0), and the envelopes, in one weighted
-        pass over ``powers`` into ``env``, and are scaled by |z|^power and the
-        matrix's ``lift`` per point.  An asymptotic series stops at its least envelope, one whose
-        power is floored counting as zero (it is a bound, not a value).  A
-        convergent series certifies from the first term within its ``_cut``
-        radius: one search per point, except for a log r slope, which moves
-        each envelope, so those are tested one by one.  A value that is not
-        finite certifies nothing.
+        (``_plan``; the mirror's in ``mirrored`` columns) give the values,
+        contracted column by column with ``powers``, and the envelopes, in
+        one weighted pass over ``powers`` into ``env``, and are scaled by
+        |z|^power and the matrix's ``lift`` per point.  At y < 0 a centre
+        pass reads the signed rows instead (``negative`` True where every
+        point is there, else the columns that are): a pass across the shift
+        point contracts them too, and each column takes its own sum.  A sign
+        on a weight rather than on its matrix entry gives the same product,
+        as a product by -1 is exact, and no matrix is copied.  The sum
+        certifies from the first term within its ``_cut`` radius: one
+        search per point, except for a log r slope, which moves each
+        envelope, so those are tested one by one.
         """
-        spec = self._spec(quantity)
+        spec, shift, power, signs, env_rows, signed, contracts = plan
         ratio = spec[4]
-        shift, power = self._layout(spec[1])
         m = nkmax - shift
-        value_rows, env_rows = self._weights(spec, shift, m)
-        value_rows = [row[:, None] for row in value_rows]
+        value_rows = self._values(signs, env_rows, m)
         if mirrored is not None:
-            mirror = self.mirror
-            other = [row[:, None] for row in mirror._weights(mirror._spec(quantity), shift, m)[0]]
-            value_rows = other if mirrored.all() else [np.where(mirrored, o, row)
-                                                       for row, o in zip(value_rows, other)]
+            other = self._values(self.mirror._plan(quantity)[3], env_rows, m)
+            value_rows = [np.where(mirrored, o, row) for row, o in zip(value_rows, other)]
+        if negative is not None:  # the centre's y^k at y < 0: odd rows signed
+            signed = self._values([signed], env_rows, m)[0]
+            if negative is True:
+                value_rows = [signed]
         beyond = None
         if isinstance(nk, np.ndarray):  # the rows past each column's own budget
             nk = np.maximum(nk, 1)
             beyond = np.arange(m)[:, None] >= nk
-        powers, env = powers[:m], np.einsum("k,kn->kn", env_rows[0], powers[:m], out=env[:m])
+        powers, env = powers[:m], np.multiply(env_rows[0][:m], powers[:m], out=env[:m])
         if len(env_rows) > 1:
-            env += np.abs(logz) * np.einsum("k,kn->kn", env_rows[1], powers)
-        logscale = power * logz if power else None
-        if lift is not None:
-            logscale = lift if logscale is None else logscale + lift
-        scale = 1.0 if logscale is None else np.exp(np.minimum(logscale, -_LOG_FLOOR))
-        kstop = convergent = None
-        if ratio is None:
-            least = np.where(powers > self._floor, env, 0.0)
+            env += np.abs(logz) * (env_rows[1][:m] * powers)
+        scale = None if lift is None and not power else self._scale(power, lift, logz)
+        if contracts is not None:
+            ok = (env[:-1] * (1.0 if scale is None else scale) <= tol / _ASYM_SAFETY) & (
+                v <= contracts[:nkmax - 1])
             if beyond is not None:
-                least[beyond] = np.inf
-            kstop = np.argmin(least, axis=0)
+                ok &= ~beyond[1:]
+            first = np.where(ok.any(axis=0), ok.argmax(axis=0), nk - 1)
         else:
-            if len(env_rows) > 1:
-                contracts = (np.log(_RATIO_CAP) - ratio[:nkmax - 1]) / abs(self._step)
-                ok = (env[:-1] * scale <= tol / _ASYM_SAFETY) & (v <= contracts[:, None])
-                if beyond is not None:
-                    ok &= ~beyond[1:]
-                first = np.where(ok.any(axis=0), ok.argmax(axis=0), nk - 1)
-            else:
-                first = np.searchsorted(self._cut(quantity, tol)[:nkmax - 1], v)
-                if beyond is not None:
-                    first = np.minimum(first, nk - 1)
-            q = np.exp(np.clip(ratio[first] + self._step * logz, _LOG_FLOOR, np.log(_RATIO_CAP)))
-            convergent = first < nk - 1, q, nk
+            first = np.searchsorted(self._cut(quantity, tol)[:nkmax - 1], v)
             if beyond is not None:
-                value_rows = [np.where(beyond, -0.0, row) for row in value_rows]
-        value, err = _certified_sum(signed[:m], value_rows, env, logz, kstop, convergent)
-        if logscale is not None:  # an overflow is a term too large to certify anything
-            with np.errstate(over="ignore"):
-                value, err = value * scale, err * scale
-        if not np.isfinite(value).all():
-            bad = ~np.isfinite(value)
-            value, err = np.where(bad, 0.0, value), np.where(bad, np.inf, err)
-        return value, err
+                first = np.minimum(first, nk - 1)
+        q = np.exp(np.minimum(np.maximum(ratio[first] + self._step * logz, _LOG_FLOOR),
+                              _LOG_RATIO_CAP))
+        if beyond is not None:
+            value_rows = [np.where(beyond, -0.0, row) for row in value_rows]
+        value, err = _certified_sum(powers, value_rows, env, logz, first < nk - 1, q, nk)
+        if isinstance(negative, np.ndarray):  # a centre sum, _contract's
+            value = np.where(negative, _contract(signed, powers), value)
+        return self._finish(value, err, scale)
 
 
 class TailSeriesSide(_Expansion):
@@ -561,8 +742,13 @@ class TailSeriesSide(_Expansion):
         other.tau = skew_shift(self.alpha, other.beta)
         other.dtau = shift_partials(self.alpha, other.beta)
         other._sink = other._sines()
-        other._specs = {}
+        other._specs, other._plans = {}, {}
         return other
+
+    @property
+    def constant(self) -> float:
+        """K with f ~ K r^(-alpha-1) as r -> infinity on this side: its first term's coefficient."""
+        return float(np.exp(self._logcoef[0]) * self._sink[0] / np.pi)
 
     def _mirrored(self, z):
         """The columns z < 0, on the mirror's side, or None if there are none."""
@@ -603,7 +789,7 @@ class TailSeriesSide(_Expansion):
         if quantity not in self._envelopes:
             k, slope = self._k, None
             if quantity == "pdf":
-                off, extra = 1.0, np.broadcast_to(0.0, k.shape)
+                off, extra = 1.0, np.zeros(k.shape)
             elif quantity == "dpdf":
                 off, extra = 2.0, np.log(k * self.alpha + 1.0)
             elif quantity == "sf":
@@ -654,11 +840,11 @@ class TailSeriesSide(_Expansion):
         it covers rounding in these logs.
         """
         extra, _, _, slope, _ = spec
-        logpow = self._logcoef[:nk] - self._degree(self._k[:nk], 0.0) * far
+        logpow = self._logcoef[:nk] - self._matrix_degree[:nk] * far
         logenv = logpow + extra[:nk]
         if slope is not None:
             logenv = logenv + np.log1p(slope[1][:nk] * abs(far))
-        return min(nk, max(int(np.argmin(logenv)), int(np.argmin(logpow))) + 2)
+        return min(nk, max(int(logenv.argmin()), int(logpow.argmin())) + 2)
 
     def certifies_from(self, quantity: str, tol: float, kcap: int | None) -> float:
         """A log radius below which no pass of ``kcap`` terms certifies ``tol``, cached.
@@ -796,7 +982,7 @@ class CenterSeries(_Expansion):
         """
         if quantity not in self._specs:
             k = self._k
-            off, extra, trig = 0.0, np.broadcast_to(0.0, k.shape), self._cosk
+            off, extra, trig = 0.0, np.zeros(k.shape), self._cosk
             if quantity == "dpdf":
                 off, extra = -1.0, np.where(k > 0, np.log(np.where(k > 0, k, 1.0)), -np.inf)
             elif quantity == "cdf":
@@ -888,5 +1074,4 @@ def tail_constant(alpha: float, beta: float, side: int) -> float:
     """
     if alpha == 1.0:
         return (1.0 + side * beta) / np.pi
-    tail = TailSeriesSide(alpha, side * beta, 1)
-    return float(np.exp(tail._logcoef[0]) * tail._sink[0] / np.pi)
+    return TailSeriesSide(alpha, side * beta, 1).constant

@@ -829,6 +829,63 @@ class TestTailMirror:
             gc.enable()
 
 
+_CACHE_LAWS = [(a, b) for a in (0.7, 1.6, 1.9) for b in (0.0, 0.4, -0.4)]
+
+
+class TestSeriesCaches:
+    """A series caches what a pass reads of each quantity, and no value moves for it."""
+
+    @pytest.mark.parametrize("alpha, beta", _CACHE_LAWS)
+    def test_served_series_gives_a_fresh_series_bits(self, alpha, beta):
+        # the same points on a fresh series and on one that has first served
+        # other quantities, tolerances, caps, budgets and point sets: one
+        # side, both sides and single points of the tail, and the centre on
+        # one side and across the shift point
+        from stablegarch.stable.series import CenterSeries, TailSeriesSide
+        acc = DensityAccuracy()
+        tol, kmax = acc.abs_tol, acc.max_series_terms
+        r = np.geomspace(0.8, 300.0, 23)
+        y = np.linspace(-3.0, 3.0, 25)
+        pieces = [(TailSeriesSide, _TAIL_QUANTITIES,
+                   [r, -r, np.concatenate([r[::2], -r[1::2]]), np.array([7.3]), np.array([-7.3])],
+                   [(60, 90), (90, 60)])]
+        if alpha > 1.0:
+            pieces.append((CenterSeries, ("cdf",) + _ALL_QUANTITIES,
+                           [y, y[y < 0.0], y[y >= 0.0], np.array([-0.7])], [(50,), (70,)]))
+        for cls, quantities, sets, budgets in pieces:
+            used = cls(alpha, beta, kmax)
+            served = ((quantities[::-1], tol * 10.0, 40), (quantities[:2], tol / 3.0, None))
+            for z in (np.array([0.9, -2.5, 40.0]), np.geomspace(1.0, 1e4, 7)):
+                for qs, t, kcap in served:
+                    used.evaluate(z, qs, (t,) * len(qs), kcap)
+                used.evaluate(-z, quantities[1:], (tol,) * (len(quantities) - 1),
+                              budgets=[budgets[1]] * (len(quantities) - 1))
+            tols = (tol,) * len(quantities)
+            for z in sets:
+                for kcap, given in ((40, None), (None, None), (None, [budgets[0]] * len(tols))):
+                    want = cls(alpha, beta, kmax).evaluate(z, quantities, tols, kcap,
+                                                           budgets=given)
+                    got = used.evaluate(z, quantities, tols, kcap, budgets=given)
+                    assert np.array_equal(got.view(np.int64), want.view(np.int64)), (cls, z)
+
+    @pytest.mark.parametrize("alpha, beta", [(0.7, 0.4), (1.6, 0.0), (1.9, -0.4)])
+    def test_series_cdf_row_alone_and_in_a_call(self, alpha, beta):
+        # a point's (mass, err, f, piece) is its row in a 49-point call whose
+        # points take the tail, the centre or the closed form at the shift
+        # point, or no piece
+        from stablegarch.stable.engine import StandardDensity
+        eng = StandardDensity(alpha, beta, DensityAccuracy())
+        x = np.linspace(-24.0, 24.0, 49) - eng.tau
+        for density in (False, True):
+            rows = eng._series_cdf(x, density)
+            assert {0, 1} <= set(rows[3].tolist())
+            for i in range(x.size):
+                alone = eng._series_cdf(x[i:i + 1], density)
+                for got, want in zip(alone, rows):
+                    if want is not None:
+                        assert np.array_equal(got.view(np.int64), want[i:i + 1].view(np.int64))
+
+
 _SERIES_SUM_LAWS = [(a, b) for a in (0.6, 0.9, 1.3, 1.6, 1.95) for b in (0.0, 0.3, -0.7)]
 
 
@@ -841,10 +898,10 @@ class TestSeriesSums:
 
         Each term is the exponential of its own log coefficient, factors and
         power, times its sign, with no floor; the cut and the certificate
-        follow ``_certified_sum``: the least envelope, a floored power
-        entry counting as zero (asymptotic), or the first term below
-        tol/_ASYM_SAFETY whose ratio contracts and the geometric rest from
-        the last (convergent).
+        follow ``_truncated_sums`` and ``_certified_sum``: the least
+        envelope, a floored power entry counting as zero (asymptotic), or
+        the first term below tol/_ASYM_SAFETY whose ratio contracts and the
+        geometric rest from the last (convergent).
         """
         import math
 
@@ -925,17 +982,22 @@ class TestAsymptoticBudget:
                                              (1.95, 1.0)])
     def test_cut_changes_no_value(self, alpha, beta, acc, monkeypatch):
         # every point's sum stops inside the cut, floored rows included, so
-        # the values and errors are those of the uncut budget bit for bit
+        # the values and errors are those of the uncut budget bit for bit,
+        # in a pass that finds its budgets and in one given the full budget
+        # on one side, the other or both
         from stablegarch.stable.series import TailSeriesSide
         tol, kmax = acc.abs_tol, acc.max_series_terms
         side = TailSeriesSide(alpha, beta, kmax)
         sets = [np.geomspace(1.2, 40.0, 50), np.geomspace(3.0, 1e250, 60), np.array([7.3]),
                 np.array([1.2, 2.0]), np.geomspace(60.0, 1e6, 9)]
         tols = (tol,) * len(_TAIL_QUANTITIES)
-        cut = [side.evaluate(r, _TAIL_QUANTITIES, tols) for r in sets]
+        full = [(kmax, kmax)] * len(_TAIL_QUANTITIES)
+        passes = [(z, budgets) for r in sets
+                  for z, budgets in ((r, None), (r, full), (-r, full), (np.append(r, -r), full))]
+        cut = [side.evaluate(z, _TAIL_QUANTITIES, tols, budgets=budgets) for z, budgets in passes]
         monkeypatch.setattr(TailSeriesSide, "_least_cut", lambda self, spec, far, nk: nk)
-        for r, got in zip(sets, cut):
-            want = side.evaluate(r, _TAIL_QUANTITIES, tols)
+        for (z, budgets), got in zip(passes, cut):
+            want = side.evaluate(z, _TAIL_QUANTITIES, tols, budgets=budgets)
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
     def test_tail_quantile_step_builds_few_rows(self, monkeypatch):

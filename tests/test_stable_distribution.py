@@ -8,6 +8,7 @@ from conftest import ks_distance, quad_cdf_oracle
 from stablegarch.errors import AccuracyNotReached
 from stablegarch.stable import (
     DEFAULT_ACCURACY,
+    FIT_ACCURACY,
     StableParams,
     cdf,
     density,
@@ -207,6 +208,20 @@ class TestSeriesCdf:
         alone = np.array([eng.cdf_with_err(xs[i:i + 1]) for i in range(xs.size)])[:, :, 0].T
         assert np.array_equal(got.view(np.int64), alone.view(np.int64))
         assert {0, 1} <= set(eng._series_cdf(xs)[3].tolist())
+
+    @pytest.mark.parametrize("acc", [DEFAULT_ACCURACY, FIT_ACCURACY], ids=["default", "fit"])
+    @pytest.mark.parametrize("alpha, beta", [(0.3, 0.0), (0.34, 0.0), (0.36, 0.0), (0.3, 0.4),
+                                             (0.34, 0.4), (0.36, 0.4), (0.5, 0.0), (1.6, 0.4)])
+    def test_shift_point_in_closed_form(self, alpha, beta, acc):
+        # F(-tau) = 1/2 - arctan(tau) / (alpha pi) is known, so its quantile is
+        # -tau with no search, and the cdf there is F(-tau), charged 4 eps,
+        # where no series reaches the shift point (alpha < 1); the search
+        # refused these levels at alpha <= 0.36 and missed -tau at 0.5
+        eng = StandardDensity(alpha, beta, acc)
+        assert eng.ppf(eng._f_shift) == -eng.tau
+        (val,), (err,) = eng.cdf_with_err(np.array([-eng.tau]))
+        assert err <= 4.0 * np.finfo(float).eps
+        assert abs(val - eng._f_shift) <= err
 
 
 class TestSample:

@@ -66,9 +66,9 @@ def _as_points(x):
     """(points as a 1-d array, whether x was a scalar); a NaN point is a ValueError."""
     arr = np.asarray(x, dtype=float)
     pts = np.atleast_1d(arr)
-    nan = np.isnan(pts)
-    if nan.any():
-        raise ValueError(f"point {int(np.flatnonzero(nan)[0])} is NaN")
+    nan = np.flatnonzero(np.isnan(pts))
+    if nan.size:
+        raise ValueError(f"point {int(nan[0])} is NaN")
     return pts, arr.ndim == 0
 
 
@@ -774,7 +774,7 @@ class StandardDensity:
         returned.
         """
         shift = self.tau if self.has_tail_series else 0.0
-        if self.alpha != 1.0:  # tail_constant, read off the side's own series
+        if self.has_tail_series:  # tail_constant, read off the side's own series
             k = (self.right if side > 0 else self.left).constant
         else:
             k = tail_constant(self.alpha, side * self.beta, +1)

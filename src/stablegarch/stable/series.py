@@ -41,17 +41,17 @@ and the alpha partial's log r slope a second row times log r.  A tail pass
 takes both sides, the mirror's points as y < 0: one matrix and one
 certificate, each side's columns contracted with its own sign rows, and
 each side's term budget its own points' need; a pass with every point on
-the mirror's side is the mirror's own pass.  An asymptotic quantity sums
-no row past the least envelope of its farthest point (``_least_cut``).  A
-convergent certificate starts at the first term whose envelope is small
-enough and whose ratio bound contracts; for each term that holds on one
-side of one radius (``_cut``), so the first such term of every point is
-one search on the running maximum of those radii.  A pass accepts a term
-cap, so dispatchers can run a cheap first pass and re-evaluate only the
-points that failed to certify.  From the same radii each expansion states
-the radius beyond which (tail, ``certifies_from``) or inside which
-(centre, ``certifies_within``) a pass of a given cap can certify a
-tolerance at all.  The tail's ``fold_sum``, which removes aliasing folds
+the mirror's side is the mirror's own pass.  A pass with no cap sums an
+asymptotic quantity to no row past the least envelope of its farthest
+point (``_least_cut``).  A convergent certificate starts at the first
+term whose envelope is small enough and whose ratio bound contracts; for
+each term that holds on one side of one radius (``_cut``), so the first
+such term of every point is one search on the running maximum of those
+radii.  A pass accepts a term cap, so dispatchers can run a cheap first
+pass and re-evaluate only the points that failed to certify.  From the
+same radii each expansion states the radius beyond which (tail,
+``certifies_from``) or inside which (centre, ``certifies_within``) a pass
+of a given cap can certify a tolerance at all.  The tail's ``fold_sum``, which removes aliasing folds
 from the Fourier rules, sums the same specs over a lattice, for several
 quantities at once: each term's lattice sum is a Hurwitz zeta from one
 ``hurwitz_zeta`` call on the union of their rows, which returns zeta and
@@ -71,9 +71,7 @@ the ones it would compute for itself (every entry is a function of its own
 term), and forms its value rows as the same products of sign and
 magnitude, so every value and error is the same, bit for bit, on a fresh
 series and on one that has served other passes.  No power matrix and no
-per-point array is kept.  The asymptotic quantities of a small pass are
-summed together (``_least_sums``): they share each array operation and
-no arithmetic.
+per-point array is kept.
 """
 
 from __future__ import annotations
@@ -106,11 +104,6 @@ _LOG_FLOOR = -600.0
 # relative to it, so the floor costs it no term within exp(_LOG_FLOOR -
 # _LOG_LIFT) of its largest, and far tail masses keep their digits.
 _LOG_LIFT = -300.0
-# Most entries (quantities x rows x points) of the arrays of a pass whose
-# asymptotic quantities are summed together, 256 kB each: a small pass saves
-# an array operation per quantity, and a larger one would only hold more
-# memory at once (a likelihood call's peak by 3 MB if its four were)
-_BATCH = 2 ** 15
 # Margin, in log radius, by which a reach bound is widened so that rounding
 # in the envelopes cannot certify a point the bound leaves out.
 _REACH_SLACK = 1e-9
@@ -195,38 +188,30 @@ def _certified_sum(signed, rows, env, logz, found, q, nterms):
     return value, remainder + roundoff
 
 
-def _truncated_sums(signed, values, slopes, env, logz, kstop):
-    """Asymptotic series summed to their least envelopes with certified errors, per column.
+def _truncated_sum(signed, rows, env, logz, kstop):
+    """Asymptotic series summed to its least envelope with a certified error, per column.
 
-    Several quantities at once: term k of quantity j in column n is
-    values[j, k, n] * signed[k, n] (``values`` of one column shared by all,
-    or one per column), plus slopes[j][k, n] * signed[k, n] * logz_n where
-    ``slopes[j]`` is not None, and ``env`` (quantities, k, points) holds the
-    terms' envelopes.  Each is summed term by term up to its ``kstop``
-    (optimal truncation), as ``_contract`` sums, and charged _ASYM_SAFETY
-    times the envelope there, plus the roundoff of ``_certified_sum`` on
-    the largest envelope summed times the number of terms (at least 8).
-    The quantities share each array operation and no arithmetic, so every
-    entry is the one a quantity summed alone gets.  Returns (values,
-    errors), each (quantities, points); ``env`` is overwritten.
+    Term k of column n is rows[0][k, n] * signed[k, n], plus rows[1][k, n]
+    * signed[k, n] * logz_n where ``rows`` = (row, slope) has a second entry
+    (each of one column shared by all, or one per column), and ``env`` (k,
+    points) holds the terms' envelopes.  Each column is summed term by term
+    up to its ``kstop`` (optimal truncation), as ``_contract`` sums, and
+    charged _ASYM_SAFETY times the envelope there, plus the roundoff of
+    ``_certified_sum`` on the largest envelope summed times the number of
+    terms (at least 8).  Returns (value, remainder + roundoff); ``env`` is
+    overwritten.
     """
     last = int(kstop.max()) + 1  # no row past the last cut is read
-    env, signed = env[:, :last], signed[:last]
-    cut = np.arange(env.shape[0])[:, None], kstop, np.arange(env.shape[2])
+    env, signed = env[:last], signed[:last]
+    cut = kstop, np.arange(env.shape[1])
     remainder = _ASYM_SAFETY * env[cut]
-    maxenv = np.maximum.accumulate(env, axis=1, out=env)[cut]
-    terms = values[:, :last] * signed
-    value = terms.cumsum(axis=1, out=terms)[cut]
-    for j, slope in enumerate(slopes):
-        if slope is not None:
-            value[j] += logz * (slope[:last] * signed).cumsum(axis=0)[kstop[j], cut[2]]
+    maxenv = np.maximum.accumulate(env, axis=0, out=env)[cut]
+    terms = rows[0][:last] * signed
+    value = terms.cumsum(axis=0, out=terms)[cut]
+    if len(rows) > 1:
+        value += logz * (rows[1][:last] * signed).cumsum(axis=0)[cut]
     roundoff = _ROUNDOFF_SAFETY * _EPS * maxenv * np.maximum(kstop + 1, 8)
     return value, remainder + roundoff
-
-
-def _stacked(rows):
-    """The rows on a new leading axis: a view of a lone one."""
-    return rows[0][None] if len(rows) == 1 else np.concatenate([row[None] for row in rows])
 
 
 def _env_reach(logc, power, limit):
@@ -471,17 +456,6 @@ class _Expansion:
         """Columns evaluated with another side's sign rows: None for a series in y."""
         return None
 
-    def _given(self, spec, nk, logz) -> int:
-        """A given term budget at the points ``logz``: 0 if there are none.
-
-        An asymptotic quantity's is cut as a pass with no cap cuts its own
-        (``TailSeriesSide._least_cut``): no point's sum stops beyond it, so
-        every value and error is the full budget's.
-        """
-        if not logz.size:
-            return 0
-        return nk if spec[4] is not None else self._least_cut(spec, float(logz.max()), nk)
-
     def term_budget(self, quantity: str, tol: float, logz) -> int:
         """Terms a pass with no cap sums for ``quantity`` over the radii e^logz."""
         return self._budget(self._spec(quantity), tol, None, np.asarray(logz, dtype=float))
@@ -522,7 +496,7 @@ class _Expansion:
             if mirrored is None:  # one side: one budget
                 on = logz if row is None else logz[row]
                 nk = (self._budget(plan[0], tol, kcap, on) if budgets is None
-                      else self._given(plan[0], budgets[i][0], on))
+                      else budgets[i][0] if on.size else 0)
                 nks.append(nk)
                 tops.append(nk)
                 continue
@@ -533,7 +507,7 @@ class _Expansion:
             if budgets is None:
                 per = [self._budget(plan[0], tol, kcap, logz[on]) for on in sides]
             else:
-                per = [self._given(plan[0], nk, logz[on]) for nk, on in zip(budgets[i], sides)]
+                per = [nk if on.any() else 0 for nk, on in zip(budgets[i], sides)]
             if per[0] != per[1]:  # one count per column
                 per = [np.where(mirrored, per[1], per[0])]
             nks.append(per[0])
@@ -548,20 +522,16 @@ class _Expansion:
         if used:
             v = logz if self._step > 0.0 else -logz
             powers, lift = self._power_matrix(v, max(used))
-            asymptotic = [i for i, top in enumerate(tops) if top and plans[i][0][4] is None]
-            together = len(asymptotic) * max(used) * z.size <= _BATCH  # else one at a time
-            for group in [asymptotic] if together and asymptotic else [[i] for i in asymptotic]:
-                at = slice(None) if len(group) == len(quantities) else group
-                out[0, at], out[1, at] = self._least_sums(
-                    [quantities[i] for i in group], [plans[i] for i in group],
-                    [nks[i] for i in group], [tops[i] for i in group], powers, lift, logz,
-                    mirrored)
             env = None
             for i, (q, plan, tol, nk, top) in enumerate(zip(quantities, plans, tols, nks, tops)):
-                if top and i not in asymptotic:
-                    env = np.empty_like(powers) if env is None else env
-                    out[:, i] = self._sum(q, plan, tol, nk, top, powers, lift, logz, v, env,
-                                          mirrored, negative)
+                if not top:
+                    continue
+                if plan[0][4] is None:  # asymptotic
+                    out[:, i] = self._least_sum(q, plan, nk, top, powers, lift, logz, mirrored)
+                    continue
+                env = np.empty_like(powers) if env is None else env
+                out[:, i] = self._sum(q, plan, tol, nk, top, powers, lift, logz, v, env,
+                                      mirrored, negative)
             for i, nk in enumerate(nks):
                 if isinstance(nk, np.ndarray):  # a side with no point of it certifies nothing
                     out[:, i, nk == 0] = [[0.0], [np.inf]]
@@ -577,8 +547,7 @@ class _Expansion:
     def _scale(power, lift, logz):
         """|z|^power times the power matrix's ``lift`` (None for none) per point.
 
-        ``power`` is one power or a column of them; a power of 0 scales by
-        exp(+-0) = 1, exactly.
+        A power of 0 scales by exp(+-0) = 1, exactly.
         """
         logscale = power * logz
         return np.exp(np.minimum(logscale if lift is None else logscale + lift, -_LOG_FLOOR))
@@ -594,48 +563,31 @@ class _Expansion:
             value, err = np.where(finite, value, 0.0), np.where(finite, err, np.inf)
         return value, err
 
-    def _least_sums(self, quantities, plans, nks, tops, powers, lift, logz, mirrored):
-        """(values, errs), each (quantities, points), of asymptotic quantities off one power matrix.
+    def _least_sum(self, quantity, plan, nk, m, powers, lift, logz, mirrored):
+        """(value, err) of an asymptotic quantity off a pass's power matrix.
 
-        Each quantity's weight rows (``_plan``; the mirror's in ``mirrored``
-        columns) give its values, and its envelope rows its envelopes, on
-        the first ``tops`` rows of ``powers`` (``nks`` per column where the
-        two sides of a tail pass sum different budgets), scaled by |z|^power
-        and the matrix's ``lift`` per point.  Each stops at its least
+        Its weight rows (``_plan``; the mirror's in ``mirrored`` columns)
+        give its values, and its envelope rows its envelopes, on the first
+        ``m`` rows of ``powers`` (``nk`` per column where the two sides of a
+        tail pass sum different budgets), scaled by |z|^power and the
+        matrix's ``lift`` per point.  Each column stops at its least
         envelope, one whose power is floored counting as zero (it is a
-        bound, not a value), and is summed there (``_truncated_sums``).  The
-        quantities share each array operation: a row past a quantity's
-        own budget is never its least, and reads no row of another.
+        bound, not a value), and is summed there (``_truncated_sum``).
         """
-        m = max(tops)
+        _, _, power, signs, env_rows = plan[:5]
         powers = powers[:m]
-        rows = [self._values(plan[3], plan[4], m) for plan in plans]
+        rows = self._values(signs, env_rows, m)
         if mirrored is not None:
-            others = [self._values(self.mirror._plan(q)[3], plan[4], m)
-                      for q, plan in zip(quantities, plans)]
-            rows = [[np.where(mirrored, o, row) for row, o in zip(own, other)]
-                    for own, other in zip(rows, others)]
-        values = _stacked([row[0] for row in rows])
-        slopes = [row[1][:m] if len(row) > 1 else None for row in rows]
-        env = _stacked([plan[4][0][:m] for plan in plans]) * powers
-        for j, plan in enumerate(plans):
-            if len(plan[4]) > 1:  # a log r slope
-                env[j] += np.abs(logz) * (plan[4][1][:m] * powers)
+            other = self._values(self.mirror._plan(quantity)[3], env_rows, m)
+            rows = [np.where(mirrored, o, row) for row, o in zip(rows, other)]
+        env = env_rows[0][:m] * powers
+        if len(env_rows) > 1:  # a log r slope
+            env += np.abs(logz) * (env_rows[1][:m] * powers)
         least = np.where(powers > self._floor, env, 0.0)
-        for j, nk in enumerate(nks):
-            if isinstance(nk, np.ndarray):  # the rows past each column's own budget
-                least[j][np.arange(m)[:, None] >= np.maximum(nk, 1)] = np.inf
-            elif nk < m:
-                least[j, nk:] = np.inf
-        kstop = least.argmin(axis=1)
-        value, err = _truncated_sums(powers, values, slopes, env, logz, kstop)
-        if len(plans) == 1:
-            power = plans[0][2]
-            scaled = power != 0.0
-        else:
-            power = np.array([plan[2] for plan in plans])[:, None]
-            scaled = power.any()
-        scale = self._scale(power, lift, logz) if scaled or lift is not None else None
+        if isinstance(nk, np.ndarray):  # the rows past each column's own budget
+            least[np.arange(m)[:, None] >= np.maximum(nk, 1)] = np.inf
+        value, err = _truncated_sum(powers, rows, env, logz, least.argmin(axis=0))
+        scale = None if lift is None and not power else self._scale(power, lift, logz)
         return self._finish(value, err, scale)
 
     def _sum(self, quantity, plan, tol, nk, nkmax, powers, lift, logz, v, env, mirrored,

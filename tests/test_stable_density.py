@@ -898,7 +898,7 @@ class TestSeriesSums:
 
         Each term is the exponential of its own log coefficient, factors and
         power, times its sign, with no floor; the cut and the certificate
-        follow ``_truncated_sums`` and ``_certified_sum``: the least
+        follow ``_truncated_sum`` and ``_certified_sum``: the least
         envelope, a floored power entry counting as zero (asymptotic), or
         the first term below tol/_ASYM_SAFETY whose ratio contracts and the
         geometric rest from the last (convergent).
@@ -982,22 +982,17 @@ class TestAsymptoticBudget:
                                              (1.95, 1.0)])
     def test_cut_changes_no_value(self, alpha, beta, acc, monkeypatch):
         # every point's sum stops inside the cut, floored rows included, so
-        # the values and errors are those of the uncut budget bit for bit,
-        # in a pass that finds its budgets and in one given the full budget
-        # on one side, the other or both
+        # the values and errors are those of the uncut budget bit for bit
         from stablegarch.stable.series import TailSeriesSide
         tol, kmax = acc.abs_tol, acc.max_series_terms
         side = TailSeriesSide(alpha, beta, kmax)
         sets = [np.geomspace(1.2, 40.0, 50), np.geomspace(3.0, 1e250, 60), np.array([7.3]),
                 np.array([1.2, 2.0]), np.geomspace(60.0, 1e6, 9)]
         tols = (tol,) * len(_TAIL_QUANTITIES)
-        full = [(kmax, kmax)] * len(_TAIL_QUANTITIES)
-        passes = [(z, budgets) for r in sets
-                  for z, budgets in ((r, None), (r, full), (-r, full), (np.append(r, -r), full))]
-        cut = [side.evaluate(z, _TAIL_QUANTITIES, tols, budgets=budgets) for z, budgets in passes]
+        cut = [side.evaluate(r, _TAIL_QUANTITIES, tols) for r in sets]
         monkeypatch.setattr(TailSeriesSide, "_least_cut", lambda self, spec, far, nk: nk)
-        for (z, budgets), got in zip(passes, cut):
-            want = side.evaluate(z, _TAIL_QUANTITIES, tols, budgets=budgets)
+        for r, got in zip(sets, cut):
+            want = side.evaluate(r, _TAIL_QUANTITIES, tols)
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
     def test_tail_quantile_step_builds_few_rows(self, monkeypatch):
